@@ -1,6 +1,6 @@
 """O(n)-per-evaluation approximate marginal log likelihood.
 
-Two ingredients replace the exact O(n^3) computation:
+Two ingredients replace the exact O(n^2) computation:
 
 * the inverse covariance T(fbar)^{-1} is approximated by the Toeplitz
   matrix T(h) of h = 1/(4 pi^2 fbar) -- a bounded function vanishing like

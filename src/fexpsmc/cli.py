@@ -30,8 +30,6 @@ from .report import d_histogram, frequency_grid, spectral_bands, summarize
 from .simulate import SimConfig, read_series, simulate_series, write_series
 from .smc import SmcConfig, run_smc
 
-log = logging.getLogger(__name__)
-
 _FLOAT_FMT = "%.17g"
 
 

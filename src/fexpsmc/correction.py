@@ -7,10 +7,11 @@ Particles theta_j targeting the approximate posterior are reweighted by
 
 then self-normalised.  Both evaluators drop the same kind of theta-free
 constants, so the weights are correct up to a single global factor that
-normalisation removes.  The exact evaluation costs one dense Cholesky per
-distinct particle, so weights are memoised across duplicated particles
-(resampled populations contain many copies) and the whole step can be
-subsampled or parallelised across threads (LAPACK releases the GIL).
+normalisation removes.  The exact evaluation costs one O(n^2)
+Durbin-Levinson sweep per distinct particle, so weights are memoised
+across duplicated particles (resampled populations contain many copies)
+and the whole step can be subsampled or spread over threads (which only
+overlap where the active backend releases the GIL).
 """
 
 import logging
@@ -27,7 +28,10 @@ __all__ = ["CorrectionResult", "correction_weights", "corrected_estimate"]
 
 logger = logging.getLogger(__name__)
 
-#: refuse exact O(n^3) work above this length unless explicitly forced
+#: refuse exact work above this length unless explicitly forced.  Memory is
+#: not the limit: one evaluation at n = 20 000 raises the peak RSS by about
+#: 6 MB.  Time is: that evaluation takes 0.70-0.76 s on the numpy backend
+#: (one core of a 2-core x86 host), per distinct particle, growing as n^2.
 N_GUARD = 20_000
 
 
@@ -72,12 +76,12 @@ def correction_weights(
         Worker threads for the exact evaluations (deterministic output
         ordering regardless of the count).
     force_large_n : bool
-        Allow series longer than the O(n^3) guard of 20 000 points.
+        Allow series longer than the exact-likelihood guard of 20 000 points.
     exact_fn, approx_fn : callables theta -> float, optional
         Test seams replacing the default evaluators.
 
-    A Cholesky failure inside the exact evaluator zeroes that particle's
-    weight (with a warning) instead of aborting the correction.
+    A covariance that is not positive definite in the exact evaluator zeroes
+    that particle's weight (with a warning) instead of aborting the correction.
     """
     thetas = list(thetas)
     n_particles = len(thetas)

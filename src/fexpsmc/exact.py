@@ -1,4 +1,4 @@
-"""Exact Gaussian likelihoods through dense Toeplitz Cholesky factorisations.
+"""Exact Gaussian marginal likelihood through the Durbin-Levinson recursion.
 
 With the conjugate prior 1/sigma^2 ~ Gamma(a, b) and
 mu | sigma^2 ~ N(m_mu, sigma^2 / g_mu), both nuisance parameters integrate
@@ -14,29 +14,34 @@ where T(fbar_theta) is the n x n Toeplitz autocovariance matrix of the
 normalised FEXP density.  The omitted factor is independent of theta, so
 these log values are exact up to one global additive constant -- all that
 self-normalised weighting requires.
+
+Sigma is never formed.  One Durbin-Levinson sweep over T whitens the two
+columns u = x - m_mu and 1, which gives log|T| = sum log v_t and the
+T^{-1} quadratic forms as sums of e_t^2 / v_t; the matrix determinant
+lemma and Sherman-Morrison then add the rank-one term.  That is O(n^2)
+time and O(n) memory.  The dense Cholesky factorisation stays as
+``cholesky_lower``, the reference the tests compare against.
 """
 
 import math
 
 import numpy as np
-from scipy.linalg import solve_triangular
 from scipy.linalg.lapack import dpotrf
 
-from .fourier import build_toeplitz, fourier_coeffs_longmemory
-from ._accel import cosine_series
+from .fourier import fourier_coeffs_longmemory
+from ._accel import cosine_series, durbin_levinson_whiten
 
 __all__ = [
     "NotPositiveDefiniteError",
     "cholesky_lower",
-    "chol_quad_form",
     "fbar_autocov",
     "exact_log_marglik",
-    "exact_log_lik_zeromean",
 ]
 
 
 class NotPositiveDefiniteError(np.linalg.LinAlgError):
-    """Cholesky failure, carrying the 1-based index of the failing leading minor."""
+    """A covariance that is not positive definite, carrying the 1-based index
+    of the failing leading minor (as LAPACK ``dpotrf`` reports it)."""
 
     def __init__(self, index):
         self.index = int(index)
@@ -60,12 +65,6 @@ def cholesky_lower(S):
     return np.tril(L)
 
 
-def chol_quad_form(L, v):
-    """v' S^{-1} v given the lower Cholesky factor L of S (triangular solve)."""
-    z = solve_triangular(L, v, lower=True, check_finite=False)
-    return float(z @ z)
-
-
 def fbar_autocov(theta, n, M=None):
     """Autocovariances gamma(0..n-1) of the normalised FEXP density at theta.
 
@@ -84,30 +83,20 @@ def fbar_autocov(theta, n, M=None):
 def exact_log_marglik(theta, x, prior, M=None):
     """Exact log marginal likelihood of theta (up to one theta-free constant).
 
-    Cost is dominated by one dense Cholesky factorisation, O(n^3).
+    O(n^2) time and O(n) memory.  Raises :class:`NotPositiveDefiniteError`
+    when T(fbar_theta) is not numerically positive definite.
     """
     x = np.asarray(x, dtype=float)
     n = x.size
     if n < 2:
         raise ValueError("need at least two observations")
     acf = fbar_autocov(theta, n, M=M)
-    sigma = build_toeplitz(acf, ridge=1.0 / prior.g_mu)
-    L = cholesky_lower(sigma)
-    q = chol_quad_form(L, x - prior.m_mu)
-    logdet_half = float(np.sum(np.log(np.diag(L))))
-    return -logdet_half - (prior.a + 0.5 * n) * math.log(prior.b + 0.5 * q)
-
-
-def exact_log_lik_zeromean(acf, x):
-    """Plain zero-mean Gaussian log likelihood for covariance T(acf).
-
-    log N(x; 0, T) = -n/2 log(2 pi) - 1/2 log|T| - 1/2 x' T^{-1} x.
-    """
-    x = np.asarray(x, dtype=float)
-    T = build_toeplitz(np.asarray(acf, dtype=float))
-    if T.shape[0] != x.size:
-        raise ValueError("acf length must match data length")
-    L = cholesky_lower(T)
-    q = chol_quad_form(L, x)
-    logdet_half = float(np.sum(np.log(np.diag(L))))
-    return -0.5 * x.size * math.log(2.0 * math.pi) - logdet_half - 0.5 * q
+    e, v, info = durbin_levinson_whiten(acf, np.column_stack([x - prior.m_mu, np.ones(n)]))
+    if info:
+        raise NotPositiveDefiniteError(info)
+    # G = [[u'T^-1 u, u'T^-1 1], [1'T^-1 u, 1'T^-1 1]]
+    G = e.T @ (e / v[:, None])
+    s = 1.0 + G[1, 1] / prior.g_mu
+    logdet = float(np.sum(np.log(v))) + math.log(s)
+    q = G[0, 0] - G[0, 1] ** 2 / (prior.g_mu * s)
+    return -0.5 * logdet - (prior.a + 0.5 * n) * math.log(prior.b + 0.5 * q)

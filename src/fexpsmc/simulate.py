@@ -1,32 +1,25 @@
 """Exact simulation of stationary Gaussian series and CSV data I/O.
 
-Draws x ~ N(mu * 1, T(f)) for a model spectral density f.  Two exact
-mechanisms share the same autocovariances:
-
-* dense lower-Cholesky sampling for n <= 8192, and
-* a progressive conditional extension (Durbin-Levinson innovations) for
-  longer series -- each x_t is drawn from its exact Gaussian conditional
-  given x_0..x_{t-1}, so the joint law is identical to the dense draw's,
-  at O(n^2) time and O(n) memory.
+Draws x ~ N(mu * 1, T(f)) for a model spectral density f by the
+Durbin-Levinson innovations recursion: each x_t is drawn from its exact
+Gaussian conditional given x_0..x_{t-1}.  The map from the standard-normal
+draws z to x is the lower Cholesky factor of T(f), so a given z yields the
+dense Cholesky draw up to rounding, at O(n^2) time and O(n) memory.
 
 Supported model kinds: "fracnoise" (pure fractional noise), "fexp"
 (fractional noise times an exponential cosine series) and "arfima"
 (fractional ARMA).  All share the memory parameter d in [0, 1/2).
 """
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import _accel
-from .exact import NotPositiveDefiniteError, cholesky_lower
-from .fourier import build_toeplitz, fourier_coeffs_longmemory
+from .exact import NotPositiveDefiniteError
+from .fourier import fourier_coeffs_longmemory
 
 __all__ = ["SimConfig", "model_autocov", "simulate_series", "write_series", "read_series"]
-
-#: longest series handled by the dense Cholesky path
-DENSE_LIMIT = 8192
 
 
 @dataclass
@@ -89,16 +82,16 @@ def model_autocov(cfg, n, M=None):
 
 
 def simulate_series(cfg, rng, M=None):
-    """Draw one exact sample path x ~ N(mu, T(f)) of length cfg.n."""
+    """Draw one exact sample path x ~ N(mu, T(f)) of length cfg.n.
+
+    Raises :class:`NotPositiveDefiniteError` when T(f) is not numerically
+    positive definite.
+    """
     acf = model_autocov(cfg, cfg.n, M=M)
     z = rng.standard_normal(cfg.n)
-    if cfg.n <= DENSE_LIMIT:
-        L = cholesky_lower(build_toeplitz(acf))
-        x = L @ z
-    else:
-        x, ok = _accel.durbin_levinson_sample(np.ascontiguousarray(acf), z)
-        if not ok:
-            raise NotPositiveDefiniteError(0)
+    x, info = _accel.durbin_levinson_sample(acf, z)
+    if info:
+        raise NotPositiveDefiniteError(info)
     return x + cfg.mu
 
 

@@ -4,13 +4,13 @@ import math
 
 import numpy as np
 import pytest
-from scipy.stats import multivariate_normal
 
-from fexpsmc.exact import (NotPositiveDefiniteError, chol_quad_form,
-                           cholesky_lower, exact_log_lik_zeromean,
+from fexpsmc import exact, simulate
+from fexpsmc.exact import (NotPositiveDefiniteError, cholesky_lower,
                            exact_log_marglik, fbar_autocov)
 from fexpsmc.fourier import build_toeplitz, fracdiff_acf
 from fexpsmc.model import PriorConfig, ThetaParams
+from fexpsmc.simulate import SimConfig, simulate_series
 
 TWO_PI = 2.0 * math.pi
 
@@ -39,16 +39,6 @@ def test_cholesky_lower_reports_failing_minor():
 def test_cholesky_lower_rejects_nonsquare():
     with pytest.raises(ValueError):
         cholesky_lower(np.zeros((2, 3)))
-
-
-def test_chol_quad_form_is_inverse_quadratic():
-    rng = np.random.default_rng(11)
-    A = rng.standard_normal((5, 5))
-    S = A @ A.T + 5.0 * np.eye(5)
-    v = rng.standard_normal(5)
-    got = chol_quad_form(cholesky_lower(S), v)
-    want = float(v @ np.linalg.solve(S, v))
-    assert abs(got - want) < 1e-10 * abs(want)
 
 
 # ---------------------------------------------------------------------------
@@ -143,18 +133,55 @@ def test_exact_log_marglik_needs_two_points():
 
 
 # ---------------------------------------------------------------------------
-# Zero-mean plain likelihood
+# Edge cases of the Durbin-Levinson path: d -> 1/2, large |xi|, non-PD acf
 # ---------------------------------------------------------------------------
 
-def test_zeromean_loglik_matches_scipy():
-    rng = np.random.default_rng(21)
-    acf = fracdiff_acf(0.3, np.arange(16))
-    x = rng.standard_normal(16)
-    got = exact_log_lik_zeromean(acf, x)
-    want = multivariate_normal(mean=np.zeros(16), cov=build_toeplitz(acf)).logpdf(x)
-    assert abs(got - want) < 1e-9
+def _eigen_log_marglik(th, x, prior):
+    n = x.size
+    sigma = build_toeplitz(fbar_autocov(th, n)) + np.full((n, n), 1.0 / prior.g_mu)
+    evals, evecs = np.linalg.eigh(sigma)
+    assert evals.min() > 0
+    y = evecs.T @ (x - prior.m_mu)
+    q = float(np.sum(y * y / evals))
+    return -0.5 * float(np.sum(np.log(evals))) \
+        - (prior.a + 0.5 * n) * math.log(prior.b + 0.5 * q)
 
 
-def test_zeromean_loglik_validates_lengths():
-    with pytest.raises(ValueError):
-        exact_log_lik_zeromean(np.array([1.0, 0.5]), np.zeros(3))
+@pytest.mark.parametrize("n", [64, 512])
+@pytest.mark.parametrize("xi", [(), (3.0,), (-3.0, 1.5, -0.8)])
+@pytest.mark.parametrize("d", [0.45, 0.49, 0.499])
+def test_exact_log_marglik_edge_cases_match_eigen_oracle(d, xi, n):
+    prior = PriorConfig()
+    x = np.random.default_rng(n).standard_normal(n) * 1.4 + 0.3
+    th = ThetaParams(k=len(xi), t=math.log(2.0 * d / (1.0 - 2.0 * d)), xi=np.array(xi))
+    want = _eigen_log_marglik(th, x, prior)
+    got = exact_log_marglik(th, x, prior)
+    assert abs(got - want) < 1e-10 * abs(want)
+
+
+@pytest.mark.parametrize("acf", [[1.0, 2.0, 0.0, 0.0, 0.0, 0.0],
+                                 [1.0, 0.99, 0.0, 0.0],
+                                 [-1.0, 0.0, 0.0]])
+def test_non_positive_definite_acf_raises_lapack_index(acf, monkeypatch):
+    acf = np.array(acf)
+    n = acf.size
+    with pytest.raises(NotPositiveDefiniteError) as dense:
+        cholesky_lower(build_toeplitz(acf))
+    monkeypatch.setattr(exact, "fbar_autocov", lambda th, n, M=None: acf)
+    monkeypatch.setattr(simulate, "model_autocov", lambda cfg, n, M=None: acf)
+    with pytest.raises(NotPositiveDefiniteError) as lik:
+        exact_log_marglik(ThetaParams(k=0, t=0.0, xi=np.empty(0)),
+                          np.arange(n, dtype=float), PriorConfig())
+    with pytest.raises(NotPositiveDefiniteError) as draw:
+        simulate_series(SimConfig(n=n), np.random.default_rng(0))
+    assert lik.value.index == draw.value.index == dense.value.index
+
+
+def test_non_finite_acf_raises_instead_of_nan(monkeypatch):
+    # LAPACK's dpotrf passes a NaN through; the recursion stops at it
+    acf = np.array([1.0, 0.5, math.nan, 0.0])
+    monkeypatch.setattr(exact, "fbar_autocov", lambda th, n, M=None: acf)
+    with pytest.raises(NotPositiveDefiniteError) as err:
+        exact_log_marglik(ThetaParams(k=0, t=0.0, xi=np.empty(0)), np.ones(4),
+                          PriorConfig())
+    assert err.value.index == 3

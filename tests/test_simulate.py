@@ -9,8 +9,8 @@ from scipy.stats import chi2
 from fexpsmc.exact import NotPositiveDefiniteError
 from fexpsmc.fourier import build_toeplitz, fracdiff_acf
 from fexpsmc.model import arfima_sdf
-from fexpsmc.simulate import (DENSE_LIMIT, SimConfig, model_autocov,
-                              read_series, simulate_series, write_series)
+from fexpsmc.simulate import (SimConfig, model_autocov, read_series,
+                              simulate_series, write_series)
 from fexpsmc import _accel
 
 
@@ -109,10 +109,9 @@ def test_durbin_levinson_path_matches_dense_law():
     rng = np.random.default_rng(3)
     acf = fracdiff_acf(0.35, np.arange(256))
     z = rng.standard_normal(256)
-    x_dl, ok = _accel.durbin_levinson_sample(acf, z)
-    assert ok
-    # the DL transform is a different factorisation, so paths differ, but
-    # both must have the model covariance; check via whitening
+    x_dl, info = _accel.durbin_levinson_sample(acf, z)
+    assert info == 0
+    # the DL path must have the model covariance; check via whitening
     from scipy.linalg import solve_triangular
     from fexpsmc.exact import cholesky_lower
     L = cholesky_lower(build_toeplitz(acf))
@@ -128,17 +127,38 @@ def test_durbin_levinson_rejects_invalid_acf():
     acf[0] = 1.0
     acf[1] = 2.0  # |gamma(1)| > gamma(0): not a covariance
     z = np.zeros(16)
-    _, ok = _accel.durbin_levinson_sample(acf, z)
-    assert not ok
+    _, info = _accel.durbin_levinson_sample(acf, z)
+    assert info == 2  # the leading 2x2 minor 1 - 4 < 0
 
 
 def test_long_series_uses_innovations_path():
-    # n just above the dense limit still simulates fine
     rng = np.random.default_rng(4)
-    cfg = SimConfig(kind="fracnoise", n=DENSE_LIMIT + 8, d=0.1, sigma2=1.0)
+    cfg = SimConfig(kind="fracnoise", n=8200, d=0.1, sigma2=1.0)
     x = simulate_series(cfg, rng)
-    assert x.size == DENSE_LIMIT + 8
+    assert x.size == 8200
     assert np.all(np.isfinite(x))
+
+
+def test_innovations_draw_is_the_cholesky_draw():
+    # the innovations map z -> x is the lower Cholesky factor of T
+    from fexpsmc.exact import cholesky_lower
+    cfg = SimConfig(kind="fexp", n=512, d=0.49, sigma2=1.0, mu=0.7, xi=np.array([3.0]))
+    x = simulate_series(cfg, np.random.default_rng(6))
+    z = np.random.default_rng(6).standard_normal(512)
+    want = cholesky_lower(build_toeplitz(model_autocov(cfg, 512))) @ z + 0.7
+    assert np.max(np.abs(x - want)) < 1e-10 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("colour", [False, True])
+def test_durbin_levinson_backend_twins_agree(colour):
+    # without numba, the njit fallback runs the numba source as plain Python
+    acf = model_autocov(SimConfig(kind="fexp", d=0.4, xi=np.array([1.5, -0.7])), 64)
+    y = np.random.default_rng(7).standard_normal((64, 2))
+    out_np, v_np, info_np = _accel._durbin_levinson_np(acf, y, colour)
+    out_nb, v_nb, info_nb = _accel._durbin_levinson_nb(acf, y, colour)
+    assert info_np == info_nb == 0
+    assert np.max(np.abs(out_np - out_nb)) <= 1e-12 * np.max(np.abs(out_np))
+    assert np.max(np.abs(v_np - v_nb)) <= 1e-12 * np.max(v_np)
 
 
 def test_simulation_reproducible_under_seed():
