@@ -11,7 +11,9 @@ numba, the ``njit`` fallback runs the numba source as plain Python).
 
 One Durbin-Levinson innovations kernel serves both the exact likelihood
 (whitening, ``durbin_levinson_whiten``) and simulation (colouring,
-``durbin_levinson_sample``).
+``durbin_levinson_sample``).  The Whittle quadratic form has no kernel
+here: :mod:`fexpsmc.approx` evaluates it for a whole batch of thetas with
+numpy array operations.
 
 Kernels are module-level functions taking plain arrays (numba does not
 compile methods, so no ``self`` anywhere).
@@ -45,40 +47,6 @@ except ImportError:
 
 
 BACKEND = "numba" if HAVE_NUMBA else "numpy"
-
-
-# ---------------------------------------------------------------------------
-# Whittle quadratic form
-#
-# Q = (1/n) * sum_j I_j * exp(d*L_j - sum_m xi_m * C[m, j])
-#
-# where I_j is the raw periodogram |sum_t x_t e^{i t lambda_j}|^2 at the
-# folded Fourier frequency lambda_j*, L_j = log(2 - 2 cos lambda_j*) and
-# C[m, j] = cos((m+1) lambda_j*).  This equals the Riemann-sum
-# approximation of the inverse-covariance quadratic form x' T(fbar)^{-1} x.
-# ---------------------------------------------------------------------------
-
-
-def _whittle_quadform_np(d, xi, pgram, logweight, cosbasis, n):
-    k = xi.shape[0]
-    s = d * logweight
-    if k:
-        s = s - xi @ cosbasis[:k]
-    with np.errstate(over="ignore"):
-        return float(pgram @ np.exp(s)) / n
-
-
-@njit(cache=True, nogil=True)
-def _whittle_quadform_nb(d, xi, pgram, logweight, cosbasis, n):
-    nf = pgram.shape[0]
-    k = xi.shape[0]
-    acc = 0.0
-    for j in range(nf):
-        s = d * logweight[j]
-        for m in range(k):
-            s -= xi[m] * cosbasis[m, j]
-        acc += pgram[j] * math.exp(s)
-    return acc / n
 
 
 # ---------------------------------------------------------------------------
@@ -195,11 +163,9 @@ def _durbin_levinson_nb(acf, y, colour):
 
 
 if HAVE_NUMBA:
-    whittle_quadform = _whittle_quadform_nb
     cosine_series = _cosine_series_nb
     _durbin_levinson = _durbin_levinson_nb
 else:
-    whittle_quadform = _whittle_quadform_np
     cosine_series = _cosine_series_np
     _durbin_levinson = _durbin_levinson_np
 

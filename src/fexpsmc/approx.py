@@ -30,12 +30,21 @@ The approximate log likelihood is then
 
 exact up to a single theta-free additive constant, mirroring
 :func:`fexpsmc.exact.exact_log_marglik`.
+
+:func:`approx_log_liks` scores a whole population at once, which is how the
+SMC sampler and the correction call it: per block of BLOCK_ROWS thetas the
+Whittle form is one exp over a (rows, n - 1) exponent matrix and one
+product with the periodogram, and D_n is one vectorised Barnes-G call for
+1 - d and 1 - 2d together.  Blocking bounds the temporaries to
+BLOCK_ROWS x (n - 1) doubles however many thetas are passed.  Every sum runs
+within its own row, so a theta's value does not depend on the rest of its
+batch; :func:`approx_log_lik` is the batch of one and agrees bit for bit.
 """
 
 import math
 
 import numpy as np
-from scipy.special import zeta
+from scipy.special import gammaln, zeta
 
 from . import _accel
 from .fourier import fourier_coeffs_bounded
@@ -48,7 +57,12 @@ __all__ = [
     "log_barnes_g",
     "log_det_approx",
     "approx_log_lik",
+    "approx_log_liks",
 ]
+
+#: thetas per block of the batched evaluator, which bounds its temporaries to
+#: BLOCK_ROWS x (n - 1) doubles whatever the population size
+BLOCK_ROWS = 64
 
 
 class DatasetContext:
@@ -115,13 +129,28 @@ def prepare_dataset(x):
     return DatasetContext(x)
 
 
+def _whittle_quadforms(thetas, ctx):
+    """Whittle quadratic forms pgram . exp(d logweight - xi cos_basis) / n of
+    a batch of thetas.
+
+    Each row's cosine series is its own length-k product and einsum sums
+    each row on its own, so a theta gets the same bits in any batch: a
+    padded BLAS matrix product rounds a row differently with its padding
+    and its neighbours.
+    """
+    s = np.multiply.outer([th.d for th in thetas], ctx.logweight)
+    basis = ctx.cos_basis(max(th.k for th in thetas))
+    for row, th in zip(s, thetas):
+        if th.k:
+            row -= th.xi @ basis[:th.k]
+    with np.errstate(over="ignore"):
+        np.exp(s, out=s)
+    return np.einsum("ij,j->i", s, ctx.pgram) / ctx.n
+
+
 def quadform_whittle(theta, ctx):
     """Riemann-sum approximation of x~' T(fbar)^{-1} x~ over Fourier frequencies."""
-    xi = np.ascontiguousarray(theta.xi, dtype=float)
-    basis = ctx.cos_basis(theta.k)
-    return float(
-        _accel.whittle_quadform(theta.d, xi, ctx.pgram, ctx.logweight, basis, ctx.n)
-    )
+    return float(_whittle_quadforms([theta], ctx)[0])
 
 
 def quadform_whittle_at(theta, pgram, lam_star, n):
@@ -136,21 +165,27 @@ def quadform_approx_toeplitz(theta, ctx, M=None):
     """Toeplitz-form approximation sum_j c_j gamma_h(j), h = 1/(4 pi^2 fbar).
 
     h is bounded (h(0) = 0 for d > 0) so its coefficients come from the
-    bounded-path FFT rule; cost O(M log M) per theta.
+    bounded-path FFT rule; cost O(M log M) per theta.  Returns inf when
+    exp(-sum_j xi_j cos(j lam)) overflows on the grid, as the Whittle form
+    does.
     """
     d = theta.d
     xi = np.asarray(theta.xi, dtype=float)
 
     def h(lam):
         lam = np.asarray(lam, dtype=float)
-        vals = (2.0 - 2.0 * np.cos(lam)) ** d * np.exp(
-            -_accel.cosine_series(xi, lam)
-        ) / (2.0 * np.pi)
+        with np.errstate(over="raise"):
+            vals = (2.0 - 2.0 * np.cos(lam)) ** d * np.exp(
+                -_accel.cosine_series(xi, lam)
+            ) / (2.0 * np.pi)
         if d > 0.0:
             vals = np.where(np.abs(lam) < 1e-300, 0.0, vals)
         return vals
 
-    gamma_h = fourier_coeffs_bounded(h, ctx.n, M=M)
+    try:
+        gamma_h = fourier_coeffs_bounded(h, ctx.n, M=M)
+    except FloatingPointError:
+        return math.inf
     return float(ctx.c @ gamma_h)
 
 
@@ -158,42 +193,63 @@ def quadform_approx_toeplitz(theta, ctx, M=None):
 # Barnes' G function
 # ---------------------------------------------------------------------------
 
-_ZETA_K = np.arange(3, 121)
-_ZETA_V = zeta(_ZETA_K.astype(float) - 1.0)
-_LOG_2PI = math.log(2.0 * math.pi)
+#: Taylor coefficients of log G(1 + w) for w^1 .. w^56; at |w| <= 1/2 the
+#: first omitted term is about 1e-19
+_K = np.arange(3, 57)
+_TAYLOR = np.concatenate((
+    [0.5 * (math.log(2.0 * math.pi) - 1.0), -0.5 * (1.0 + np.euler_gamma)],
+    np.where(_K % 2, 1.0, -1.0) * zeta(_K - 1.0) / _K,
+))
 
 
 def log_barnes_g(x):
-    """log G(x) for real x > 0, accurate to ~1e-13 on (0, 4].
+    """log G(x) for real x > 0 (scalar or array), accurate to ~1e-13 on (0, 4].
 
     G satisfies G(z + 1) = Gamma(z) G(z) with G(1) = G(2) = G(3) = 1,
-    G(4) = 2.  The argument is shifted into [0.5, 1.5] by the functional
+    G(4) = 2.  Each argument is shifted into [0.5, 1.5] by the functional
     equation and the Taylor series
 
         log G(1 + w) = (log(2 pi) - 1)/2 * w - (1 + gamma_E)/2 * w^2
                        + sum_{k >= 3} (-1)^{k-1} zeta(k-1) w^k / k,
 
-    |w| <= 1/2, is summed to convergence.
+    |w| <= 1/2, is evaluated with a fixed number of terms: one cumulative
+    product of powers times the coefficient vector, the same cost for every
+    argument and, summed row by row, the same bits in any array.  A scalar
+    argument returns a float.
     """
-    if not x > 0.0:
+    arr = np.asarray(x, dtype=float)
+    if not np.all(arr > 0.0):
         raise ValueError(f"log_barnes_g requires x > 0, got {x}")
-    acc = 0.0
-    while x > 1.5:
-        x -= 1.0
-        acc += math.lgamma(x)
-    while x < 0.5:
-        acc -= math.lgamma(x)
-        x += 1.0
-    w = x - 1.0
-    total = 0.5 * (_LOG_2PI - 1.0) * w - 0.5 * (1.0 + np.euler_gamma) * w * w
-    wp = w * w
-    for k, zv in zip(_ZETA_K, _ZETA_V):
-        wp *= w
-        term = zv * wp / k
-        total += term if (k % 2) else -term
-        if abs(term) < 1e-17:
-            break
-    return acc + total
+    z = arr.reshape(-1).copy()
+    acc = np.zeros_like(z)
+    low = z < 0.5
+    acc[low] -= gammaln(z[low])
+    z[low] += 1.0
+    high = z > 1.5
+    while high.any():
+        z[high] -= 1.0
+        acc[high] += gammaln(z[high])
+        high = z > 1.5
+    powers = np.cumprod(np.repeat((z - 1.0)[:, None], _TAYLOR.size, axis=1), axis=1)
+    out = acc + np.einsum("ij,j->i", powers, _TAYLOR)
+    return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
+
+
+def _log_det_approxs(thetas, n):
+    """D_n of a batch of thetas, with G(1 - d) and G(1 - 2d) in one call.
+
+    The xi_j sums run in order of j over columns zero-padded to the largest
+    k, and trailing zeros leave a running sum unchanged, so a theta gets the
+    same bits in any batch.
+    """
+    d = np.array([th.d for th in thetas])
+    xi = np.zeros((len(thetas), 1 + max(th.k for th in thetas)))
+    for row, th in zip(xi, thetas):
+        row[1:1 + th.k] = th.xi
+    j = np.arange(xi.shape[1], dtype=float)
+    sq, lin = np.cumsum(np.stack((xi * xi * j, xi * j)), axis=2)[:, :, -1]
+    g1, g2 = np.split(log_barnes_g(np.concatenate((1.0 - d, 1.0 - 2.0 * d))), 2)
+    return d * d * math.log(n) + (0.25 * sq + d * lin) + (2.0 * g1 - g2)
 
 
 def log_det_approx(theta, n):
@@ -204,28 +260,37 @@ def log_det_approx(theta, n):
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    d = theta.d
-    out = d * d * math.log(n)
-    if theta.k:
-        j = np.arange(1, theta.k + 1, dtype=float)
-        out += 0.25 * float(j @ (theta.xi**2)) + d * float(j @ theta.xi)
-    out += 2.0 * log_barnes_g(1.0 - d) - log_barnes_g(1.0 - 2.0 * d)
+    return float(_log_det_approxs([theta], n)[0])
+
+
+def approx_log_liks(thetas, ctx, prior, mode="whittle", M=None):
+    """Approximate log marginal likelihoods of a population, as an array.
+
+    -D_n/2 - (a + n/2) log(b + Q/2) with Q from the selected quadratic-form
+    mode ("whittle", the O(n) default, or "toeplitz"); a non-finite Q gives
+    -inf.  The thetas are taken in blocks of BLOCK_ROWS.  In whittle mode a
+    block costs one exp over its (rows, n - 1) exponents and one product
+    with the periodogram; toeplitz mode computes Q theta by theta.  A theta
+    gets the same value in any batch, alone included.
+    """
+    if mode not in ("whittle", "toeplitz"):
+        raise ValueError(f"unknown mode {mode!r}")
+    thetas = list(thetas)
+    out = np.empty(len(thetas))
+    for lo in range(0, len(thetas), BLOCK_ROWS):
+        block = thetas[lo:lo + BLOCK_ROWS]
+        if mode == "whittle":
+            q = _whittle_quadforms(block, ctx)
+        else:
+            q = np.array([quadform_approx_toeplitz(th, ctx, M=M) for th in block])
+        ok = np.isfinite(q)
+        ll = -0.5 * _log_det_approxs(block, ctx.n) - (prior.a + 0.5 * ctx.n) * np.log(
+            prior.b + 0.5 * np.where(ok, q, 0.0))
+        out[lo:lo + len(block)] = np.where(ok, ll, -math.inf)
     return out
 
 
 def approx_log_lik(theta, ctx, prior, mode="whittle", M=None):
-    """Approximate log marginal likelihood (up to one theta-free constant).
-
-    -D_n/2 - (a + n/2) log(b + Q/2) with Q from the selected quadratic-form
-    mode ("whittle", the O(n) default, or "toeplitz").
-    """
-    if mode == "whittle":
-        q = quadform_whittle(theta, ctx)
-    elif mode == "toeplitz":
-        q = quadform_approx_toeplitz(theta, ctx, M=M)
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    if not math.isfinite(q):
-        return -math.inf
-    dn = log_det_approx(theta, ctx.n)
-    return -0.5 * dn - (prior.a + 0.5 * ctx.n) * math.log(prior.b + 0.5 * q)
+    """Approximate log marginal likelihood (up to one theta-free constant);
+    the batch of one of :func:`approx_log_liks`."""
+    return float(approx_log_liks([theta], ctx, prior, mode=mode, M=M)[0])

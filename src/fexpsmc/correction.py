@@ -11,7 +11,8 @@ normalisation removes.  The exact evaluation costs one O(n^2)
 Durbin-Levinson sweep per distinct particle, so weights are memoised
 across duplicated particles (resampled populations contain many copies)
 and the whole step can be subsampled or spread over threads (which only
-overlap where the active backend releases the GIL).
+overlap where the active backend releases the GIL).  The approximate side
+of all distinct particles is one batched evaluation.
 """
 
 import logging
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .approx import approx_log_lik, prepare_dataset
+from .approx import approx_log_liks, prepare_dataset
 from .exact import NotPositiveDefiniteError, exact_log_marglik
 
 __all__ = ["CorrectionResult", "correction_weights", "corrected_estimate"]
@@ -99,7 +100,9 @@ def correction_weights(
         exact_fn = lambda th: exact_log_marglik(th, x, prior)
     if approx_fn is None:
         ctx = prepare_dataset(x)
-        approx_fn = lambda th: approx_log_lik(th, ctx, prior, mode=mode)
+        approx_many = lambda ths: approx_log_liks(ths, ctx, prior, mode=mode)
+    else:
+        approx_many = lambda ths: [approx_fn(th) for th in ths]
 
     if subsample is not None and subsample < n_particles:
         rng = np.random.default_rng(seed)
@@ -115,11 +118,12 @@ def correction_weights(
         if key not in unique:
             unique[key] = thetas[i]
             order.append(key)
+    approx = dict(zip(order, approx_many([unique[key] for key in order])))
 
     def _one(key):
         th = unique[key]
         try:
-            return exact_fn(th) - approx_fn(th)
+            return exact_fn(th) - approx[key]
         except NotPositiveDefiniteError as err:
             logger.warning("correction weight zeroed (k=%d): %s", th.k, err)
             return -math.inf

@@ -52,11 +52,16 @@ def cholesky_lower(S):
     """Lower Cholesky factor of a symmetric positive-definite matrix.
 
     Raises :class:`NotPositiveDefiniteError` with the index reported by
-    LAPACK when S is not numerically positive definite.
+    LAPACK when S is not numerically positive definite, and with the order
+    of the smallest leading minor holding a NaN or infinity when S is not
+    finite (LAPACK passes a NaN pivot through without reporting it).
     """
     S = np.ascontiguousarray(S, dtype=float)
     if S.ndim != 2 or S.shape[0] != S.shape[1]:
         raise ValueError("S must be a square matrix")
+    rows, cols = np.nonzero(~np.isfinite(S))
+    if rows.size:
+        raise NotPositiveDefiniteError(np.maximum(rows, cols).min() + 1)
     L, info = dpotrf(S, lower=1, overwrite_a=0)
     if info > 0:
         raise NotPositiveDefiniteError(info)

@@ -20,6 +20,9 @@ cycle applies, in order,
 All acceptance tests run in log space, so extreme likelihood ratios never
 overflow.  Kernels are pure functions of (state, rng): they mutate nothing
 and return the new state together with its cached log-prior/log-likelihood.
+Each kernel moves a whole population (``rw_metropolis_steps``,
+``birth_death_steps``) with one likelihood call for all its proposals; the
+one-particle kernels are its batch of one.
 """
 
 import math
@@ -34,7 +37,9 @@ __all__ = [
     "KernelConfig",
     "MoveStats",
     "rw_metropolis_step",
+    "rw_metropolis_steps",
     "birth_death_step",
+    "birth_death_steps",
     "calibrate_scales",
     "run_mcmc",
 ]
@@ -103,41 +108,81 @@ def _accept(log_r, rng):
     return u < math.exp(log_r)
 
 
-def rw_metropolis_step(theta, lp, ll, loglik_fn, prior, cfg, rng, stats):
-    """One random-walk Metropolis update of the (t, xi) block.
+def _current(lps, lls, gamma):
+    """Tempered log targets of a population; every one must be > -inf."""
+    cur = [_tempered(lp, ll, gamma) for lp, ll in zip(lps, lls)]
+    if -math.inf in cur:
+        raise InvalidStateError("current state has zero target density")
+    return cur
+
+
+def _score(props, lls, logliks_fn, gamma):
+    """Log likelihoods of the proposals, all from one ``logliks_fn`` call;
+    at gamma = 0 none is evaluated and each keeps its particle's ``lls``."""
+    if gamma == 0.0:
+        return list(lls)
+    return np.asarray(logliks_fn(props), dtype=float).tolist() if props else []
+
+
+def _scalar(loglik_fn):
+    """A theta -> float likelihood as a population -> list one."""
+    return lambda thetas: [loglik_fn(th) for th in thetas]
+
+
+def rw_metropolis_steps(thetas, lps, lls, logliks_fn, prior, cfg, rngs, stats):
+    """One random-walk Metropolis update of the (t, xi) block of every particle.
+
+    The update runs in three passes over the population: each particle j
+    draws its proposal from ``rngs[j]``; every proposal inside the prior
+    support is scored by a single ``logliks_fn`` call; each such particle
+    then makes its accept test with one more uniform from ``rngs[j]``.
+    Every stream sees the draws of the one-particle kernel in the same order.
 
     Parameters
     ----------
-    theta : ThetaParams
-    lp, ll : float
-        Cached log prior and log likelihood of ``theta`` (ll may be any
-        finite value when gamma = 0).
-    loglik_fn : callable theta -> float
+    thetas : sequence of ThetaParams
+    lps, lls : sequences of float
+        Cached log priors and log likelihoods (an ll may be any finite value
+        when gamma = 0).
+    logliks_fn : callable list of ThetaParams -> sequence of float
     prior : PriorConfig
     cfg : KernelConfig
-    rng : numpy Generator
+    rngs : sequence of numpy Generators, one per particle
     stats : MoveStats
 
-    Returns ``(theta, lp, ll, accepted)``.
+    Returns ``(thetas, lps, lls, accepted)`` as a new list, two float arrays
+    and a bool array.
     """
-    cur = _tempered(lp, ll, cfg.gamma)
-    if cur == -math.inf:
-        raise InvalidStateError("current state has zero target density")
-    stats.rw_proposed += 1
-    z = rng.standard_normal(theta.k + 1)
-    L = cfg.chol_for(theta.k)
-    step = z if L is None else L @ z
-    vec = theta.as_vector() + step
-    prop = ThetaParams.from_vector(vec)
-    lp_new = log_prior(prop, prior)
-    if lp_new == -math.inf:
-        return theta, lp, ll, False
-    ll_new = loglik_fn(prop) if cfg.gamma != 0.0 else ll
-    log_r = _tempered(lp_new, ll_new, cfg.gamma) - cur
-    if _accept(log_r, rng):
-        stats.rw_accepted += 1
-        return prop, lp_new, ll_new, True
-    return theta, lp, ll, False
+    cur = _current(lps, lls, cfg.gamma)
+    out = list(thetas)
+    lp_out = np.array(lps, dtype=float)
+    ll_out = np.array(lls, dtype=float)
+    accepted = np.zeros(len(out), dtype=bool)
+    moves = []
+    for j, th in enumerate(thetas):
+        stats.rw_proposed += 1
+        z = rngs[j].standard_normal(th.k + 1)
+        L = cfg.chol_for(th.k)
+        step = z if L is None else L @ z
+        prop = ThetaParams.from_vector(th.as_vector() + step)
+        lp_new = log_prior(prop, prior)
+        if lp_new != -math.inf:
+            moves.append((j, prop, lp_new))
+    scores = _score([m[1] for m in moves], [lls[m[0]] for m in moves], logliks_fn, cfg.gamma)
+    for (j, prop, lp_new), ll_new in zip(moves, scores):
+        if _accept(_tempered(lp_new, ll_new, cfg.gamma) - cur[j], rngs[j]):
+            stats.rw_accepted += 1
+            out[j], lp_out[j], ll_out[j], accepted[j] = prop, lp_new, ll_new, True
+    return out, lp_out, ll_out, accepted
+
+
+def rw_metropolis_step(theta, lp, ll, loglik_fn, prior, cfg, rng, stats):
+    """:func:`rw_metropolis_steps` on one particle with a theta -> float
+    ``loglik_fn``; returns ``(theta, lp, ll, accepted)``."""
+    th, lps, lls, acc = rw_metropolis_steps(
+        [theta], [lp], [ll], _scalar(loglik_fn), prior, cfg, [rng], stats
+    )
+    return th[0], float(lps[0]), float(lls[0]), bool(acc[0])
 
 
 def _rho_up(k, k_max):
@@ -149,8 +194,8 @@ def _rho_up(k, k_max):
     return 0.5
 
 
-def birth_death_step(theta, lp, ll, loglik_fn, prior, cfg, rng, stats):
-    """One birth/death move on the model order.
+def birth_death_steps(thetas, lps, lls, logliks_fn, prior, cfg, rngs, stats):
+    """One birth/death move on the model order of every particle.
 
     Birth draws xi_{k+1} from its conditional prior, so the prior density
     of the new coordinate cancels the proposal and the log ratio is
@@ -158,48 +203,54 @@ def birth_death_step(theta, lp, ll, loglik_fn, prior, cfg, rng, stats):
         log r = log rho(k* -> k) - log rho(k -> k*)
                 + log p(k*) - log p(k) + gamma (ll* - ll).
 
-    Returns ``(theta, lp, ll, accepted)``.
+    Propose, score and accept run in three passes over the population as in
+    :func:`rw_metropolis_steps`, with the same arguments and return values.
     """
-    if _tempered(lp, ll, cfg.gamma) == -math.inf:
-        raise InvalidStateError("current state has zero target density")
-    k = theta.k
+    _current(lps, lls, cfg.gamma)
+    out = list(thetas)
+    lp_out = np.array(lps, dtype=float)
+    ll_out = np.array(lls, dtype=float)
+    accepted = np.zeros(len(out), dtype=bool)
     k_max = min(cfg.k_max, prior.k_max)
-    up = _rho_up(k, k_max)
-    go_up = rng.uniform() < up
     log_pk_ratio = math.log1p(-prior.geom_p)  # log p(k+1) - log p(k)
-    if go_up:
-        stats.birth_proposed += 1
-        if k >= k_max:
-            return theta, lp, ll, False
-        xi_new = math.sqrt(prior.xi_var(k + 1)) * rng.standard_normal()
-        prop = ThetaParams(k + 1, theta.t, np.append(theta.xi, xi_new))
-        ll_new = loglik_fn(prop) if cfg.gamma != 0.0 else ll
-        # reverse move is a death chosen with probability 1 - rho_up(k+1)
-        log_r = (
-            math.log1p(-_rho_up(k + 1, k_max))
-            - math.log(up)
-            + log_pk_ratio
-            + cfg.gamma * (ll_new - ll)
-        )
-        if _accept(log_r, rng):
-            stats.birth_accepted += 1
-            return prop, log_prior(prop, prior), ll_new, True
-        return theta, lp, ll, False
-    stats.death_proposed += 1
-    if k == 0:  # rho_up(0) = 1, so death is never selected at k = 0
-        return theta, lp, ll, False
-    prop = ThetaParams(k - 1, theta.t, theta.xi[:-1].copy())
-    ll_new = loglik_fn(prop) if cfg.gamma != 0.0 else ll
-    log_r = (
-        math.log(_rho_up(k - 1, k_max))
-        - math.log1p(-up)
-        - log_pk_ratio
-        + cfg.gamma * (ll_new - ll)
+    moves = []
+    for j, th in enumerate(thetas):
+        k = th.k
+        up = _rho_up(k, k_max)
+        if rngs[j].uniform() < up:
+            stats.birth_proposed += 1
+            if k >= k_max:
+                continue
+            xi_new = math.sqrt(prior.xi_var(k + 1)) * rngs[j].standard_normal()
+            prop = ThetaParams(k + 1, th.t, np.append(th.xi, xi_new))
+            # reverse move is a death chosen with probability 1 - rho_up(k+1)
+            log_r = math.log1p(-_rho_up(k + 1, k_max)) - math.log(up) + log_pk_ratio
+            moves.append((j, prop, log_r, True))
+        else:
+            stats.death_proposed += 1
+            if k == 0:  # rho_up(0) = 1, so death is never selected at k = 0
+                continue
+            prop = ThetaParams(k - 1, th.t, th.xi[:-1].copy())
+            log_r = math.log(_rho_up(k - 1, k_max)) - math.log1p(-up) - log_pk_ratio
+            moves.append((j, prop, log_r, False))
+    scores = _score([m[1] for m in moves], [lls[m[0]] for m in moves], logliks_fn, cfg.gamma)
+    for (j, prop, log_r, birth), ll_new in zip(moves, scores):
+        if _accept(log_r + cfg.gamma * (ll_new - lls[j]), rngs[j]):
+            if birth:
+                stats.birth_accepted += 1
+            else:
+                stats.death_accepted += 1
+            out[j], lp_out[j], ll_out[j], accepted[j] = prop, log_prior(prop, prior), ll_new, True
+    return out, lp_out, ll_out, accepted
+
+
+def birth_death_step(theta, lp, ll, loglik_fn, prior, cfg, rng, stats):
+    """:func:`birth_death_steps` on one particle with a theta -> float
+    ``loglik_fn``; returns ``(theta, lp, ll, accepted)``."""
+    th, lps, lls, acc = birth_death_steps(
+        [theta], [lp], [ll], _scalar(loglik_fn), prior, cfg, [rng], stats
     )
-    if _accept(log_r, rng):
-        stats.death_accepted += 1
-        return prop, log_prior(prop, prior), ll_new, True
-    return theta, lp, ll, False
+    return th[0], float(lps[0]), float(lls[0]), bool(acc[0])
 
 
 def calibrate_scales(thetas, k_max=50, min_factor=2):

@@ -8,15 +8,24 @@ The sampler moves N particles through the tempered path
 choosing each increment adaptively so that the effective sample size of
 the incremental weights w_t = p~^{gamma_t - gamma_{t-1}} equals c * N
 (Brent root solve; the increment is capped once the endpoint keeps the
-ESS above the target).  Every iteration then resamples multinomially and
-applies M cycles of the RW + birth/death kernels at the new temperature,
-with per-order proposal covariances calibrated from the freshly resampled
-population.
+ESS above the target).  A -inf log likelihood is a zero weight; NaN or
++inf raises :class:`~fexpsmc.config.NumericalError`.  Every iteration then
+resamples multinomially and applies M cycles of the RW + birth/death
+kernels at the new temperature, with per-order proposal covariances
+calibrated from the freshly resampled population.
+
+Lockstep mutation: the M cycles run cycle-outer, particle-inner, and each
+half-step (RW, then birth/death) first draws every particle's proposal,
+then scores all proposals with one batched approximate-likelihood call
+(:func:`fexpsmc.approx.approx_log_liks`), then runs each particle's accept
+test.  A user ``loglik_fn`` is called once per proposal instead.
 
 Reproducibility: one master seed spawns N + 1 independent generator
 streams -- stream j drives the initialisation and all moves of particle
-slot j, stream N drives resampling -- so results are identical for a
-given (config, seed) regardless of how the per-particle work is executed.
+slot j, stream N drives resampling.  No stream is shared, so interleaving
+the particles' moves leaves each stream's sequence of draws exactly as if
+the particles moved one after another, and results are identical for a
+given (config, seed) in either order.
 """
 
 import math
@@ -25,8 +34,10 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import brentq
 
-from .approx import approx_log_lik, prepare_dataset
-from .mcmc import KernelConfig, MoveStats, birth_death_step, calibrate_scales, rw_metropolis_step
+from .approx import approx_log_liks, prepare_dataset
+from .config import NumericalError
+from .mcmc import (KernelConfig, MoveStats, birth_death_steps, calibrate_scales,
+                   rw_metropolis_steps)
 from .model import log_prior, sample_prior
 
 __all__ = [
@@ -84,8 +95,14 @@ class ParticleSystem:
 
 
 def ess(log_weights):
-    """Effective sample size (sum w)^2 / sum w^2 of unnormalised log weights."""
+    """Effective sample size (sum w)^2 / sum w^2 of unnormalised log weights.
+
+    A -inf log weight is a zero weight; NaN or +inf raises
+    :class:`~fexpsmc.config.NumericalError`.
+    """
     lw = np.asarray(log_weights, dtype=float)
+    if np.any(np.isnan(lw) | (lw == math.inf)):
+        raise NumericalError("log weights contain NaN or +inf")
     finite = lw[np.isfinite(lw)]
     if finite.size == 0:
         raise ValueError("all weights are zero")
@@ -101,6 +118,8 @@ def solve_next_gamma(loglik, gamma, c, N=None, tol=1e-10):
     Finds alpha in (0, 1 - gamma] with ESS(alpha * loglik) = c * N by
     Brent's method and returns gamma + alpha; if even the full remaining
     step keeps the ESS at or above the target the schedule finishes at 1.
+    A -inf loglik is a zero weight at every alpha; NaN or +inf raises
+    :class:`~fexpsmc.config.NumericalError`.
     """
     loglik = np.asarray(loglik, dtype=float)
     if N is None:
@@ -109,9 +128,11 @@ def solve_next_gamma(loglik, gamma, c, N=None, tol=1e-10):
         raise ValueError("gamma must lie in [0, 1)")
     target = c * N
     remaining = 1.0 - gamma
+    live = ~np.isneginf(loglik)  # a -inf stays a zero weight at alpha = 0 too
 
     def gap(alpha):
-        return ess(alpha * loglik) - target
+        lw = np.multiply(alpha, loglik, where=live, out=np.full_like(loglik, -math.inf))
+        return ess(lw) - target
 
     if gap(remaining) >= 0.0:
         return 1.0
@@ -139,7 +160,8 @@ def run_smc(x, prior, cfg, loglik_fn=None):
     cfg : SmcConfig
     loglik_fn : callable theta -> float, optional
         Replaces the default approximate likelihood built from ``x``
-        (used by tests with analytic pseudo-likelihoods).
+        (used by tests with analytic pseudo-likelihoods); it is called once
+        per theta.
 
     Returns a :class:`ParticleSystem`.  The final population is equally
     weighted because every iteration -- including the last one at
@@ -149,14 +171,16 @@ def run_smc(x, prior, cfg, loglik_fn=None):
         if x is None:
             raise ValueError("either data or loglik_fn is required")
         ctx = prepare_dataset(x)
-        loglik_fn = lambda th: approx_log_lik(th, ctx, prior, mode=cfg.mode)
+        logliks_fn = lambda ths: approx_log_liks(ths, ctx, prior, mode=cfg.mode)
+    else:
+        logliks_fn = lambda ths: [loglik_fn(th) for th in ths]
 
     streams = [np.random.default_rng(s) for s in np.random.SeedSequence(cfg.seed).spawn(cfg.N + 1)]
-    resample_rng = streams[cfg.N]
+    particle_rngs, resample_rng = streams[:cfg.N], streams[cfg.N]
 
-    thetas = [sample_prior(prior, streams[j], fix_k=cfg.fix_k) for j in range(cfg.N)]
+    thetas = [sample_prior(prior, rng, fix_k=cfg.fix_k) for rng in particle_rngs]
     lp = np.array([log_prior(th, prior) for th in thetas])
-    ll = np.array([loglik_fn(th) for th in thetas])
+    ll = np.asarray(logliks_fn(thetas), dtype=float)
 
     system = ParticleSystem(
         thetas=thetas,
@@ -192,18 +216,14 @@ def run_smc(x, prior, cfg, loglik_fn=None):
             k_max=cfg.k_max,
         )
         stats = MoveStats()
-        for j in range(cfg.N):
-            th, lpj, llj = thetas[j], lp[j], ll[j]
-            rng_j = streams[j]
-            for _ in range(cfg.M):
-                th, lpj, llj, _acc = rw_metropolis_step(
-                    th, lpj, llj, loglik_fn, prior, kcfg, rng_j, stats
+        for _ in range(cfg.M):
+            thetas, lp, ll, _ = rw_metropolis_steps(
+                thetas, lp, ll, logliks_fn, prior, kcfg, particle_rngs, stats
+            )
+            if cfg.fix_k is None:
+                thetas, lp, ll, _ = birth_death_steps(
+                    thetas, lp, ll, logliks_fn, prior, kcfg, particle_rngs, stats
                 )
-                if cfg.fix_k is None:
-                    th, lpj, llj, _acc = birth_death_step(
-                        th, lpj, llj, loglik_fn, prior, kcfg, rng_j, stats
-                    )
-            thetas[j], lp[j], ll[j] = th, lpj, llj
 
         system.rw_rates.append(stats.rw_rate())
         system.bd_rates.append(stats.bd_rate())

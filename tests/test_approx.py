@@ -6,9 +6,11 @@ import mpmath
 import numpy as np
 import pytest
 
-from fexpsmc.approx import (approx_log_lik, log_barnes_g, log_det_approx,
-                            prepare_dataset, quadform_approx_toeplitz,
-                            quadform_whittle, quadform_whittle_at)
+from fexpsmc import approx
+from fexpsmc.approx import (approx_log_lik, approx_log_liks, log_barnes_g,
+                            log_det_approx, prepare_dataset,
+                            quadform_approx_toeplitz, quadform_whittle,
+                            quadform_whittle_at)
 from fexpsmc.exact import fbar_autocov
 from fexpsmc.fourier import build_toeplitz
 from fexpsmc.model import PriorConfig, ThetaParams
@@ -202,6 +204,27 @@ def test_barnes_g_rejects_nonpositive():
         log_barnes_g(0.0)
 
 
+@pytest.mark.parametrize("grid", [np.linspace(0.0, 0.5, 26)[1:-1],
+                                  np.linspace(0.5, 1.5, 21),
+                                  np.linspace(1.5, 4.0, 26)[1:]])
+def test_barnes_g_array_matches_mpmath(grid):
+    mpmath.mp.dps = 30
+    want = np.array([float(mpmath.log(mpmath.barnesg(x))) for x in grid])
+    got = log_barnes_g(grid)
+    assert got.shape == grid.shape
+    assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(1.0, np.abs(want)))
+    # each element gets the value it gets alone, which is a Python float
+    alone = [log_barnes_g(float(x)) for x in grid]
+    assert all(type(v) is float for v in alone)
+    assert np.array_equal(got, alone)
+
+
+@pytest.mark.parametrize("x", [-1.0, 0.0, math.nan, [0.5, 0.0], np.array([1.0, -2.0])])
+def test_barnes_g_rejects_nonpositive_array_entries(x):
+    with pytest.raises(ValueError):
+        log_barnes_g(x)
+
+
 # ---------------------------------------------------------------------------
 # Log-determinant approximation
 # ---------------------------------------------------------------------------
@@ -274,6 +297,48 @@ def test_approx_log_lik_tracks_exact_up_to_constant():
     centred_a = la - la[0]
     centred_e = le - le[0]
     assert np.max(np.abs(centred_a - centred_e)) < 1.0
+
+
+def _reference_log_lik(th, ctx, prior, mode):
+    """Scalar reference: oracle-free loop over the formula, with mpmath's G
+    and the seam that recomputes the Whittle density from the frequencies."""
+    if mode == "whittle":
+        with np.errstate(over="ignore"):
+            q = quadform_whittle_at(th, ctx.pgram, ctx.lam_star, ctx.n)
+    else:
+        q = quadform_approx_toeplitz(th, ctx)
+    if not math.isfinite(q):
+        return -math.inf
+    d = th.d
+    j = np.arange(1, th.k + 1)
+    dn = (d * d * math.log(ctx.n) + 0.25 * float(j @ th.xi**2) + d * float(j @ th.xi)
+          + 2.0 * float(mpmath.log(mpmath.barnesg(1.0 - d)))
+          - float(mpmath.log(mpmath.barnesg(1.0 - 2.0 * d))))
+    return -0.5 * dn - (prior.a + 0.5 * ctx.n) * math.log(prior.b + 0.5 * q)
+
+
+@pytest.mark.parametrize("mode", ["whittle", "toeplitz"])
+def test_approx_log_liks_matches_scalar_path_across_blocks(mode, monkeypatch):
+    mpmath.mp.dps = 30
+    x = simulate_series(SimConfig(kind="fracnoise", n=96, d=0.3),
+                        np.random.default_rng(17))
+    ctx = prepare_dataset(x)
+    prior = PriorConfig()
+    rng = np.random.default_rng(18)
+    thetas = [ThetaParams(k=k, t=float(rng.normal()), xi=0.4 * rng.standard_normal(k))
+              for k in (0, 3, 1, 6, 0, 2, 5, 1)]
+    # exp(800 cos lam) overflows near lam = 0: this particle scores -inf
+    thetas.insert(4, ThetaParams(k=1, t=0.0, xi=np.array([-800.0])))
+    monkeypatch.setattr(approx, "BLOCK_ROWS", 4)  # blocks of 4, 4 and 1
+    got = approx_log_liks(thetas, ctx, prior, mode=mode)
+    assert got.shape == (len(thetas),)
+    assert got[4] == -math.inf
+    alone = [approx_log_lik(th, ctx, prior, mode=mode) for th in thetas]
+    assert np.array_equal(got, alone)
+    want = np.array([_reference_log_lik(th, ctx, prior, mode) for th in thetas])
+    live = np.isfinite(want)
+    assert np.array_equal(live, np.isfinite(got))
+    assert np.allclose(got[live], want[live], rtol=1e-12, atol=0.0)
 
 
 def test_approx_log_lik_unknown_mode_raises():

@@ -356,6 +356,16 @@ def test_exit_4_degenerate_weights(tmp_path, capsys):
     assert "numerical error" in capsys.readouterr().err
 
 
+def test_exit_4_nan_log_likelihood(workspace, tmp_path, monkeypatch, capsys):
+    from fexpsmc import smc
+    monkeypatch.setattr(smc, "approx_log_liks",
+                        lambda thetas, ctx, prior, mode: np.full(len(thetas), np.nan))
+    code = main(["fit", "--config", str(workspace / "fit.cfg"),
+                 "--output", str(tmp_path)])
+    assert code == 4
+    assert "NaN" in capsys.readouterr().err
+
+
 def test_missing_subcommand_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main([])
@@ -372,9 +382,8 @@ def test_numba_disable_flag_selects_numpy_backend():
         "from fexpsmc import _accel\n"
         "print(_accel.BACKEND)\n"
         "lam = np.arange(1, 6, dtype=float)\n"
-        "q = _accel.whittle_quadform(0.2, np.array([0.3, -0.1]), lam**2,\n"
-        "    np.log(2 - 2*np.cos(lam)), np.cos(np.outer(np.arange(1, 3), lam)), 5)\n"
-        "print(repr(float(q)))\n"
+        "q = _accel.cosine_series(np.array([0.3, -0.1]), lam)\n"
+        "print(repr(float(q @ lam**2)))\n"
     )
     env = dict(os.environ, FEXPSMC_DISABLE_NUMBA="1")
     out = subprocess.run([sys.executable, "-c", snippet],
@@ -384,7 +393,5 @@ def test_numba_disable_flag_selects_numpy_backend():
 
     from fexpsmc import _accel
     lam = np.arange(1, 6, dtype=float)
-    want = float(_accel.whittle_quadform(
-        0.2, np.array([0.3, -0.1]), lam**2,
-        np.log(2 - 2 * np.cos(lam)), np.cos(np.outer(np.arange(1, 3), lam)), 5))
+    want = float(_accel.cosine_series(np.array([0.3, -0.1]), lam) @ lam**2)
     assert float(value) == pytest.approx(want, rel=1e-12)

@@ -36,6 +36,21 @@ def test_cholesky_lower_reports_failing_minor():
     assert isinstance(exc.value, np.linalg.LinAlgError)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_cholesky_lower_rejects_non_finite_matrix(bad):
+    # dpotrf reports no failing minor for a NaN pivot; the index is the
+    # smallest leading minor holding the bad entry, as the recursion reports
+    S = build_toeplitz(np.array([1.0, 0.5, bad, 0.0]))
+    with pytest.raises(NotPositiveDefiniteError) as exc:
+        cholesky_lower(S)
+    assert exc.value.index == 3
+    S = np.eye(4)
+    S[3, 3] = bad
+    with pytest.raises(NotPositiveDefiniteError) as exc:
+        cholesky_lower(S)
+    assert exc.value.index == 4
+
+
 def test_cholesky_lower_rejects_nonsquare():
     with pytest.raises(ValueError):
         cholesky_lower(np.zeros((2, 3)))

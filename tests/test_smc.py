@@ -4,9 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.integrate import quad
 
+from fexpsmc.approx import approx_log_lik, prepare_dataset
+from fexpsmc.config import NumericalError
 from fexpsmc.model import PriorConfig, sample_prior
+from fexpsmc.simulate import SimConfig, simulate_series
 from fexpsmc.smc import (ParticleSystem, SmcConfig, ess, multinomial_resample,
                          run_smc, solve_next_gamma)
 
@@ -41,6 +46,33 @@ def test_ess_two_particle_closed_form():
 def test_ess_rejects_all_zero():
     with pytest.raises(ValueError):
         ess(np.full(4, -np.inf))
+
+
+# log weights with at least one finite entry; -inf is a zero weight
+_LOG_WEIGHTS = arrays(
+    float, st.integers(1, 40),
+    elements=st.one_of(st.floats(-1e6, 1e6), st.just(-math.inf)),
+).filter(lambda lw: np.isfinite(lw).any())
+
+
+@given(_LOG_WEIGHTS)
+def test_ess_lies_between_one_and_n(lw):
+    e = ess(lw)
+    assert 1.0 - 1e-12 <= e <= lw.size * (1.0 + 1e-12)
+
+
+@given(_LOG_WEIGHTS, st.integers(0, 39), st.sampled_from([math.nan, math.inf]))
+def test_ess_and_gamma_solve_reject_nan_and_plus_inf(lw, pos, bad):
+    lw[pos % lw.size] = bad
+    with pytest.raises(NumericalError):
+        ess(lw)
+    with pytest.raises(NumericalError):
+        solve_next_gamma(lw, 0.0, 0.5)
+
+
+def test_ess_nan_is_not_a_zero_weight():
+    with pytest.raises(NumericalError):
+        ess(np.array([0.0, math.nan, 0.0]))
 
 
 # ---------------------------------------------------------------------------
@@ -84,6 +116,14 @@ def test_schedule_hits_ess_target():
     gamma1 = solve_next_gamma(ll, 0.0, c)
     assert 0.0 < gamma1 < 1.0
     assert abs(ess(gamma1 * ll) - c * 400) < 1e-5
+
+
+def test_schedule_keeps_minus_inf_at_zero_weight():
+    # 0 * (-inf) at the bracket end alpha = 0 must not turn into a NaN
+    ll = np.array([0.0, -1.0, -2.0, -3.0, -math.inf])
+    gamma1 = solve_next_gamma(ll, 0.0, 0.7)
+    assert 0.0 < gamma1 < 1.0
+    assert abs(ess(gamma1 * ll) - 0.7 * 5) < 1e-6
 
 
 def test_schedule_validates_gamma():
@@ -231,6 +271,24 @@ def test_smc_with_m_zero_matches_mirror_implementation():
     assert abs(ps.log_evidence - log_z) < 1e-12
     assert [th.k for th in ps.thetas] == [th.k for th in thetas]
     assert all(a.key() == b.key() for a, b in zip(ps.thetas, thetas))
+
+
+@pytest.mark.parametrize("N", [2, 6, 64])
+@pytest.mark.parametrize("fix_k", [None, 2])
+def test_batched_likelihood_matches_scalar_likelihood(N, fix_k):
+    # lockstep mutation scores each half-step with one batched call; the same
+    # run with the scalar evaluator called theta by theta must agree
+    prior = PriorConfig()
+    x = simulate_series(SimConfig(kind="arfima", n=300, d=0.25, theta_ma=[-0.3, 0.2]),
+                        np.random.default_rng(N))
+    ctx = prepare_dataset(x)
+    cfg = SmcConfig(N=N, M=3, seed=20 + N, fix_k=fix_k)
+    batched = run_smc(x, prior, cfg)
+    scalar = run_smc(None, prior, cfg,
+                     loglik_fn=lambda th: approx_log_lik(th, ctx, prior))
+    assert [th.key() for th in batched.thetas] == [th.key() for th in scalar.thetas]
+    assert batched.gamma_schedule == scalar.gamma_schedule
+    assert np.allclose(batched.cached_loglik, scalar.cached_loglik, rtol=1e-12, atol=0.0)
 
 
 def test_smc_requires_data_or_likelihood():
