@@ -70,11 +70,6 @@ def test_ess_and_gamma_solve_reject_nan_and_plus_inf(lw, pos, bad):
         solve_next_gamma(lw, 0.0, 0.5)
 
 
-def test_ess_nan_is_not_a_zero_weight():
-    with pytest.raises(NumericalError):
-        ess(np.array([0.0, math.nan, 0.0]))
-
-
 # ---------------------------------------------------------------------------
 # Adaptive schedule
 # ---------------------------------------------------------------------------
