@@ -15,8 +15,8 @@ from .config import (ConfigError, DataError, NumericalError, RunConfig,
 from .correction import CorrectionResult, corrected_estimate, correction_weights
 from .exact import (NotPositiveDefiniteError, cholesky_lower, exact_log_marglik,
                     fbar_autocov)
-from .fourier import (build_toeplitz, fft_pow2, fourier_coeffs_bounded,
-                      fourier_coeffs_longmemory, fracdiff_acf, ifft_pow2)
+from .fourier import (build_toeplitz, fourier_coeffs_bounded,
+                      fourier_coeffs_longmemory, fracdiff_acf)
 from .mcmc import (KernelConfig, MoveStats, birth_death_step, calibrate_scales,
                    rw_metropolis_step, run_mcmc)
 from .model import (PriorConfig, ThetaParams, arfima_sdf, eval_fbar, fexp_sdf,
@@ -37,9 +37,9 @@ __all__ = [
     "build_toeplitz", "calibrate_scales", "cholesky_lower",
     "corrected_estimate", "correction_weights", "d_histogram",
     "dump_document", "ess", "eval_fbar", "exact_log_marglik", "fbar_autocov",
-    "fexp_sdf", "fft_pow2", "fourier_coeffs_bounded",
+    "fexp_sdf", "fourier_coeffs_bounded",
     "fourier_coeffs_longmemory", "fracdiff_acf", "frequency_grid",
-    "ifft_pow2", "k_mass", "load_config", "log_barnes_g", "log_det_approx",
+    "k_mass", "load_config", "log_barnes_g", "log_det_approx",
     "log_prior", "model_autocov", "multinomial_resample", "parse_config",
     "prepare_dataset", "quadform_approx_toeplitz", "quadform_whittle",
     "read_series", "run_mcmc", "run_smc", "rw_metropolis_step",

@@ -242,14 +242,24 @@ def _log_det_approxs(thetas, n):
     k, and trailing zeros leave a running sum unchanged, so a theta gets the
     same bits in any batch.
     """
-    d = np.array([th.d for th in thetas])
+    ds = [th.d for th in thetas]
+    d = np.array(ds)
     xi = np.zeros((len(thetas), 1 + max(th.k for th in thetas)))
     for row, th in zip(xi, thetas):
         row[1:1 + th.k] = th.xi
     j = np.arange(xi.shape[1], dtype=float)
     sq, lin = np.cumsum(np.stack((xi * xi * j, xi * j)), axis=2)[:, :, -1]
-    g1, g2 = np.split(log_barnes_g(np.concatenate((1.0 - d, 1.0 - 2.0 * d))), 2)
-    return d * d * math.log(n) + (0.25 * sq + d * lin) + (2.0 * g1 - g2)
+    x = np.concatenate((1.0 - d, 1.0 - 2.0 * d))
+    # G(1 - 2d) -> 0 as d -> 1/2, so D_n -> inf and the likelihood -> -inf:
+    # a d that rounds to 1/2 exactly gets that limit (G(1) stands in for G(0))
+    pole = d >= 0.5 if max(ds) >= 0.5 else None
+    if pole is not None:
+        x[len(ds):][pole] = 1.0
+    g1, g2 = np.split(log_barnes_g(x), 2)
+    dn = d * d * math.log(n) + (0.25 * sq + d * lin) + (2.0 * g1 - g2)
+    if pole is not None:
+        dn[pole] = math.inf
+    return dn
 
 
 def log_det_approx(theta, n):

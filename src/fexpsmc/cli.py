@@ -267,6 +267,7 @@ def _cmd_fit(args):
     }
     if corr is not None:
         diag["correction.n_weighted"] = int(corr.indices.size)
+        diag["correction.n_unique"] = int(corr.n_unique)
         diag["correction.n_failed"] = int(corr.n_failed)
         diag["correction.ess_fraction"] = float(corr.ess_fraction)
     (out / "diagnostics.txt").write_text(dump_document(diag))

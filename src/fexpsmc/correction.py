@@ -10,9 +10,12 @@ constants, so the weights are correct up to a single global factor that
 normalisation removes.  The exact evaluation costs one O(n^2)
 Durbin-Levinson sweep per distinct particle, so weights are memoised
 across duplicated particles (resampled populations contain many copies)
-and the whole step can be subsampled or spread over threads (which only
-overlap where the active backend releases the GIL).  The approximate side
-of all distinct particles is one batched evaluation.
+and the step can be subsampled.  Both sides of all distinct particles are
+batched evaluations: the exact side whitens blocks of thetas in one sweep
+each (:func:`fexpsmc.exact.exact_log_margliks`).  With ``threads > 1`` the
+distinct particles are cut into one block per thread and the blocks run on
+a thread pool; the blocks only overlap where the active backend releases
+the GIL, and every particle gets the same bits for any thread count.
 """
 
 import logging
@@ -23,16 +26,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .approx import approx_log_liks, prepare_dataset
-from .exact import NotPositiveDefiniteError, exact_log_marglik
+from .exact import BLOCK_ROWS, NotPositiveDefiniteError, exact_log_margliks
 
 __all__ = ["CorrectionResult", "correction_weights", "corrected_estimate"]
 
 logger = logging.getLogger(__name__)
 
 #: refuse exact work above this length unless explicitly forced.  Memory is
-#: not the limit: one evaluation at n = 20 000 raises the peak RSS by about
-#: 6 MB.  Time is: that evaluation takes 0.70-0.76 s on the numpy backend
-#: (one core of a 2-core x86 host), per distinct particle, growing as n^2.
+#: not the limit: at n = 20 000 a full block of exact.BLOCK_ROWS = 32 distinct
+#: particles raises the peak RSS by about 50 MB (one particle alone by about
+#: 8 MB).  Time is: that block takes 23 s, 0.73 s per distinct particle, on
+#: the numpy backend (one core of a 2-core x86 host; one particle alone
+#: 1.0-1.2 s), growing as n^2.
 N_GUARD = 20_000
 
 
@@ -45,6 +50,7 @@ class CorrectionResult:
     weights: np.ndarray       # self-normalised, zeros for failed evaluations
     ess_fraction: float       # ESS of the weights / number weighted
     n_failed: int = 0
+    n_unique: int = 0         # exact evaluations: distinct particles weighted
 
 
 def correction_weights(
@@ -74,8 +80,8 @@ def correction_weights(
     seed : int
         Seed for the subsample draw.
     threads : int
-        Worker threads for the exact evaluations (deterministic output
-        ordering regardless of the count).
+        Worker threads for the exact evaluations, each taking one block of
+        distinct particles (the same output for any count).
     force_large_n : bool
         Allow series longer than the exact-likelihood guard of 20 000 points.
     exact_fn, approx_fn : callables theta -> float, optional
@@ -97,7 +103,9 @@ def correction_weights(
                 f"({N_GUARD}); pass force_large_n=True to proceed"
             )
     if exact_fn is None:
-        exact_fn = lambda th: exact_log_marglik(th, x, prior)
+        exact_many = lambda ths: exact_log_margliks(ths, x, prior)
+    else:
+        exact_many = lambda ths: _exact_each(exact_fn, ths)
     if approx_fn is None:
         ctx = prepare_dataset(x)
         approx_many = lambda ths: approx_log_liks(ths, ctx, prior, mode=mode)
@@ -112,28 +120,25 @@ def correction_weights(
 
     # memoise over duplicated particles: resampled populations repeat thetas
     unique = {}
-    order = []
     for i in indices:
-        key = thetas[i].key()
-        if key not in unique:
-            unique[key] = thetas[i]
-            order.append(key)
-    approx = dict(zip(order, approx_many([unique[key] for key in order])))
-
-    def _one(key):
-        th = unique[key]
-        try:
-            return exact_fn(th) - approx[key]
-        except NotPositiveDefiniteError as err:
-            logger.warning("correction weight zeroed (k=%d): %s", th.k, err)
-            return -math.inf
+        unique.setdefault(thetas[i].key(), thetas[i])
+    distinct = list(unique.values())
+    approx = np.asarray(approx_many(distinct), dtype=float)
 
     if threads > 1:
+        size = min(BLOCK_ROWS, -(-len(distinct) // threads))
+        blocks = [distinct[lo:lo + size] for lo in range(0, len(distinct), size)]
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            values = list(pool.map(_one, order))
+            parts = list(pool.map(exact_many, blocks))
     else:
-        values = [_one(key) for key in order]
-    by_key = dict(zip(order, values))
+        parts = [exact_many(distinct)]
+    exact = np.concatenate([values for values, _ in parts])
+    info = np.concatenate([bad for _, bad in parts])
+    for th, idx in zip(distinct, info):
+        if idx:
+            logger.warning("correction weight zeroed (k=%d): %s", th.k,
+                           NotPositiveDefiniteError(idx))
+    by_key = dict(zip(unique, np.where(info == 0, exact - approx, -math.inf)))
 
     log_w = np.array([by_key[thetas[i].key()] for i in indices])
     finite = np.isfinite(log_w)
@@ -149,7 +154,21 @@ def correction_weights(
         weights=w,
         ess_fraction=ess / indices.size,
         n_failed=int(np.sum(~finite)),
+        n_unique=len(distinct),
     )
+
+
+def _exact_each(exact_fn, thetas):
+    """An injected theta -> float evaluator in the (values, info) form of
+    :func:`fexpsmc.exact.exact_log_margliks`."""
+    values = np.full(len(thetas), math.nan)
+    info = np.zeros(len(thetas), dtype=int)
+    for i, th in enumerate(thetas):
+        try:
+            values[i] = exact_fn(th)
+        except NotPositiveDefiniteError as err:
+            info[i] = err.index
+    return values, info
 
 
 def corrected_estimate(thetas, result, statistic):

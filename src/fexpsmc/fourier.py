@@ -34,8 +34,6 @@ from scipy.linalg import toeplitz as scipy_toeplitz
 from scipy.special import gammaln
 
 __all__ = [
-    "fft_pow2",
-    "ifft_pow2",
     "hat_weight",
     "endpoint_alpha0",
     "fourier_coeffs_bounded",
@@ -46,31 +44,6 @@ __all__ = [
 
 #: default relative bound on the discarded imaginary residue
 IMAG_TOL = 1e-8
-
-
-def _check_pow2(length):
-    if length < 1 or (length & (length - 1)) != 0:
-        raise ValueError(f"length {length} is not a positive power of two")
-
-
-def fft_pow2(s):
-    """Discrete Fourier transform F_l = sum_j s_j exp(+2i pi j l / L).
-
-    The input length L must be a power of two.  Note the positive sign in
-    the exponent (the transform used for synthesising Fourier integrals);
-    the inverse :func:`ifft_pow2` undoes it exactly.
-    """
-    s = np.asarray(s)
-    _check_pow2(s.shape[0])
-    # numpy's ifft uses the +i convention with a 1/L factor
-    return np.fft.ifft(s) * s.shape[0]
-
-
-def ifft_pow2(F):
-    """Inverse of :func:`fft_pow2`: s_j = (1/L) sum_l F_l exp(-2i pi j l / L)."""
-    F = np.asarray(F)
-    _check_pow2(F.shape[0])
-    return np.fft.fft(F) / F.shape[0]
 
 
 def hat_weight(lam):
@@ -168,9 +141,8 @@ def fourier_coeffs_bounded(g, n, M=None, rule="spectral"):
         raise ValueError("n must be >= 1")
     if M is None:
         M = default_grid_size(n)
-    _check_pow2(M)
-    if M < 2:
-        raise ValueError("M must be >= 2")
+    if M < 2 or M & (M - 1):
+        raise ValueError(f"M = {M} is not a power of two >= 2")
     lam = -np.pi + 2.0 * np.pi * np.arange(M + 1) / M
     gv = np.asarray(g(lam), dtype=float)
     if gv.shape != lam.shape:

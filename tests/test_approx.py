@@ -341,6 +341,24 @@ def test_approx_log_liks_matches_scalar_path_across_blocks(mode, monkeypatch):
     assert np.allclose(got[live], want[live], rtol=1e-12, atol=0.0)
 
 
+@pytest.mark.parametrize("mode", ["whittle", "toeplitz"])
+def test_approx_side_at_d_one_half_is_minus_inf(mode):
+    # t = 37 rounds d to 1/2 exactly: G(1 - 2d) = G(0) = 0, so D_n = inf
+    pole = ThetaParams(k=1, t=37.0, xi=np.array([0.3]))
+    assert pole.d == 0.5
+    x = simulate_series(SimConfig(kind="fracnoise", n=64, d=0.3), np.random.default_rng(19))
+    ctx = prepare_dataset(x)
+    prior = PriorConfig()
+    thetas = [ThetaParams(k=0, t=0.2, xi=np.empty(0)), pole,
+              ThetaParams(k=2, t=-1.0, xi=np.array([0.5, -0.2]))]
+    got = approx_log_liks(thetas, ctx, prior, mode=mode)
+    assert got[1] == -math.inf
+    assert approx_log_lik(pole, ctx, prior, mode=mode) == -math.inf
+    assert log_det_approx(pole, 64) == math.inf
+    assert got[[0, 2]].tolist() == [approx_log_lik(th, ctx, prior, mode=mode)
+                                     for th in (thetas[0], thetas[2])]
+
+
 def test_approx_log_lik_unknown_mode_raises():
     ctx = prepare_dataset(np.random.default_rng(0).standard_normal(16))
     with pytest.raises(ValueError):

@@ -192,6 +192,7 @@ def test_fit_diagnostics_document(workspace):
     assert diag["smc.N"] == 40
     assert diag["correction.enabled"] is True
     assert diag["correction.n_weighted"] == 40
+    assert 1 <= diag["correction.n_unique"] <= diag["correction.n_weighted"]
     assert 0.0 < diag["correction.ess_fraction"] <= 1.0
     sched = diag["smc.gamma_schedule"]
     sched = sched if isinstance(sched, list) else [sched]

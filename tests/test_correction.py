@@ -7,6 +7,8 @@ import pytest
 
 from fexpsmc.correction import (CorrectionResult, corrected_estimate,
                                 correction_weights)
+from fexpsmc import exact as exact_module
+from fexpsmc.approx import approx_log_lik, prepare_dataset
 from fexpsmc.exact import NotPositiveDefiniteError, exact_log_marglik
 from fexpsmc.model import PriorConfig, ThetaParams, sample_prior
 from fexpsmc.simulate import SimConfig, simulate_series
@@ -69,6 +71,7 @@ def test_memoisation_collapses_duplicates():
     res = correction_weights(thetas, None, None, exact_fn=exact,
                              approx_fn=lambda th: 0.0)
     assert len(calls) == 5
+    assert res.n_unique == 5
     assert res.weights.size == 50
 
 
@@ -173,7 +176,6 @@ def test_correction_defaults_match_manual_evaluators():
     prior = PriorConfig()
     thetas = _population(8, seed=23)
     auto = correction_weights(thetas, x, prior)
-    from fexpsmc.approx import approx_log_lik, prepare_dataset
     ctx = prepare_dataset(x)
     manual = correction_weights(
         thetas, None, None,
@@ -181,3 +183,44 @@ def test_correction_defaults_match_manual_evaluators():
         approx_fn=lambda th: approx_log_lik(th, ctx, prior, mode="whittle"),
     )
     assert np.allclose(auto.log_w_raw, manual.log_w_raw, atol=1e-10)
+
+
+@pytest.mark.parametrize("threads", [2, 3])
+def test_threaded_default_evaluators_are_bitwise_serial(threads, monkeypatch):
+    # the exact side runs in blocks; a block of 3 leaves blocks of 3, 3, 3, 1
+    # distinct particles to the pool at 3 threads
+    monkeypatch.setattr(exact_module, "BLOCK_ROWS", 3)
+    rng = np.random.default_rng(24)
+    x = simulate_series(SimConfig(kind="fracnoise", n=96, d=0.3), rng)
+    prior = PriorConfig()
+    base = _population(10, seed=25)
+    thetas = base + [base[3].copy(), base[7].copy()]
+    serial = correction_weights(thetas, x, prior)
+    threaded = correction_weights(thetas, x, prior, threads=threads)
+    assert serial.n_unique == threaded.n_unique == 10
+    assert np.array_equal(serial.log_w_raw, threaded.log_w_raw)
+    assert np.array_equal(serial.weights, threaded.weights)
+    ctx = prepare_dataset(x)
+    for th, got in zip(thetas, serial.log_w_raw):
+        try:
+            want = exact_log_marglik(th, x, prior) - approx_log_lik(th, ctx, prior)
+        except NotPositiveDefiniteError:
+            want = -math.inf
+        assert got == want
+
+
+def test_particle_at_d_one_half_is_zeroed_and_counted():
+    # t = 37 rounds d to 1/2: the approximate side is -inf and the exact side
+    # a failed first minor; the particle is counted as failed, the rest keep
+    # their log weights
+    rng = np.random.default_rng(26)
+    x = simulate_series(SimConfig(kind="fracnoise", n=64, d=0.3), rng)
+    prior = PriorConfig()
+    thetas = _population(6, seed=27)
+    clean = correction_weights(thetas, x, prior)
+    pole = ThetaParams(k=0, t=37.0, xi=np.empty(0))
+    res = correction_weights(thetas[:2] + [pole] + thetas[2:], x, prior)
+    assert res.n_failed == 1
+    assert res.weights[2] == 0.0
+    assert res.log_w_raw[2] == -math.inf
+    assert np.array_equal(np.delete(res.log_w_raw, 2), clean.log_w_raw)

@@ -200,3 +200,72 @@ def test_non_finite_acf_raises_instead_of_nan(monkeypatch):
         exact_log_marglik(ThetaParams(k=0, t=0.0, xi=np.empty(0)), np.ones(4),
                           PriorConfig())
     assert err.value.index == 3
+
+
+# ---------------------------------------------------------------------------
+# Batched evaluator: one sweep per block of thetas
+# ---------------------------------------------------------------------------
+
+def _mixed_population():
+    # k = 0..5, d from near 0 to near 1/2, one large |xi|
+    ts = [-3.0, 0.0, 1.5, -1.0, 3.5, 0.4, -0.3, 2.0, 5.0]
+    xis = [(), (0.4,), (-0.6, 0.3), (1.2, -0.5, 0.2), (), (3.0,),
+           (0.5, -0.4, 0.3, -0.2, 0.1), (-1.0, 0.2), (0.7, 0.1, -0.3)]
+    return [ThetaParams(k=len(xi), t=t, xi=np.array(xi)) for t, xi in zip(ts, xis)]
+
+
+def test_exact_log_margliks_match_single_calls_across_blocks(monkeypatch):
+    monkeypatch.setattr(exact, "BLOCK_ROWS", 4)
+    prior = PriorConfig()
+    x = np.random.default_rng(11).standard_normal(96) * 1.4 + 0.3
+    thetas = _mixed_population()
+    values, info = exact.exact_log_margliks(thetas, x, prior)
+    assert np.array_equal(info, np.zeros(len(thetas)))
+    for th, got in zip(thetas, values):
+        assert got == exact_log_marglik(th, x, prior)
+        want = _eigen_log_marglik(th, x, prior)
+        assert abs(got - want) < 1e-10 * abs(want)
+
+
+def test_exact_log_margliks_report_failed_rows_and_leave_the_rest(monkeypatch):
+    # one non-positive-definite and one NaN autocovariance row in a batch:
+    # each reports the single call's index, the other rows keep their bits
+    prior = PriorConfig()
+    n = 40
+    x = np.random.default_rng(12).standard_normal(n)
+    thetas = _mixed_population()
+    clean, _ = exact.exact_log_margliks(thetas, x, prior)
+    not_pd = np.zeros(n)
+    not_pd[:2] = [1.0, 2.0]
+    with_nan = fbar_autocov(thetas[5], n)
+    with_nan[7] = math.nan
+    bad = {id(thetas[2]): not_pd, id(thetas[5]): with_nan}
+    real = exact.fbar_autocov
+    monkeypatch.setattr(exact, "fbar_autocov",
+                        lambda th, n, M=None: bad[id(th)] if id(th) in bad else real(th, n, M))
+    values, info = exact.exact_log_margliks(thetas, x, prior)
+    for i, th in enumerate(thetas):
+        if id(th) in bad:
+            with pytest.raises(NotPositiveDefiniteError) as err:
+                exact_log_marglik(th, x, prior)
+            assert info[i] == err.value.index
+            assert math.isnan(values[i])
+        else:
+            assert info[i] == 0
+            assert values[i] == clean[i]
+    assert info[2] == 2 and info[5] == 8
+
+
+def test_exact_side_at_d_one_half_is_a_failed_row():
+    # t = 37 rounds d to 1/2 exactly, where gamma(0) diverges
+    pole = ThetaParams(k=0, t=37.0, xi=np.empty(0))
+    assert pole.d == 0.5
+    prior = PriorConfig()
+    x = np.random.default_rng(13).standard_normal(32)
+    with pytest.raises(NotPositiveDefiniteError) as err:
+        exact_log_marglik(pole, x, prior)
+    assert err.value.index == 1
+    thetas = _mixed_population()[:3]
+    values, info = exact.exact_log_margliks([thetas[0], pole, *thetas[1:]], x, prior)
+    assert info.tolist() == [0, 1, 0, 0]
+    assert values[[0, 2, 3]].tolist() == [exact_log_marglik(th, x, prior) for th in thetas]

@@ -1,5 +1,5 @@
-"""Fourier-coefficient machinery: oracles are naive O(N^2) transforms,
-closed-form integrals, scipy Bessel functions, and mpmath quadrature."""
+"""Fourier-coefficient machinery: oracles are closed-form integrals, scipy
+Bessel functions, and mpmath quadrature."""
 
 import math
 
@@ -9,43 +9,10 @@ import pytest
 from scipy.special import iv as bessel_iv
 
 from fexpsmc.fourier import (build_toeplitz, default_grid_size, endpoint_alpha0,
-                             fft_pow2, fourier_coeffs_bounded,
-                             fourier_coeffs_longmemory, fracdiff_acf,
-                             hat_weight, ifft_pow2)
+                             fourier_coeffs_bounded, fourier_coeffs_longmemory,
+                             fracdiff_acf, hat_weight)
 
 TWO_PI = 2.0 * math.pi
-
-
-# ---------------------------------------------------------------------------
-# FFT wrappers vs the naive transform
-# ---------------------------------------------------------------------------
-
-def _naive_dft(s):
-    L = len(s)
-    j = np.arange(L)
-    return np.array([np.sum(s * np.exp(2j * np.pi * j * l / L)) for l in range(L)])
-
-
-def test_fft_pow2_matches_naive_transform():
-    rng = np.random.default_rng(42)
-    for L in (1, 2, 8, 16, 64):
-        s = rng.standard_normal(L) + 1j * rng.standard_normal(L)
-        got = fft_pow2(s)
-        want = _naive_dft(s)
-        assert np.max(np.abs(got - want)) < 1e-10 * max(1.0, np.max(np.abs(want)))
-
-
-def test_fft_pow2_round_trip():
-    rng = np.random.default_rng(1)
-    s = rng.standard_normal(32) + 1j * rng.standard_normal(32)
-    back = ifft_pow2(fft_pow2(s))
-    assert np.max(np.abs(back - s)) < 1e-13
-
-
-def test_fft_pow2_rejects_non_power_of_two():
-    for L in (0, 3, 12, 100):
-        with pytest.raises(ValueError):
-            fft_pow2(np.zeros(max(L, 1)) if L else np.zeros(0))
 
 
 def test_default_grid_size():

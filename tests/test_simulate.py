@@ -151,14 +151,18 @@ def test_innovations_draw_is_the_cholesky_draw():
 
 @pytest.mark.parametrize("colour", [False, True])
 def test_durbin_levinson_backend_twins_agree(colour):
-    # without numba, the njit fallback runs the numba source as plain Python
-    acf = model_autocov(SimConfig(kind="fexp", d=0.4, xi=np.array([1.5, -0.7])), 64)
+    # without numba, the njit fallback runs the numba source as plain Python;
+    # both take rows of autocovariances, here one row and a batch of three
+    acf = np.stack([model_autocov(SimConfig(kind="fexp", d=d, xi=np.array(xi)), 64)
+                    for d, xi in ((0.4, [1.5, -0.7]), (0.1, []), (0.3, [-0.8]))])
     y = np.random.default_rng(7).standard_normal((64, 2))
-    out_np, v_np, info_np = _accel._durbin_levinson_np(acf, y, colour)
-    out_nb, v_nb, info_nb = _accel._durbin_levinson_nb(acf, y, colour)
-    assert info_np == info_nb == 0
-    assert np.max(np.abs(out_np - out_nb)) <= 1e-12 * np.max(np.abs(out_np))
-    assert np.max(np.abs(v_np - v_nb)) <= 1e-12 * np.max(v_np)
+    for rows in (1, 3):
+        out_np, v_np, info_np = _accel._durbin_levinson_np(acf[:rows], y, colour)
+        out_nb, v_nb, info_nb = _accel._durbin_levinson_nb(acf[:rows], y, colour)
+        assert out_np.shape == out_nb.shape == (rows, 64, 2)
+        assert np.all(info_np == 0) and np.all(info_nb == 0)
+        assert np.max(np.abs(out_np - out_nb)) <= 1e-12 * np.max(np.abs(out_np))
+        assert np.max(np.abs(v_np - v_nb)) <= 1e-12 * np.max(v_np)
 
 
 def test_simulation_reproducible_under_seed():
