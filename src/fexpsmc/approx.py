@@ -15,7 +15,10 @@ Two ingredients replace the exact O(n^2) computation:
 
   where I is the raw periodogram |sum_t x~_t e^{i t lam_j}|^2 of the
   centred data and lam_j* = min(lam_j, 2 pi - lam_j) folds the grid away
-  from the spectral pole at 2 pi == 0;
+  from the spectral pole at 2 pi == 0.  The data are real, so
+  I(lam_j) = I(lam_{n-j}) and lam_j* = lam_{n-j}*: the sum is taken over
+  the half grid j = 1..floor(n/2) with weights I_j + I_{n-j} (the Nyquist
+  term j = n/2 of an even n once), which halves its cost;
 
 * log|T(fbar)| is approximated by the closed-form asymptotic
 
@@ -33,12 +36,15 @@ exact up to a single theta-free additive constant, mirroring
 
 :func:`approx_log_liks` scores a whole population at once, which is how the
 SMC sampler and the correction call it: per block of BLOCK_ROWS thetas the
-Whittle form is one exp over a (rows, n - 1) exponent matrix and one
-product with the periodogram, and D_n is one vectorised Barnes-G call for
-1 - d and 1 - 2d together.  Blocking bounds the temporaries to
-BLOCK_ROWS x (n - 1) doubles however many thetas are passed.  Every sum runs
-within its own row, so a theta's value does not depend on the rest of its
-batch; :func:`approx_log_lik` is the batch of one and agrees bit for bit.
+Whittle form is one exp over a (rows, floor(n/2)) exponent matrix and one
+product with the folded periodogram, and D_n is one vectorised Barnes-G
+call for 1 - d and 1 - 2d together, with d computed once for both.  A
+block costs O(rows * n * (1 + k_max)) flops for the exponents, where k_max
+is the largest order in the block, and blocking bounds the temporaries to
+BLOCK_ROWS x floor(n/2) doubles however many thetas are passed.  Every sum
+runs within its own row, so a theta's value does not depend on the rest of
+its batch; :func:`approx_log_lik` is the batch of one and agrees bit for
+bit.
 """
 
 import math
@@ -61,7 +67,7 @@ __all__ = [
 ]
 
 #: thetas per block of the batched evaluator, which bounds its temporaries to
-#: BLOCK_ROWS x (n - 1) doubles whatever the population size
+#: BLOCK_ROWS x floor(n/2) doubles whatever the population size
 BLOCK_ROWS = 64
 
 
@@ -77,12 +83,14 @@ class DatasetContext:
     n : int
     c : ndarray, shape (n,)
         Lag-weight sums c_0 = sum x~^2, c_j = 2 sum_i x~_i x~_{i+j}.
-    pgram : ndarray, shape (n - 1,)
-        Raw periodogram |sum_t x~_t e^{i t lam_j}|^2 at lam_j = 2 pi j/n,
-        j = 1..n-1 (exact Fourier frequencies, mixed-radix FFT).
-    lam_star : ndarray, shape (n - 1,)
-        Folded frequencies min(lam_j, 2 pi - lam_j).
-    logweight : ndarray
+    lam_star : ndarray, shape (floor(n/2),)
+        The folded grid: Fourier frequencies lam_j = 2 pi j/n, j = 1..floor(n/2),
+        each standing for itself and for its mirror 2 pi - lam_j.
+    pgram : ndarray, shape (floor(n/2),)
+        Folded periodogram I_j + I_{n-j} of the raw periodogram
+        I_j = |sum_t x~_t e^{i t lam_j}|^2; the Nyquist term of an even n
+        (j = n/2, its own mirror) is I_{n/2} alone.
+    logweight : ndarray, shape (floor(n/2),)
         log(2 - 2 cos lam_j*), the log of the inverse singular factor.
     """
 
@@ -106,13 +114,13 @@ class DatasetContext:
         self.c = 2.0 * ac
         self.c[0] = ac[0]
 
-        fx = np.fft.fft(self.xtilde)
-        j = np.arange(1, n)
-        lam = 2.0 * np.pi * j / n
-        self.pgram = np.abs(fx[1:]) ** 2
-        self.lam_star = np.minimum(lam, 2.0 * np.pi - lam)
+        # real data: |X_{n-j}| = |X_j|, so the half grid carries twice I_j
+        # except at the Nyquist frequency of an even n
+        self.pgram = np.abs(np.fft.rfft(self.xtilde)[1:]) ** 2
+        self.pgram[:(n - 1) // 2] *= 2.0
+        self.lam_star = 2.0 * np.pi * np.arange(1, n // 2 + 1) / n
         self.logweight = np.log(2.0 - 2.0 * np.cos(self.lam_star))
-        self._cosbasis = np.empty((0, n - 1))
+        self._cosbasis = np.empty((0, n // 2))
 
     def cos_basis(self, k):
         """Rows m = 1..k of cos(m * lam_star), grown lazily and cached."""
@@ -129,16 +137,16 @@ def prepare_dataset(x):
     return DatasetContext(x)
 
 
-def _whittle_quadforms(thetas, ctx):
+def _whittle_quadforms(thetas, d, ctx):
     """Whittle quadratic forms pgram . exp(d logweight - xi cos_basis) / n of
-    a batch of thetas.
+    a batch of thetas with memory parameters ``d``, on the folded grid.
 
     Each row's cosine series is its own length-k product and einsum sums
     each row on its own, so a theta gets the same bits in any batch: a
     padded BLAS matrix product rounds a row differently with its padding
     and its neighbours.
     """
-    s = np.multiply.outer([th.d for th in thetas], ctx.logweight)
+    s = np.multiply.outer(d, ctx.logweight)
     basis = ctx.cos_basis(max(th.k for th in thetas))
     for row, th in zip(s, thetas):
         if th.k:
@@ -150,15 +158,7 @@ def _whittle_quadforms(thetas, ctx):
 
 def quadform_whittle(theta, ctx):
     """Riemann-sum approximation of x~' T(fbar)^{-1} x~ over Fourier frequencies."""
-    return float(_whittle_quadforms([theta], ctx)[0])
-
-
-def quadform_whittle_at(theta, pgram, lam_star, n):
-    """Whittle quadratic form on explicitly supplied frequencies (test seam)."""
-    inv_fbar = 2.0 * np.pi * (2.0 - 2.0 * np.cos(lam_star)) ** theta.d * np.exp(
-        -_accel.cosine_series(np.asarray(theta.xi, float), lam_star)
-    )
-    return float(pgram @ inv_fbar) / (2.0 * np.pi * n)
+    return float(_whittle_quadforms([theta], np.array([theta.d]), ctx)[0])
 
 
 def quadform_approx_toeplitz(theta, ctx, M=None):
@@ -235,28 +235,28 @@ def log_barnes_g(x):
     return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
 
-def _log_det_approxs(thetas, n):
-    """D_n of a batch of thetas, with G(1 - d) and G(1 - 2d) in one call.
+def _log_det_approxs(thetas, d, n):
+    """D_n of a batch of thetas with memory parameters ``d``, with G(1 - d)
+    and G(1 - 2d) in one call.
 
     The xi_j sums run in order of j over columns zero-padded to the largest
     k, and trailing zeros leave a running sum unchanged, so a theta gets the
     same bits in any batch.
     """
-    ds = [th.d for th in thetas]
-    d = np.array(ds)
     xi = np.zeros((len(thetas), 1 + max(th.k for th in thetas)))
     for row, th in zip(xi, thetas):
         row[1:1 + th.k] = th.xi
     j = np.arange(xi.shape[1], dtype=float)
-    sq, lin = np.cumsum(np.stack((xi * xi * j, xi * j)), axis=2)[:, :, -1]
+    sq = np.cumsum(xi * xi * j, axis=1)[:, -1]
+    lin = np.cumsum(xi * j, axis=1)[:, -1]
     x = np.concatenate((1.0 - d, 1.0 - 2.0 * d))
     # G(1 - 2d) -> 0 as d -> 1/2, so D_n -> inf and the likelihood -> -inf:
     # a d that rounds to 1/2 exactly gets that limit (G(1) stands in for G(0))
-    pole = d >= 0.5 if max(ds) >= 0.5 else None
+    pole = d >= 0.5 if d.max() >= 0.5 else None
     if pole is not None:
-        x[len(ds):][pole] = 1.0
-    g1, g2 = np.split(log_barnes_g(x), 2)
-    dn = d * d * math.log(n) + (0.25 * sq + d * lin) + (2.0 * g1 - g2)
+        x[d.size:][pole] = 1.0
+    g = log_barnes_g(x)
+    dn = d * d * math.log(n) + (0.25 * sq + d * lin) + (2.0 * g[:d.size] - g[d.size:])
     if pole is not None:
         dn[pole] = math.inf
     return dn
@@ -270,7 +270,7 @@ def log_det_approx(theta, n):
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    return float(_log_det_approxs([theta], n)[0])
+    return float(_log_det_approxs([theta], np.array([theta.d]), n)[0])
 
 
 def approx_log_liks(thetas, ctx, prior, mode="whittle", M=None):
@@ -279,9 +279,9 @@ def approx_log_liks(thetas, ctx, prior, mode="whittle", M=None):
     -D_n/2 - (a + n/2) log(b + Q/2) with Q from the selected quadratic-form
     mode ("whittle", the O(n) default, or "toeplitz"); a non-finite Q gives
     -inf.  The thetas are taken in blocks of BLOCK_ROWS.  In whittle mode a
-    block costs one exp over its (rows, n - 1) exponents and one product
-    with the periodogram; toeplitz mode computes Q theta by theta.  A theta
-    gets the same value in any batch, alone included.
+    block costs one exp over its (rows, floor(n/2)) exponents and one
+    product with the folded periodogram; toeplitz mode computes Q theta by
+    theta.  A theta gets the same value in any batch, alone included.
     """
     if mode not in ("whittle", "toeplitz"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -289,12 +289,13 @@ def approx_log_liks(thetas, ctx, prior, mode="whittle", M=None):
     out = np.empty(len(thetas))
     for lo in range(0, len(thetas), BLOCK_ROWS):
         block = thetas[lo:lo + BLOCK_ROWS]
+        d = np.array([th.d for th in block])
         if mode == "whittle":
-            q = _whittle_quadforms(block, ctx)
+            q = _whittle_quadforms(block, d, ctx)
         else:
             q = np.array([quadform_approx_toeplitz(th, ctx, M=M) for th in block])
         ok = np.isfinite(q)
-        ll = -0.5 * _log_det_approxs(block, ctx.n) - (prior.a + 0.5 * ctx.n) * np.log(
+        ll = -0.5 * _log_det_approxs(block, d, ctx.n) - (prior.a + 0.5 * ctx.n) * np.log(
             prior.b + 0.5 * np.where(ok, q, 0.0))
         out[lo:lo + len(block)] = np.where(ok, ll, -math.inf)
     return out

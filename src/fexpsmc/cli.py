@@ -262,6 +262,8 @@ def _cmd_fit(args):
         "smc.ess_trace": list(ps.ess_trace),
         "smc.rw_accept_rates": list(ps.rw_rates),
         "smc.bd_accept_rates": list(ps.bd_rates),
+        "smc.loglik_evals": list(ps.loglik_evals),
+        "smc.loglik_minus_inf": list(ps.loglik_minus_inf),
         "smc.log_evidence": ps.log_evidence,
         "correction.enabled": bool(corr is not None),
     }

@@ -102,12 +102,18 @@ def fbar_autocov(theta, n, M=None):
 def _autocovs(thetas, n, M):
     """Autocovariances of each theta as the rows of a (len(thetas), n) array.
 
-    At d = 1/2 the variance gamma(0) diverges; that row is inf, which the
-    recursion reports as a failed first leading minor.
+    At d = 1/2 the variance gamma(0) diverges, and when exp(sum_j xi_j
+    cos(j lam)) overflows on the quadrature grid the autocovariances are not
+    representable; either row is inf, which the recursion reports as a
+    failed first leading minor.
     """
     acf = np.empty((len(thetas), n))
     for row, th in zip(acf, thetas):
-        row[:] = fbar_autocov(th, n, M=M) if th.d < 0.5 else math.inf
+        try:
+            with np.errstate(over="raise"):
+                row[:] = fbar_autocov(th, n, M=M) if th.d < 0.5 else math.inf
+        except FloatingPointError:
+            row[:] = math.inf
     return acf
 
 

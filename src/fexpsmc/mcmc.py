@@ -18,11 +18,15 @@ cycle applies, in order,
            / [rho(k -> k*) p(k) p~(x|theta)^gamma].
 
 All acceptance tests run in log space, so extreme likelihood ratios never
-overflow.  Kernels are pure functions of (state, rng): they mutate nothing
-and return the new state together with its cached log-prior/log-likelihood.
+overflow.  Uniforms come from ``Generator.random()``, which returns the same
+doubles as ``Generator.uniform()`` on [0, 1) at a quarter of the call cost,
+and an RW proposal adds its step to t and xi directly.  Kernels are pure
+functions of (state, rng): they mutate nothing and return the new state
+together with its cached log-prior/log-likelihood.
 Each kernel moves a whole population (``rw_metropolis_steps``,
 ``birth_death_steps``) with one likelihood call for all its proposals; the
-one-particle kernels are its batch of one.
+one-particle kernels are its batch of one.  ``MoveStats`` also counts the
+proposals scored and those scored -inf.
 """
 
 import math
@@ -74,7 +78,8 @@ class KernelConfig:
 
 @dataclass
 class MoveStats:
-    """Acceptance counters, incremented in place by the kernels."""
+    """Acceptance and likelihood-evaluation counters, incremented in place
+    by the kernels."""
 
     rw_proposed: int = 0
     rw_accepted: int = 0
@@ -82,6 +87,8 @@ class MoveStats:
     birth_accepted: int = 0
     death_proposed: int = 0
     death_accepted: int = 0
+    loglik_evals: int = 0       # proposals scored by the likelihood
+    loglik_minus_inf: int = 0   # of those, scored -inf
 
     def rw_rate(self):
         return self.rw_accepted / self.rw_proposed if self.rw_proposed else math.nan
@@ -102,7 +109,7 @@ def _tempered(lp, ll, gamma):
 
 def _accept(log_r, rng):
     """Log-space Metropolis test; one uniform is drawn per call."""
-    u = rng.uniform()
+    u = rng.random()
     if log_r >= 0.0:
         return True
     return u < math.exp(log_r)
@@ -116,12 +123,17 @@ def _current(lps, lls, gamma):
     return cur
 
 
-def _score(props, lls, logliks_fn, gamma):
+def _score(props, lls, logliks_fn, gamma, stats):
     """Log likelihoods of the proposals, all from one ``logliks_fn`` call;
     at gamma = 0 none is evaluated and each keeps its particle's ``lls``."""
     if gamma == 0.0:
         return list(lls)
-    return np.asarray(logliks_fn(props), dtype=float).tolist() if props else []
+    if not props:
+        return []
+    scores = np.asarray(logliks_fn(props), dtype=float).tolist()
+    stats.loglik_evals += len(scores)
+    stats.loglik_minus_inf += scores.count(-math.inf)
+    return scores
 
 
 def _scalar(loglik_fn):
@@ -164,11 +176,12 @@ def rw_metropolis_steps(thetas, lps, lls, logliks_fn, prior, cfg, rngs, stats):
         z = rngs[j].standard_normal(th.k + 1)
         L = cfg.chol_for(th.k)
         step = z if L is None else L @ z
-        prop = ThetaParams.from_vector(th.as_vector() + step)
+        prop = ThetaParams(th.k, th.t + float(step[0]), th.xi + step[1:])
         lp_new = log_prior(prop, prior)
         if lp_new != -math.inf:
             moves.append((j, prop, lp_new))
-    scores = _score([m[1] for m in moves], [lls[m[0]] for m in moves], logliks_fn, cfg.gamma)
+    scores = _score([m[1] for m in moves], [lls[m[0]] for m in moves], logliks_fn,
+                    cfg.gamma, stats)
     for (j, prop, lp_new), ll_new in zip(moves, scores):
         if _accept(_tempered(lp_new, ll_new, cfg.gamma) - cur[j], rngs[j]):
             stats.rw_accepted += 1
@@ -217,12 +230,12 @@ def birth_death_steps(thetas, lps, lls, logliks_fn, prior, cfg, rngs, stats):
     for j, th in enumerate(thetas):
         k = th.k
         up = _rho_up(k, k_max)
-        if rngs[j].uniform() < up:
+        if rngs[j].random() < up:
             stats.birth_proposed += 1
             if k >= k_max:
                 continue
             xi_new = math.sqrt(prior.xi_var(k + 1)) * rngs[j].standard_normal()
-            prop = ThetaParams(k + 1, th.t, np.append(th.xi, xi_new))
+            prop = ThetaParams(k + 1, th.t, np.concatenate((th.xi, [xi_new])))
             # reverse move is a death chosen with probability 1 - rho_up(k+1)
             log_r = math.log1p(-_rho_up(k + 1, k_max)) - math.log(up) + log_pk_ratio
             moves.append((j, prop, log_r, True))
@@ -233,7 +246,8 @@ def birth_death_steps(thetas, lps, lls, logliks_fn, prior, cfg, rngs, stats):
             prop = ThetaParams(k - 1, th.t, th.xi[:-1].copy())
             log_r = math.log(_rho_up(k - 1, k_max)) - math.log1p(-up) - log_pk_ratio
             moves.append((j, prop, log_r, False))
-    scores = _score([m[1] for m in moves], [lls[m[0]] for m in moves], logliks_fn, cfg.gamma)
+    scores = _score([m[1] for m in moves], [lls[m[0]] for m in moves], logliks_fn,
+                    cfg.gamma, stats)
     for (j, prop, log_r, birth), ll_new in zip(moves, scores):
         if _accept(log_r + cfg.gamma * (ll_new - lls[j]), rngs[j]):
             if birth:

@@ -15,10 +15,18 @@ Prior:
     k      ~ Geometric(geom_p) on {0, 1, 2, ...}
     d      ~ Uniform[0, 1/2]   => p(t) = sigmoid(t) (1 - sigmoid(t))
     xi_j   ~ Normal(0, xi_var0 * j^(-2 beta)),  j = 1..k, independent.
+
+The move kernels call :func:`log_prior` once per proposal, so its
+theta-free constants (log p(k), the variances Var(xi_j) and the Gaussian
+normalisers) are computed once per prior and order and cached on the
+values of the prior fields they depend on; a PriorConfig changed in place
+gets fresh constants.  :func:`sample_prior` draws d with
+``Generator.random()``, the same double ``uniform()`` would return.
 """
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -145,21 +153,38 @@ def _log_sigmoid(t):
     return t - math.log1p(math.exp(t))
 
 
+@lru_cache(maxsize=1024)
+def _order_terms(geom_p, xi_var0, beta, k):
+    """The theta-free parts of the log prior at order k: log p(k) and, for
+    j = 1..k, the pairs (-log(2 pi v_j)/2, v_j) with v_j = Var(xi_j).
+
+    Keyed on the prior fields they depend on, so a PriorConfig changed in
+    place gets fresh terms.
+    """
+    prior = PriorConfig(geom_p=geom_p, xi_var0=xi_var0, beta=beta)
+    log_pk = math.log(geom_p) + k * math.log1p(-geom_p)
+    terms = []
+    for j in range(1, k + 1):
+        v = prior.xi_var(j)
+        terms.append((-0.5 * math.log(2.0 * math.pi * v), v))
+    return log_pk, tuple(terms)
+
+
 def log_prior(theta, prior):
     """Log prior density of theta = (k, t, xi) under ``prior``.
 
     p(k) = geom_p (1-geom_p)^k;  p(t) = sigmoid(t)(1-sigmoid(t)) is the
     Uniform[0, 1/2] prior on d pushed through t = logit(2d) (Jacobian
-    included);  xi_j ~ N(0, xi_var0 j^(-2 beta)).
+    included);  xi_j ~ N(0, xi_var0 j^(-2 beta)).  The per-order constants
+    are computed once per prior and order (``_order_terms``); the sum is
+    the same Python-float arithmetic, term by term.
     """
     if theta.k > prior.k_max:
         return -math.inf
-    lp = math.log(prior.geom_p) + theta.k * math.log1p(-prior.geom_p)
+    lp, terms = _order_terms(prior.geom_p, prior.xi_var0, prior.beta, theta.k)
     lp += _log_sigmoid(theta.t) + _log_sigmoid(-theta.t)
-    for j in range(1, theta.k + 1):
-        v = prior.xi_var(j)
-        x = theta.xi[j - 1]
-        lp += -0.5 * math.log(2.0 * math.pi * v) - 0.5 * x * x / v
+    for (norm, v), x in zip(terms, theta.xi.tolist()):
+        lp += norm - 0.5 * x * x / v
     return lp
 
 
@@ -185,8 +210,8 @@ def sample_prior(prior, rng, fix_k=None):
         k = int(fix_k)
         if not 0 <= k <= prior.k_max:
             raise ValueError(f"fix_k={fix_k} outside [0, k_max]")
-    d = 0.5 * rng.uniform()
-    # logit(2d); uniform() is half-open in [0, 1) so 2d < 1, and a zero draw
+    d = 0.5 * rng.random()
+    # logit(2d); random() is half-open in [0, 1) so 2d < 1, and a zero draw
     # is mapped to the smallest positive float to keep t finite
     u = max(2.0 * d, 5e-324)
     t = math.log(u) - math.log1p(-u)

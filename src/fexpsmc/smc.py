@@ -86,6 +86,8 @@ class ParticleSystem:
     ess_trace: list = field(default_factory=list)
     rw_rates: list = field(default_factory=list)
     bd_rates: list = field(default_factory=list)
+    loglik_evals: list = field(default_factory=list)      # proposals scored
+    loglik_minus_inf: list = field(default_factory=list)  # of those, scored -inf
     log_evidence: float = 0.0
 
     @property
@@ -227,6 +229,8 @@ def run_smc(x, prior, cfg, loglik_fn=None):
 
         system.rw_rates.append(stats.rw_rate())
         system.bd_rates.append(stats.bd_rate())
+        system.loglik_evals.append(stats.loglik_evals)
+        system.loglik_minus_inf.append(stats.loglik_minus_inf)
         gamma = gamma_new
 
     system.thetas = thetas

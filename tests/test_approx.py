@@ -7,16 +7,34 @@ import numpy as np
 import pytest
 
 from fexpsmc import approx
+from fexpsmc._accel import cosine_series
 from fexpsmc.approx import (approx_log_lik, approx_log_liks, log_barnes_g,
                             log_det_approx, prepare_dataset,
-                            quadform_approx_toeplitz, quadform_whittle,
-                            quadform_whittle_at)
+                            quadform_approx_toeplitz, quadform_whittle)
 from fexpsmc.exact import fbar_autocov
 from fexpsmc.fourier import build_toeplitz
 from fexpsmc.model import PriorConfig, ThetaParams
 from fexpsmc.simulate import SimConfig, simulate_series
 
 TWO_PI = 2.0 * math.pi
+
+
+def _full_grid(x):
+    """Raw periodogram I_j and folded frequencies min(lam_j, 2 pi - lam_j)
+    on the whole grid j = 1..n-1, straight from np.fft."""
+    n = x.size
+    pgram = np.abs(np.fft.fft(x - x.mean())[1:]) ** 2
+    lam = TWO_PI * np.arange(1, n) / n
+    return pgram, np.minimum(lam, TWO_PI - lam)
+
+
+def _full_grid_whittle(th, x):
+    """(1/(2 pi n)) sum_{j=1}^{n-1} I(lam_j) / fbar(lam_j*) over the whole grid."""
+    pgram, lam_star = _full_grid(x)
+    with np.errstate(over="ignore"):
+        inv_fbar = TWO_PI * (2.0 - 2.0 * np.cos(lam_star)) ** th.d * np.exp(
+            -cosine_series(th.xi, lam_star))
+    return float(pgram @ inv_fbar) / (TWO_PI * x.size)
 
 
 # ---------------------------------------------------------------------------
@@ -51,44 +69,72 @@ def test_lag_weight_sums_match_brute_force():
 
 def test_periodogram_of_pure_cosine():
     # x_t = cos(2 pi t / n) has all its energy at the first Fourier
-    # frequency: I(lam_1) = I(lam_{n-1}) = n^2 / 4, zero elsewhere
+    # frequency and its mirror: I(lam_1) = I(lam_{n-1}) = n^2 / 4, zero
+    # elsewhere, so the folded periodogram is n^2 / 2 at lam_1 alone
     n = 64
     t = np.arange(n)
     x = np.cos(TWO_PI * t / n)
     ctx = prepare_dataset(x)
-    assert abs(ctx.pgram[0] - n * n / 4.0) < 1e-8
-    assert abs(ctx.pgram[-1] - n * n / 4.0) < 1e-8
-    assert np.max(np.abs(ctx.pgram[1:-1])) < 1e-8
+    full, _ = _full_grid(x)
+    assert abs(full[0] - n * n / 4.0) < 1e-8
+    assert abs(full[-1] - n * n / 4.0) < 1e-8
+    assert abs(ctx.pgram[0] - n * n / 2.0) < 1e-8
+    assert np.max(np.abs(ctx.pgram[1:])) < 1e-8
+
+
+def test_periodogram_counts_nyquist_term_once():
+    # x_t = cos(pi t) = (-1)^t lives at lam = pi, its own mirror for even n:
+    # I(pi) = n^2 enters the folded sum once, and the flat-density form is
+    # sum x~^2 = n (Parseval)
+    n = 64
+    x = np.cos(math.pi * np.arange(n))
+    ctx = prepare_dataset(x)
+    full, _ = _full_grid(x)
+    assert abs(full[n // 2 - 1] - n * n) < 1e-8
+    assert abs(ctx.lam_star[-1] - math.pi) < 1e-15
+    assert abs(ctx.pgram[-1] - n * n) < 1e-8
+    assert np.max(np.abs(ctx.pgram[:-1])) < 1e-8
+    flat = ThetaParams(k=0, t=-800.0, xi=np.empty(0))
+    assert abs(quadform_whittle(flat, ctx) - n) < 1e-9 * n
 
 
 def test_periodogram_matches_direct_sum():
+    # the folded periodogram is I_j + I_{n-j} of the direct sums, with the
+    # Nyquist term of an even n once
     rng = np.random.default_rng(2)
-    n = 24
-    x = rng.standard_normal(n)
-    ctx = prepare_dataset(x)
-    xt = x - x.mean()
-    t = np.arange(n)
-    for j in (1, 5, 12, 23):
-        z = np.sum(xt * np.exp(-1j * TWO_PI * j * t / n))
-        assert abs(ctx.pgram[j - 1] - abs(z) ** 2) < 1e-9
+    for n in (24, 25):
+        x = rng.standard_normal(n)
+        ctx = prepare_dataset(x)
+        assert ctx.pgram.shape == (n // 2,)
+        xt = x - x.mean()
+        t = np.arange(n)
+        direct = lambda j: abs(np.sum(xt * np.exp(-1j * TWO_PI * j * t / n))) ** 2
+        for j in (1, 5, n // 2):
+            want = direct(j) + (direct(n - j) if 2 * j != n else 0.0)
+            assert abs(ctx.pgram[j - 1] - want) < 1e-9, f"n={n}, j={j}"
 
 
 def test_folded_frequencies_and_weights():
-    n = 16
-    ctx = prepare_dataset(np.random.default_rng(0).standard_normal(n))
-    lam = TWO_PI * np.arange(1, n) / n
-    want = np.minimum(lam, TWO_PI - lam)
-    assert np.allclose(ctx.lam_star, want, atol=1e-15)
-    assert np.allclose(ctx.logweight, np.log(2.0 - 2.0 * np.cos(want)), atol=1e-13)
-    assert ctx.lam_star.max() <= math.pi + 1e-12
+    # j and n - j fold onto one frequency; the half grid holds each once
+    for n in (16, 17):
+        ctx = prepare_dataset(np.random.default_rng(0).standard_normal(n))
+        lam = TWO_PI * np.arange(1, n) / n
+        full = np.minimum(lam, TWO_PI - lam)
+        half = n // 2
+        assert ctx.lam_star.shape == (half,)
+        assert np.allclose(ctx.lam_star, full[:half], atol=1e-15)
+        assert np.allclose(ctx.lam_star[:(n - 1) // 2], full[::-1][:(n - 1) // 2], atol=1e-15)
+        assert np.allclose(ctx.logweight, np.log(2.0 - 2.0 * np.cos(full[:half])), atol=1e-13)
+        assert ctx.lam_star.max() <= math.pi + 1e-12
 
 
 def test_cos_basis_grows_and_caches():
+    # n = 12: the folded grid holds lam_1..lam_6
     ctx = prepare_dataset(np.random.default_rng(1).standard_normal(12))
     b2 = ctx.cos_basis(2)
-    assert b2.shape == (2, 11)
+    assert b2.shape == (2, 6)
     b5 = ctx.cos_basis(5)
-    assert b5.shape == (5, 11)
+    assert b5.shape == (5, 6)
     assert np.array_equal(b5[:2], b2)
     assert np.allclose(b5[3], np.cos(4.0 * ctx.lam_star), atol=1e-15)
 
@@ -121,14 +167,22 @@ def test_whittle_quadform_matches_direct_sum():
     assert abs(got - want) < 1e-10 * abs(want)
 
 
-def test_whittle_quadform_at_agrees_with_context_path():
-    rng = np.random.default_rng(5)
-    x = rng.standard_normal(25)
-    ctx = prepare_dataset(x)
-    th = ThetaParams(k=1, t=-0.2, xi=np.array([0.3]))
-    a = quadform_whittle(th, ctx)
-    b = quadform_whittle_at(th, ctx.pgram, ctx.lam_star, ctx.n)
-    assert abs(a - b) < 1e-10 * abs(a)
+def test_folded_whittle_form_matches_full_grid_sum():
+    # the half grid with weights I_j + I_{n-j} (Nyquist once) sums to the
+    # (n - 1)-point form; a particle whose exp(-sum xi_j cos j lam) overflows
+    # on the grid is infinite in both, so its log likelihood is -inf
+    prior = PriorConfig()
+    blow_up = ThetaParams(k=1, t=0.0, xi=np.array([-2000.0]))
+    for n in (8, 9, 10, 1000, 1001):
+        x = np.random.default_rng(n).standard_normal(n)
+        ctx = prepare_dataset(x)
+        rng = np.random.default_rng(n + 1)
+        for k in range(7):
+            th = ThetaParams(k=k, t=float(rng.normal()), xi=0.5 * rng.standard_normal(k))
+            want = _full_grid_whittle(th, x)
+            assert abs(quadform_whittle(th, ctx) - want) <= 1e-12 * abs(want), f"n={n}, k={k}"
+        assert _full_grid_whittle(blow_up, x) == math.inf
+        assert approx_log_lik(blow_up, ctx, prior) == -math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -301,10 +355,9 @@ def test_approx_log_lik_tracks_exact_up_to_constant():
 
 def _reference_log_lik(th, ctx, prior, mode):
     """Scalar reference: oracle-free loop over the formula, with mpmath's G
-    and the seam that recomputes the Whittle density from the frequencies."""
+    and the Whittle form summed over the whole (n - 1)-point grid."""
     if mode == "whittle":
-        with np.errstate(over="ignore"):
-            q = quadform_whittle_at(th, ctx.pgram, ctx.lam_star, ctx.n)
+        q = _full_grid_whittle(th, ctx.x)
     else:
         q = quadform_approx_toeplitz(th, ctx)
     if not math.isfinite(q):

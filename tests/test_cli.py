@@ -3,10 +3,12 @@
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fexpsmc
 from fexpsmc.cli import _read_particles, _write_particles, main
 from fexpsmc.config import (ConfigError, RunConfig, dump_document,
                             format_value, parse_config)
@@ -198,6 +200,12 @@ def test_fit_diagnostics_document(workspace):
     sched = sched if isinstance(sched, list) else [sched]
     assert sched[-1] == 1.0
     assert np.isfinite(diag["smc.log_evidence"])
+    # per iteration: proposals scored, and how many of them scored -inf
+    evals, minus_inf = (v if isinstance(v, list) else [v] for v in
+                        (diag["smc.loglik_evals"], diag["smc.loglik_minus_inf"]))
+    assert len(evals) == len(minus_inf) == len(sched)
+    assert all(e >= m >= 0 for e, m in zip(evals, minus_inf))
+    assert sum(evals) > 0
 
 
 def test_fit_summary_masses_and_moments(workspace):
@@ -386,7 +394,10 @@ def test_numba_disable_flag_selects_numpy_backend():
         "q = _accel.cosine_series(np.array([0.3, -0.1]), lam)\n"
         "print(repr(float(q @ lam**2)))\n"
     )
-    env = dict(os.environ, FEXPSMC_DISABLE_NUMBA="1")
+    # the child imports the package from the same src directory as this process
+    src = str(Path(fexpsmc.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, FEXPSMC_DISABLE_NUMBA="1", PYTHONPATH=path)
     out = subprocess.run([sys.executable, "-c", snippet],
                          env=env, capture_output=True, text=True, check=True)
     backend, value = out.stdout.split()

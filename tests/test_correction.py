@@ -224,3 +224,20 @@ def test_particle_at_d_one_half_is_zeroed_and_counted():
     assert res.weights[2] == 0.0
     assert res.log_w_raw[2] == -math.inf
     assert np.array_equal(np.delete(res.log_w_raw, 2), clean.log_w_raw)
+
+
+def test_particle_with_overflowing_short_memory_is_zeroed_and_counted():
+    # xi_1 = -800 overflows exp(sum xi_j cos j lam) on both sides: the
+    # approximate side scores -inf and the exact side a failed row; the
+    # particle is counted as failed, the rest keep their log weights
+    rng = np.random.default_rng(28)
+    x = simulate_series(SimConfig(kind="fracnoise", n=64, d=0.3), rng)
+    prior = PriorConfig()
+    thetas = _population(6, seed=29)
+    clean = correction_weights(thetas, x, prior)
+    blow_up = ThetaParams(k=1, t=0.0, xi=np.array([-800.0]))
+    res = correction_weights(thetas[:3] + [blow_up] + thetas[3:], x, prior)
+    assert res.n_failed == clean.n_failed + 1
+    assert res.weights[3] == 0.0
+    assert res.log_w_raw[3] == -math.inf
+    assert np.array_equal(np.delete(res.log_w_raw, 3), clean.log_w_raw)

@@ -1,6 +1,7 @@
 """Exact Gaussian marginal likelihood: hand-computed and eigen-based oracles."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -268,4 +269,23 @@ def test_exact_side_at_d_one_half_is_a_failed_row():
     thetas = _mixed_population()[:3]
     values, info = exact.exact_log_margliks([thetas[0], pole, *thetas[1:]], x, prior)
     assert info.tolist() == [0, 1, 0, 0]
+    assert values[[0, 2, 3]].tolist() == [exact_log_marglik(th, x, prior) for th in thetas]
+
+
+def test_exact_side_with_overflowing_short_memory_is_a_failed_row():
+    # exp(sum xi_j cos j lam) overflows at lam = pi for xi_1 = -800: the
+    # autocovariances are not representable, so the row fails at minor 1
+    # without a RuntimeWarning, and the neighbour rows keep their bits
+    blow_up = ThetaParams(k=1, t=0.0, xi=np.array([-800.0]))
+    prior = PriorConfig()
+    x = np.random.default_rng(14).standard_normal(48)
+    thetas = _mixed_population()[:3]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NotPositiveDefiniteError) as err:
+            exact_log_marglik(blow_up, x, prior)
+        values, info = exact.exact_log_margliks([thetas[0], blow_up, *thetas[1:]], x, prior)
+    assert err.value.index == 1
+    assert info.tolist() == [0, 1, 0, 0]
+    assert math.isnan(values[1])
     assert values[[0, 2, 3]].tolist() == [exact_log_marglik(th, x, prior) for th in thetas]

@@ -7,8 +7,9 @@ import pytest
 from scipy.stats import kstest
 
 from fexpsmc.mcmc import (InvalidStateError, KernelConfig, MoveStats,
-                          RW_SCALE2, birth_death_step, calibrate_scales,
-                          rw_metropolis_step, run_mcmc)
+                          RW_SCALE2, birth_death_step, birth_death_steps,
+                          calibrate_scales, rw_metropolis_step,
+                          rw_metropolis_steps, run_mcmc)
 from fexpsmc.model import PriorConfig, ThetaParams, log_prior, sample_prior
 
 FLAT = lambda th: 0.0
@@ -200,6 +201,33 @@ def test_move_stats_counters_are_consistent():
     assert stats.birth_accepted <= stats.birth_proposed
     assert stats.death_accepted <= stats.death_proposed
     assert 0.0 <= stats.bd_rate() <= 1.0
+
+
+def test_move_stats_count_scored_proposals_and_minus_inf():
+    # every proposal handed to the likelihood is counted, and those it
+    # scores -inf separately; at gamma = 0 nothing is scored
+    prior = PriorConfig()
+    seen = []
+
+    def logliks(thetas):
+        seen.extend(thetas)
+        return [-math.inf if th.t > 0.0 else 0.0 for th in thetas]
+
+    rngs = [np.random.default_rng(40 + j) for j in range(8)]
+    thetas = [sample_prior(prior, rng) for rng in rngs]
+    lps, lls = [log_prior(th, prior) for th in thetas], [0.0] * 8
+    for gamma in (0.0, 0.5):
+        stats = MoveStats()
+        cfg = KernelConfig(gamma=gamma)
+        seen.clear()
+        for _ in range(20):
+            thetas, lps, lls, _ = rw_metropolis_steps(thetas, lps, lls, logliks, prior,
+                                                      cfg, rngs, stats)
+            thetas, lps, lls, _ = birth_death_steps(thetas, lps, lls, logliks, prior,
+                                                    cfg, rngs, stats)
+        assert stats.loglik_evals == len(seen)
+        assert stats.loglik_minus_inf == sum(th.t > 0.0 for th in seen)
+        assert (stats.loglik_evals > stats.loglik_minus_inf > 0) == (gamma > 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 from scipy.integrate import quad
 
 from fexpsmc.model import (PriorConfig, ThetaParams, arfima_sdf, eval_fbar,
@@ -135,6 +136,37 @@ def test_log_prior_beyond_k_max_is_minus_inf():
     prior = PriorConfig(k_max=3)
     th = ThetaParams(k=4, t=0.0, xi=np.zeros(4))
     assert log_prior(th, prior) == -math.inf
+
+
+def _direct_log_prior(theta, prior):
+    """The prior density term by term, every constant recomputed per call."""
+    def log_sigmoid(u):
+        return -math.log1p(math.exp(-u)) if u >= 0 else u - math.log1p(math.exp(u))
+
+    if theta.k > prior.k_max:
+        return -math.inf
+    lp = math.log(prior.geom_p) + theta.k * math.log1p(-prior.geom_p)
+    lp += log_sigmoid(theta.t) + log_sigmoid(-theta.t)
+    for j in range(1, theta.k + 1):
+        v = prior.xi_var0 * float(j) ** (-2.0 * prior.beta)
+        x = float(theta.xi[j - 1])
+        lp += -0.5 * math.log(2.0 * math.pi * v) - 0.5 * x * x / v
+    return lp
+
+
+@given(k=st.integers(0, 8), t=st.floats(-40.0, 40.0),
+       xi=st.lists(st.floats(-50.0, 50.0), min_size=8, max_size=8),
+       geom_p=st.floats(0.01, 0.99), xi_var0=st.floats(1e-3, 1e3), beta=st.floats(0.0, 3.0))
+def test_log_prior_is_bitwise_the_direct_formula(k, t, xi, geom_p, xi_var0, beta):
+    # the cached per-order constants give the per-term arithmetic exactly,
+    # at k = k_max, beyond it, and after the prior is changed in place
+    prior = PriorConfig(k_max=6)
+    th = ThetaParams(k=k, t=t, xi=np.array(xi[:k]))
+    assert log_prior(th, prior) == _direct_log_prior(th, prior)
+    prior.geom_p, prior.xi_var0, prior.beta = geom_p, xi_var0, beta
+    assert log_prior(th, prior) == _direct_log_prior(th, prior)
+    prior.k_max = 8
+    assert log_prior(th, prior) == _direct_log_prior(th, prior)
 
 
 def test_prior_t_density_integrates_to_one():
