@@ -1,55 +1,20 @@
-"""Numerical hot kernels with optional numba acceleration.
-
-Every kernel exists in two interchangeable implementations: a numba
-``@njit`` version and a pure-numpy version.  The active backend is chosen
-at import time: setting the environment variable ``FEXPSMC_DISABLE_NUMBA``
-to a non-empty value other than ``0`` forces the numpy path, as does an
-unavailable numba installation.  Both paths produce identical results up
-to floating-point rounding; the test suite runs against whichever backend
-is active and also calls both Durbin-Levinson twins directly (without
-numba, the ``njit`` fallback runs the numba source as plain Python).
+"""Numerical hot kernels, in numpy.
 
 One Durbin-Levinson innovations kernel serves both the exact likelihood
 (whitening, ``durbin_levinson_whiten``, a batch of autocovariance rows
 against one right-hand side) and simulation (colouring,
-``durbin_levinson_sample``, the one-row case).  The numpy twin sweeps all
-rows of a batch together; the numba twin loops over them.  The Whittle
-quadratic form has no kernel
-here: :mod:`fexpsmc.approx` evaluates it for a whole batch of thetas with
-numpy array operations.
-
-Kernels are module-level functions taking plain arrays (numba does not
-compile methods, so no ``self`` anywhere).
+``durbin_levinson_sample``, the one-row case); it sweeps all rows of a
+batch together.  The Whittle quadratic form has no kernel here:
+:mod:`fexpsmc.approx` evaluates it for a whole batch of thetas with numpy
+array operations.
 """
 
 import math
-import os
 
 import numpy as np
 
-_flag = os.environ.get("FEXPSMC_DISABLE_NUMBA", "0")
-_want_numba = _flag in ("", "0")
-
-try:
-    if not _want_numba:
-        raise ImportError("numba disabled by FEXPSMC_DISABLE_NUMBA")
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:
-    HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):  # no-op decorator fallback
-        if len(args) == 1 and callable(args[0]):
-            return args[0]
-
-        def wrap(func):
-            return func
-
-        return wrap
-
-
-BACKEND = "numba" if HAVE_NUMBA else "numpy"
+#: the only backend; perfbench/worker.py records it with every benchmark run
+BACKEND = "numpy"
 
 
 # ---------------------------------------------------------------------------
@@ -57,24 +22,11 @@ BACKEND = "numba" if HAVE_NUMBA else "numpy"
 # ---------------------------------------------------------------------------
 
 
-def _cosine_series_np(xi, lam):
+def cosine_series(xi, lam):
     if xi.shape[0] == 0:
         return np.zeros_like(lam)
     m = np.arange(1, xi.shape[0] + 1)
     return np.cos(np.outer(m, lam)).T @ xi
-
-
-@njit(cache=True, nogil=True)
-def _cosine_series_nb(xi, lam):
-    n = lam.shape[0]
-    k = xi.shape[0]
-    out = np.zeros(n)
-    for j in range(n):
-        s = 0.0
-        for m in range(k):
-            s += xi[m] * math.cos((m + 1) * lam[j])
-        out[j] = s
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -101,7 +53,7 @@ def _cosine_series_nb(xi, lam):
 # the failing leading minor of T (the index LAPACK dpotrf reports), and
 # out[b] and v[b] are meaningful only before it.
 #
-# The numpy kernel moves all B rows one step at a time, so the Python cost
+# The kernel moves all B rows one step at a time, so the Python cost
 # of a step is paid once per batch.  A step is one array update of the B
 # coefficient vectors and stacked matmuls for the predictions and for the
 # numerators of the next kappa; a stacked matmul makes one BLAS call per
@@ -114,7 +66,7 @@ def _cosine_series_nb(xi, lam):
 # ---------------------------------------------------------------------------
 
 
-def _durbin_levinson_np(acf, y, colour):
+def _durbin_levinson(acf, y, colour):
     B, n = acf.shape
     c = y.shape[1]
     v = np.empty((B, n))
@@ -185,58 +137,6 @@ def _durbin_levinson_np(acf, y, colour):
     else:
         out = y - pred.reshape(B, n, c)
     return out, v, np.array(info)
-
-
-@njit(cache=True, nogil=True)
-def _durbin_levinson_nb(acf, y, colour):
-    B, n = acf.shape
-    c = y.shape[1]
-    out = np.empty((B, n, c))
-    v = np.empty((B, n))
-    info = np.zeros(B, dtype=np.int64)
-    phi = np.empty(n)
-    for b in range(B):
-        a = acf[b]
-        res = out[b]
-        src = res if colour else y
-        phi[:] = 0.0
-        vt = a[0]
-        for t in range(n):
-            if t:
-                num = a[t]
-                for j in range(t - 1):
-                    num -= phi[j] * a[t - 1 - j]
-                kappa = num / vt
-                # phi_j and phi_{t-2-j} update from each other: do both at once
-                for j in range(t // 2):
-                    p = phi[j]
-                    q = phi[t - 2 - j]
-                    phi[j] = p - kappa * q
-                    phi[t - 2 - j] = q - kappa * p
-                phi[t - 1] = kappa
-                vt *= 1.0 - kappa * kappa
-            if not (vt > 0.0 and math.isfinite(vt)):
-                info[b] = t + 1
-                break
-            v[b, t] = vt
-            sd = math.sqrt(vt)
-            for col in range(c):
-                pred = 0.0
-                for j in range(t):
-                    pred += phi[j] * src[t - 1 - j, col]
-                if colour:
-                    res[t, col] = pred + sd * y[t, col]
-                else:
-                    res[t, col] = y[t, col] - pred
-    return out, v, info
-
-
-if HAVE_NUMBA:
-    cosine_series = _cosine_series_nb
-    _durbin_levinson = _durbin_levinson_nb
-else:
-    cosine_series = _cosine_series_np
-    _durbin_levinson = _durbin_levinson_np
 
 
 def durbin_levinson_whiten(acf, y):

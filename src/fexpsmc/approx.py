@@ -53,6 +53,7 @@ import numpy as np
 from scipy.special import gammaln, zeta
 
 from . import _accel
+from .config import DataError
 from .fourier import fourier_coeffs_bounded
 
 __all__ = [
@@ -98,9 +99,9 @@ class DatasetContext:
         x = np.asarray(x, dtype=float).reshape(-1)
         n = x.size
         if n < 8:
-            raise ValueError(f"need at least 8 observations, got {n}")
+            raise DataError(f"need at least 8 observations, got {n}")
         if not np.all(np.isfinite(x)):
-            raise ValueError("series contains non-finite values")
+            raise DataError("series contains non-finite values")
         self.x = x
         self.n = n
         self.xtilde = x - x.mean()

@@ -23,7 +23,7 @@ import numpy as np
 from .approx import approx_log_lik, prepare_dataset
 from .config import (ConfigError, DataError, NumericalError, RunConfig,
                      dump_document, load_config)
-from .correction import correction_weights
+from .correction import N_GUARD, correction_weights
 from .mcmc import run_mcmc
 from .model import PriorConfig, ThetaParams
 from .report import d_histogram, frequency_grid, spectral_bands, summarize
@@ -217,6 +217,11 @@ def _cmd_simulate(args):
 def _cmd_fit(args):
     cfg = _load_run_config(args)
     x = _read_data(cfg)
+    if cfg["correction.enabled"] and not cfg["correction.force_large_n"] and x.size > N_GUARD:
+        raise ConfigError(
+            f"series length {x.size} exceeds the exact-likelihood guard ({N_GUARD}); "
+            "set correction.force_large_n = true or disable the correction"
+        )
     prior = _prior_from(cfg)
     smc_cfg = SmcConfig(
         N=cfg["smc.N"],

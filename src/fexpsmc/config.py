@@ -145,7 +145,8 @@ _DEFAULTS = {
     "report.bins": 40,
 }
 
-_OPTIONAL_INTS = {"correction.subsample", "mcmc.fix_k"}
+#: optional integer keys and the smallest value each accepts
+_OPTIONAL_INTS = {"correction.subsample": 1, "mcmc.fix_k": 0}
 
 
 class RunConfig:
@@ -189,9 +190,9 @@ class RunConfig:
         for key, ok in checks:
             if not ok(v[key]):
                 raise ConfigError(f"invalid value for {key}: {v[key]!r}")
-        for key in _OPTIONAL_INTS:
+        for key, low in _OPTIONAL_INTS.items():
             val = v[key]
-            if val is not None and not (isinstance(val, int) and val >= 0):
+            if val is not None and not (isinstance(val, int) and val >= low):
                 raise ConfigError(f"invalid value for {key}: {val!r}")
         for key in ("model.xi", "model.phi", "model.theta_ma"):
             val = v[key]

@@ -14,8 +14,9 @@ and the step can be subsampled.  Both sides of all distinct particles are
 batched evaluations: the exact side whitens blocks of thetas in one sweep
 each (:func:`fexpsmc.exact.exact_log_margliks`).  With ``threads > 1`` the
 distinct particles are cut into one block per thread and the blocks run on
-a thread pool; the blocks only overlap where the active backend releases
-the GIL, and every particle gets the same bits for any thread count.
+a thread pool.  The Durbin-Levinson sweep is a per-step Python loop that
+holds the GIL for most of its time, so the blocks barely overlap; every
+particle gets the same bits for any thread count.
 """
 
 import logging
@@ -26,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .approx import approx_log_liks, prepare_dataset
+from .config import NumericalError
 from .exact import BLOCK_ROWS, NotPositiveDefiniteError, exact_log_margliks
 
 __all__ = ["CorrectionResult", "correction_weights", "corrected_estimate"]
@@ -88,12 +90,15 @@ def correction_weights(
         Test seams replacing the default evaluators.
 
     A covariance that is not positive definite in the exact evaluator zeroes
-    that particle's weight (with a warning) instead of aborting the correction.
+    that particle's weight (with a warning) instead of aborting the
+    correction; :class:`NumericalError` is raised when every weight fails.
     """
     thetas = list(thetas)
     n_particles = len(thetas)
     if n_particles == 0:
         raise ValueError("no particles to weight")
+    if subsample is not None and subsample < 1:
+        raise ValueError(f"subsample must be >= 1, got {subsample}")
 
     if exact_fn is None or approx_fn is None:
         x = np.asarray(x, dtype=float)
@@ -143,7 +148,7 @@ def correction_weights(
     log_w = np.array([by_key[thetas[i].key()] for i in indices])
     finite = np.isfinite(log_w)
     if not np.any(finite):
-        raise ValueError("every correction weight failed or is zero")
+        raise NumericalError("every correction weight failed or is zero")
     m = log_w[finite].max()
     w = np.exp(log_w - m, where=finite, out=np.zeros_like(log_w))
     w /= w.sum()

@@ -19,8 +19,7 @@ Sigma is never formed.  One Durbin-Levinson sweep over T whitens the two
 columns u = x - m_mu and 1, which gives log|T| = sum log v_t and the
 T^{-1} quadratic forms as sums of e_t^2 / v_t; the matrix determinant
 lemma and Sherman-Morrison then add the rank-one term.  That is O(n^2)
-time and O(n) memory.  The dense Cholesky factorisation stays as
-``cholesky_lower``, the reference the tests compare against.
+time and O(n) memory.
 
 :func:`exact_log_margliks` scores a whole population: it stacks the
 autocovariances of a block of BLOCK_ROWS thetas and whitens the block in
@@ -35,14 +34,13 @@ any batch, so :func:`exact_log_marglik`, the batch of one, agrees exactly.
 import math
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf
 
+from ._accel import durbin_levinson_whiten
 from .fourier import fourier_coeffs_longmemory
-from ._accel import cosine_series, durbin_levinson_whiten
+from .model import fexp_sdf
 
 __all__ = [
     "NotPositiveDefiniteError",
-    "cholesky_lower",
     "fbar_autocov",
     "exact_log_marglik",
     "exact_log_margliks",
@@ -62,41 +60,14 @@ class NotPositiveDefiniteError(np.linalg.LinAlgError):
         super().__init__(f"matrix not positive definite: leading minor {self.index} failed")
 
 
-def cholesky_lower(S):
-    """Lower Cholesky factor of a symmetric positive-definite matrix.
-
-    Raises :class:`NotPositiveDefiniteError` with the index reported by
-    LAPACK when S is not numerically positive definite, and with the order
-    of the smallest leading minor holding a NaN or infinity when S is not
-    finite (LAPACK passes a NaN pivot through without reporting it).
-    """
-    S = np.ascontiguousarray(S, dtype=float)
-    if S.ndim != 2 or S.shape[0] != S.shape[1]:
-        raise ValueError("S must be a square matrix")
-    rows, cols = np.nonzero(~np.isfinite(S))
-    if rows.size:
-        raise NotPositiveDefiniteError(np.maximum(rows, cols).min() + 1)
-    L, info = dpotrf(S, lower=1, overwrite_a=0)
-    if info > 0:
-        raise NotPositiveDefiniteError(info)
-    if info < 0:
-        raise ValueError(f"illegal value in argument {-info} of dpotrf")
-    return np.tril(L)
-
-
 def fbar_autocov(theta, n, M=None):
     """Autocovariances gamma(0..n-1) of the normalised FEXP density at theta.
 
     gamma(l) = int fbar_theta(lam) e^{i l lam} dlam via the long-memory
-    split; the bounded factor is g(lam) = exp(sum xi_j cos(j lam))/(2 pi).
+    split; the bounded factor is the d = 0 density,
+    g(lam) = exp(sum xi_j cos(j lam))/(2 pi).
     """
-    xi = np.asarray(theta.xi, dtype=float)
-
-    def smooth(lam):
-        lam = np.asarray(lam, dtype=float)
-        return np.exp(cosine_series(xi, lam)) / (2.0 * np.pi)
-
-    return fourier_coeffs_longmemory(theta.d, smooth, n, M=M)
+    return fourier_coeffs_longmemory(theta.d, lambda lam: fexp_sdf(0.0, theta.xi, lam), n, M=M)
 
 
 def _autocovs(thetas, n, M):

@@ -1,4 +1,4 @@
-"""Fourier coefficients of spectral densities and Toeplitz assembly.
+"""Fourier coefficients of spectral densities.
 
 Conventions
 -----------
@@ -11,11 +11,7 @@ j = 0..M, Delta = 2*pi/M, by a single FFT.  Because the integrand is
 2*pi-periodic, the trapezoid sum with the two half-weighted endpoints
 folded together is spectrally accurate (the error is the aliasing of the
 integrand's own Fourier coefficients), and it integrates trigonometric
-polynomials of degree < M exactly.  An alternative rule="interpolated"
-evaluates the integral of the piecewise-linear interpolant of g exactly,
-using the hat-function transform W and the endpoint half-hat corrections;
-it is exact for piecewise-linear g but only O(Delta^2) for smooth g, so
-the spectral rule is the default.
+polynomials of degree < M exactly.
 
 Long-memory integrands |1 - e^{-i lam}|^{-2d} * g(lam) are split into a
 singular part with known closed-form coefficients (fractional-noise
@@ -30,45 +26,16 @@ smooth (it vanishes like lam^{2-2d}).
 """
 
 import numpy as np
-from scipy.linalg import toeplitz as scipy_toeplitz
 from scipy.special import gammaln
 
 __all__ = [
-    "hat_weight",
-    "endpoint_alpha0",
     "fourier_coeffs_bounded",
     "fracdiff_acf",
     "fourier_coeffs_longmemory",
-    "build_toeplitz",
 ]
 
 #: default relative bound on the discarded imaginary residue
 IMAG_TOL = 1e-8
-
-
-def hat_weight(lam):
-    """Fourier transform factor W of the unit hat function.
-
-    W(lam) = 2 (1 - cos lam) / lam^2, W(0) = 1.  Below |lam| = 0.05 the
-    direct quotient loses ~3 digits to cancellation, so the Taylor
-    polynomial 1 - lam^2/12 + lam^4/360 - lam^6/20160 is used there; both
-    branches are accurate to ~1e-13 at the crossover.  Used by the
-    piecewise-linear ("interpolated") rule.
-    """
-    lam = np.asarray(lam, dtype=float)
-    out = np.empty_like(lam)
-    small = np.abs(lam) < 0.05
-    ls = lam[small]
-    ls2 = ls * ls
-    out[small] = 1.0 + ls2 * (-1.0 / 12.0 + ls2 * (1.0 / 360.0 - ls2 / 20160.0))
-    lb = lam[~small]
-    out[~small] = 2.0 * (1.0 - np.cos(lb)) / (lb * lb)
-    return out if out.ndim else float(out)
-
-
-def endpoint_alpha0(lam):
-    """Real part of the endpoint (half-hat) correction: -W(lam)/2, value -1/2 at 0."""
-    return -0.5 * hat_weight(lam)
 
 
 def default_grid_size(n):
@@ -79,42 +46,7 @@ def default_grid_size(n):
     return M
 
 
-def _interp_rule(gv, M, n):
-    """Exact Fourier integrals of the piecewise-linear interpolant of g.
-
-    gamma(l) = Delta (-1)^l [ W(th) (F_l - g_0)
-                              + beta(th) g_0 + conj(beta(th)) g_M ],
-    th = l*Delta, with beta = W/2 + i*(1/th - sin(th)/th^2) the transform
-    of the left half-hat.  Reduces to the trapezoid rule at l = 0.
-    """
-    delta = 2.0 * np.pi / M
-    F = np.fft.ifft(gv[:M]) * M
-    l = np.arange(n)
-    th = l * delta
-    W = hat_weight(th)
-    im_beta = np.empty(n)
-    small = th < 0.05
-    ts = th[small]
-    ts2 = ts * ts
-    # 1/th - sin(th)/th^2 = th/6 - th^3/120 + th^5/5040 - ...
-    im_beta[small] = ts * (1.0 / 6.0 + ts2 * (-1.0 / 120.0 + ts2 / 5040.0))
-    tb = th[~small]
-    im_beta[~small] = 1.0 / tb - np.sin(tb) / (tb * tb)
-    beta = 0.5 * W + 1j * im_beta
-    vals = delta * (-1.0) ** l * (W * (F[:n] - gv[0]) + beta * gv[0] + np.conj(beta) * gv[M])
-    return vals
-
-
-def _spectral_rule(gv, M, n):
-    """Periodic trapezoid: fold the two half-weighted endpoints, one FFT."""
-    s = gv[:M].astype(complex)
-    s[0] = 0.5 * (gv[0] + gv[M])
-    F = np.fft.ifft(s) * M
-    l = np.arange(n)
-    return (2.0 * np.pi / M) * (-1.0) ** l * F[:n]
-
-
-def fourier_coeffs_bounded(g, n, M=None, rule="spectral"):
+def fourier_coeffs_bounded(g, n, M=None):
     """Coefficients gamma_g(l) = int_{-pi}^{pi} g(lam) e^{i l lam} dlam, l = 0..n-1.
 
     Parameters
@@ -126,11 +58,6 @@ def fourier_coeffs_bounded(g, n, M=None, rule="spectral"):
     M : int, optional
         Grid resolution; must be a power of two >= 2. Defaults to the
         smallest power of two >= 2 n.
-    rule : {"spectral", "interpolated"}
-        "spectral" (default) is the periodic trapezoid rule -- spectrally
-        accurate for smooth periodic g and exact for trigonometric
-        polynomials of degree < M.  "interpolated" integrates the
-        piecewise-linear interpolant of g exactly (error O(M^-2)).
 
     The assembled coefficients are complex only through rounding (for even
     g) or genuine asymmetry of g; the real part is returned and the
@@ -149,12 +76,11 @@ def fourier_coeffs_bounded(g, n, M=None, rule="spectral"):
         raise ValueError("g must return one value per grid node")
     if not np.all(np.isfinite(gv)):
         raise ValueError("g produced non-finite values on the grid")
-    if rule == "spectral":
-        vals = _spectral_rule(gv, M, n)
-    elif rule == "interpolated":
-        vals = _interp_rule(gv, M, n)
-    else:
-        raise ValueError(f"unknown rule {rule!r}")
+    # periodic trapezoid: fold the two half-weighted endpoints, one FFT
+    s = gv[:M].astype(complex)
+    s[0] = 0.5 * (gv[0] + gv[M])
+    F = np.fft.ifft(s) * M
+    vals = (2.0 * np.pi / M) * (-1.0) ** np.arange(n) * F[:n]
     scale = max(np.max(np.abs(vals.real)), 1e-300)
     resid = np.max(np.abs(vals.imag))
     if resid > IMAG_TOL * scale:
@@ -201,7 +127,7 @@ def fracdiff_acf(d, lags):
     return float(out[0]) if scalar else out
 
 
-def fourier_coeffs_longmemory(d, g, n, M=None, rule="spectral"):
+def fourier_coeffs_longmemory(d, g, n, M=None):
     """Coefficients of f(lam) = |1 - e^{-i lam}|^{-2d} g(lam), l = 0..n-1.
 
     g must be bounded, smooth and even with a finite value at 0; the
@@ -222,21 +148,5 @@ def fourier_coeffs_longmemory(d, g, n, M=None, rule="spectral"):
             vals = sing * (np.asarray(g(lam), dtype=float) - g0)
         return np.where(np.abs(lam) < 1e-300, 0.0, vals)
 
-    bounded = fourier_coeffs_bounded(remainder, n, M=M, rule=rule)
+    bounded = fourier_coeffs_bounded(remainder, n, M=M)
     return 2.0 * np.pi * g0 * fracdiff_acf(d, np.arange(n)) + bounded
-
-
-def build_toeplitz(acf, ridge=0.0):
-    """Dense symmetric Toeplitz matrix T[i, j] = acf[|i - j|] (+ ridge on all entries).
-
-    ``ridge`` adds a constant to every entry (a rank-one all-ones
-    perturbation), as needed by the marginal-likelihood covariance
-    T(fbar) + (1/g_mu) * ones.
-    """
-    acf = np.asarray(acf, dtype=float)
-    if acf.ndim != 1 or acf.size < 1:
-        raise ValueError("acf must be a nonempty 1-d array")
-    T = scipy_toeplitz(acf)
-    if ridge:
-        T += ridge
-    return T

@@ -24,8 +24,8 @@ and an RW proposal adds its step to t and xi directly.  Kernels are pure
 functions of (state, rng): they mutate nothing and return the new state
 together with its cached log-prior/log-likelihood.
 Each kernel moves a whole population (``rw_metropolis_steps``,
-``birth_death_steps``) with one likelihood call for all its proposals; the
-one-particle kernels are its batch of one.  ``MoveStats`` also counts the
+``birth_death_steps``) with one likelihood call for all its proposals;
+:func:`run_mcmc` moves a population of one.  ``MoveStats`` also counts the
 proposals scored and those scored -inf.
 """
 
@@ -40,9 +40,7 @@ __all__ = [
     "InvalidStateError",
     "KernelConfig",
     "MoveStats",
-    "rw_metropolis_step",
     "rw_metropolis_steps",
-    "birth_death_step",
     "birth_death_steps",
     "calibrate_scales",
     "run_mcmc",
@@ -68,12 +66,6 @@ class KernelConfig:
     gamma: float = 1.0
     scales: dict = field(default_factory=dict)
     k_max: int = 50
-
-    def chol_for(self, k):
-        L = self.scales.get(k)
-        if L is None:
-            return None  # identity
-        return L
 
 
 @dataclass
@@ -136,10 +128,6 @@ def _score(props, lls, logliks_fn, gamma, stats):
     return scores
 
 
-def _scalar(loglik_fn):
-    """A theta -> float likelihood as a population -> list one."""
-    return lambda thetas: [loglik_fn(th) for th in thetas]
-
 
 def rw_metropolis_steps(thetas, lps, lls, logliks_fn, prior, cfg, rngs, stats):
     """One random-walk Metropolis update of the (t, xi) block of every particle.
@@ -148,7 +136,7 @@ def rw_metropolis_steps(thetas, lps, lls, logliks_fn, prior, cfg, rngs, stats):
     draws its proposal from ``rngs[j]``; every proposal inside the prior
     support is scored by a single ``logliks_fn`` call; each such particle
     then makes its accept test with one more uniform from ``rngs[j]``.
-    Every stream sees the draws of the one-particle kernel in the same order.
+    So a stream sees the same draws in the same order in any population.
 
     Parameters
     ----------
@@ -174,7 +162,7 @@ def rw_metropolis_steps(thetas, lps, lls, logliks_fn, prior, cfg, rngs, stats):
     for j, th in enumerate(thetas):
         stats.rw_proposed += 1
         z = rngs[j].standard_normal(th.k + 1)
-        L = cfg.chol_for(th.k)
+        L = cfg.scales.get(th.k)
         step = z if L is None else L @ z
         prop = ThetaParams(th.k, th.t + float(step[0]), th.xi + step[1:])
         lp_new = log_prior(prop, prior)
@@ -188,14 +176,6 @@ def rw_metropolis_steps(thetas, lps, lls, logliks_fn, prior, cfg, rngs, stats):
             out[j], lp_out[j], ll_out[j], accepted[j] = prop, lp_new, ll_new, True
     return out, lp_out, ll_out, accepted
 
-
-def rw_metropolis_step(theta, lp, ll, loglik_fn, prior, cfg, rng, stats):
-    """:func:`rw_metropolis_steps` on one particle with a theta -> float
-    ``loglik_fn``; returns ``(theta, lp, ll, accepted)``."""
-    th, lps, lls, acc = rw_metropolis_steps(
-        [theta], [lp], [ll], _scalar(loglik_fn), prior, cfg, [rng], stats
-    )
-    return th[0], float(lps[0]), float(lls[0]), bool(acc[0])
 
 
 def _rho_up(k, k_max):
@@ -258,14 +238,6 @@ def birth_death_steps(thetas, lps, lls, logliks_fn, prior, cfg, rngs, stats):
     return out, lp_out, ll_out, accepted
 
 
-def birth_death_step(theta, lp, ll, loglik_fn, prior, cfg, rng, stats):
-    """:func:`birth_death_steps` on one particle with a theta -> float
-    ``loglik_fn``; returns ``(theta, lp, ll, accepted)``."""
-    th, lps, lls, acc = birth_death_steps(
-        [theta], [lp], [ll], _scalar(loglik_fn), prior, cfg, [rng], stats
-    )
-    return th[0], float(lps[0]), float(lls[0]), bool(acc[0])
-
 
 def calibrate_scales(thetas, k_max=50, min_factor=2):
     """Per-order proposal covariances from an equally-weighted population.
@@ -327,26 +299,28 @@ def run_mcmc(
         for k in range(k_max + 1):
             cfg.scales[k] = tau_chol * np.eye(k + 1)
     theta = init.copy() if init is not None else sample_prior(prior, rng, fix_k=fix_k)
-    lp = log_prior(theta, prior)
-    ll = loglik_fn(theta) if gamma != 0.0 else 0.0
+    thetas, rngs = [theta], [rng]
+    lps = [log_prior(theta, prior)]
+    lls = [loglik_fn(theta) if gamma != 0.0 else 0.0]
+    logliks_fn = lambda ths: [loglik_fn(th) for th in ths]
     stats = MoveStats()
     ks, ds, ts = [], [], []
     for step in range(steps):
-        theta, lp, ll, _ = rw_metropolis_step(
-            theta, lp, ll, loglik_fn, prior, cfg, rng, stats
+        thetas, lps, lls, _ = rw_metropolis_steps(
+            thetas, lps, lls, logliks_fn, prior, cfg, rngs, stats
         )
         if fix_k is None:
-            theta, lp, ll, _ = birth_death_step(
-                theta, lp, ll, loglik_fn, prior, cfg, rng, stats
+            thetas, lps, lls, _ = birth_death_steps(
+                thetas, lps, lls, logliks_fn, prior, cfg, rngs, stats
             )
         if step % thin == 0:
-            ks.append(theta.k)
-            ds.append(theta.d)
-            ts.append(theta.t)
+            ks.append(thetas[0].k)
+            ds.append(thetas[0].d)
+            ts.append(thetas[0].t)
     return {
         "k": np.array(ks, dtype=int),
         "d": np.array(ds),
         "t": np.array(ts),
         "stats": stats,
-        "final": theta,
+        "final": thetas[0],
     }

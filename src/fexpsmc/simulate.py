@@ -18,6 +18,7 @@ import numpy as np
 from . import _accel
 from .exact import NotPositiveDefiniteError
 from .fourier import fourier_coeffs_longmemory
+from .model import arfima_sdf, fexp_sdf
 
 __all__ = ["SimConfig", "model_autocov", "simulate_series", "write_series", "read_series"]
 
@@ -50,30 +51,13 @@ class SimConfig:
 
 
 def _smooth_factor(cfg):
-    """The bounded factor g with f(lam) = |1-e^{-i lam}|^{-2d} g(lam)."""
+    """The bounded factor g with f(lam) = |1-e^{-i lam}|^{-2d} g(lam): the
+    model's density at d = 0."""
     if cfg.kind == "fracnoise":
         return lambda lam: np.full_like(np.asarray(lam, float), cfg.sigma2 / (2.0 * np.pi))
     if cfg.kind == "fexp":
-        xi = cfg.xi
-
-        def g_fexp(lam):
-            lam = np.asarray(lam, dtype=float)
-            return cfg.sigma2 / (2.0 * np.pi) * np.exp(_accel.cosine_series(xi, lam))
-
-        return g_fexp
-
-    def g_arma(lam):
-        lam = np.asarray(lam, dtype=float)
-        z = np.exp(-1j * lam)
-        ma = np.ones_like(z)
-        for q, th in enumerate(cfg.theta_ma, start=1):
-            ma = ma + th * z**q
-        ar = np.ones_like(z)
-        for p, ph in enumerate(cfg.phi, start=1):
-            ar = ar - ph * z**p
-        return cfg.sigma2 / (2.0 * np.pi) * np.abs(ma) ** 2 / np.abs(ar) ** 2
-
-    return g_arma
+        return lambda lam: cfg.sigma2 * fexp_sdf(0.0, cfg.xi, lam)
+    return lambda lam: arfima_sdf(0.0, cfg.phi, cfg.theta_ma, cfg.sigma2, lam)
 
 
 def model_autocov(cfg, n, M=None):

@@ -16,12 +16,13 @@ import numpy as np
 from scipy import stats as sps
 from scipy.special import gammaln
 
+from dense_reference import build_toeplitz
 from fexpsmc.approx import (approx_log_lik, log_barnes_g, log_det_approx,
                             prepare_dataset, quadform_approx_toeplitz,
                             quadform_whittle)
 from fexpsmc.correction import correction_weights
 from fexpsmc.exact import exact_log_marglik, fbar_autocov
-from fexpsmc.fourier import build_toeplitz, fourier_coeffs_longmemory
+from fexpsmc.fourier import fourier_coeffs_longmemory
 from fexpsmc.mcmc import RW_SCALE2, run_mcmc
 from fexpsmc.model import PriorConfig, ThetaParams, sample_prior
 from fexpsmc.simulate import SimConfig, simulate_series

@@ -6,13 +6,13 @@ import mpmath
 import numpy as np
 import pytest
 
+from dense_reference import build_toeplitz
 from fexpsmc import approx
 from fexpsmc._accel import cosine_series
 from fexpsmc.approx import (approx_log_lik, approx_log_liks, log_barnes_g,
                             log_det_approx, prepare_dataset,
                             quadform_approx_toeplitz, quadform_whittle)
 from fexpsmc.exact import fbar_autocov
-from fexpsmc.fourier import build_toeplitz
 from fexpsmc.model import PriorConfig, ThetaParams
 from fexpsmc.simulate import SimConfig, simulate_series
 

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from fexpsmc.config import NumericalError
 from fexpsmc.correction import (CorrectionResult, corrected_estimate,
                                 correction_weights)
 from fexpsmc import exact as exact_module
@@ -90,6 +91,8 @@ def test_subsample_is_seeded_and_without_replacement():
     assert a.indices.size == 20
     assert np.unique(a.indices).size == 20
     assert abs(a.weights.sum() - 1.0) < 1e-12
+    with pytest.raises(ValueError, match="subsample"):
+        correction_weights(thetas, None, None, subsample=0, exact_fn=f, approx_fn=g)
 
 
 def test_failed_evaluations_zero_the_weight():
@@ -117,7 +120,7 @@ def test_all_failures_raise():
     def exact(th):
         raise NotPositiveDefiniteError(1)
 
-    with pytest.raises(ValueError):
+    with pytest.raises(NumericalError):
         correction_weights(thetas, None, None, exact_fn=exact,
                            approx_fn=lambda th: 0.0)
 

@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from fexpsmc import exact, simulate
-from fexpsmc.exact import (NotPositiveDefiniteError, cholesky_lower,
-                           exact_log_marglik, fbar_autocov)
-from fexpsmc.fourier import build_toeplitz, fracdiff_acf
+from dense_reference import build_toeplitz, cholesky_lower
+from fexpsmc.exact import NotPositiveDefiniteError, exact_log_marglik, fbar_autocov
+from fexpsmc.fourier import fracdiff_acf
 from fexpsmc.model import PriorConfig, ThetaParams
 from fexpsmc.simulate import SimConfig, simulate_series
 
@@ -17,7 +17,7 @@ TWO_PI = 2.0 * math.pi
 
 
 # ---------------------------------------------------------------------------
-# Cholesky helpers
+# Dense Cholesky reference (tests/dense_reference.py)
 # ---------------------------------------------------------------------------
 
 def test_cholesky_lower_matches_numpy():

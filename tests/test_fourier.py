@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 from scipy.special import iv as bessel_iv
 
-from fexpsmc.fourier import (build_toeplitz, default_grid_size, endpoint_alpha0,
-                             fourier_coeffs_bounded, fourier_coeffs_longmemory,
-                             fracdiff_acf, hat_weight)
+from dense_reference import build_toeplitz
+from fexpsmc.fourier import (default_grid_size, fourier_coeffs_bounded,
+                             fourier_coeffs_longmemory, fracdiff_acf)
 
 TWO_PI = 2.0 * math.pi
 
@@ -20,25 +20,6 @@ def test_default_grid_size():
     assert default_grid_size(64) == 128
     assert default_grid_size(65) == 256
     assert default_grid_size(1000) == 2048
-
-
-# ---------------------------------------------------------------------------
-# Hat-function transform: mpmath oracle across the branch point
-# ---------------------------------------------------------------------------
-
-def test_hat_weight_accurate_across_branch():
-    mpmath.mp.dps = 40
-    lams = np.geomspace(1e-8, 1.0, 60)
-    for lam in lams:
-        want = float(2 * (1 - mpmath.cos(mpmath.mpf(lam))) / mpmath.mpf(lam) ** 2)
-        got = hat_weight(lam)
-        assert abs(got - want) <= 1e-12 * want, f"lam={lam}: {got} vs {want}"
-    assert hat_weight(0.0) == 1.0
-
-
-def test_endpoint_alpha0_is_minus_half_hat():
-    lam = np.linspace(0.0, 3.0, 7)
-    assert np.allclose(endpoint_alpha0(lam), -0.5 * hat_weight(lam), rtol=0, atol=0)
 
 
 # ---------------------------------------------------------------------------
@@ -95,65 +76,6 @@ def test_bad_grid_sizes_rejected():
         fourier_coeffs_bounded(g, 4, M=48)  # not a power of two
     with pytest.raises(ValueError):
         fourier_coeffs_bounded(g, 0)
-
-
-# ---------------------------------------------------------------------------
-# Interpolated (piecewise-linear) rule: closed-form segment oracle
-# ---------------------------------------------------------------------------
-
-def _pw_linear_coeff_oracle(nodes, gv, l):
-    """Integral of the piecewise-linear interpolant times cos(l lam).
-
-    Per segment, int (a + b lam) cos(l lam) dlam has the primitive
-    (a + b lam) sin(l lam)/l + b cos(l lam)/l^2; l = 0 reduces to the
-    trapezoid area.
-    """
-    total = 0.0
-    for j in range(len(nodes) - 1):
-        x0, x1 = nodes[j], nodes[j + 1]
-        y0, y1 = gv[j], gv[j + 1]
-        b = (y1 - y0) / (x1 - x0)
-        a = y0 - b * x0
-        if l == 0:
-            total += 0.5 * (y0 + y1) * (x1 - x0)
-        else:
-            def prim(x):
-                return (a + b * x) * math.sin(l * x) / l + b * math.cos(l * x) / l ** 2
-            total += prim(x1) - prim(x0)
-    return total
-
-
-def test_interpolated_rule_exact_for_piecewise_linear():
-    rng = np.random.default_rng(7)
-    M = 32
-    nodes = -np.pi + TWO_PI * np.arange(M + 1) / M
-    gv = rng.uniform(0.5, 2.0, M + 1)
-    # an even integrand keeps the imaginary residue at rounding level
-    gv = 0.5 * (gv + gv[::-1])
-    g = lambda lam: np.interp(lam, nodes, gv)
-    coef = fourier_coeffs_bounded(g, 10, M=M, rule="interpolated")
-    for l in range(10):
-        want = _pw_linear_coeff_oracle(nodes, gv, l)
-        assert abs(coef[l] - want) < 1e-12 * max(1.0, abs(want)), f"l={l}"
-
-
-def test_interpolated_rule_second_order_for_smooth_g():
-    g = lambda lam: np.exp(0.4 * np.cos(lam)) / TWO_PI
-    exact = bessel_iv(np.arange(6), 0.4)
-    err = []
-    for M in (64, 128, 256):
-        c = fourier_coeffs_bounded(g, 6, M=M, rule="interpolated")
-        err.append(np.max(np.abs(c - exact)))
-    # halving the step divides the error by about four
-    assert err[0] / err[1] > 3.0
-    assert err[1] / err[2] > 3.0
-
-
-def test_both_rules_agree_on_fine_grids():
-    g = lambda lam: 1.0 / (1.5 + np.cos(lam))
-    cs = fourier_coeffs_bounded(g, 8, M=4096, rule="spectral")
-    ci = fourier_coeffs_bounded(g, 8, M=4096, rule="interpolated")
-    assert np.max(np.abs(cs - ci)) < 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +180,7 @@ def test_longmemory_rejects_bad_d():
 
 
 # ---------------------------------------------------------------------------
-# Toeplitz assembly
+# Dense Toeplitz reference (tests/dense_reference.py)
 # ---------------------------------------------------------------------------
 
 def test_build_toeplitz_layout_and_ridge():

@@ -7,20 +7,21 @@ import pytest
 from scipy.stats import kstest
 
 from fexpsmc.mcmc import (InvalidStateError, KernelConfig, MoveStats,
-                          RW_SCALE2, birth_death_step, birth_death_steps,
-                          calibrate_scales, rw_metropolis_step,
+                          RW_SCALE2, birth_death_steps, calibrate_scales,
                           rw_metropolis_steps, run_mcmc)
 from fexpsmc.model import PriorConfig, ThetaParams, log_prior, sample_prior
 
 FLAT = lambda th: 0.0
+FLATS = lambda thetas: [0.0] * len(thetas)
 
 
 def _state(prior, theta):
-    return theta, log_prior(theta, prior), 0.0
+    """A population of one: ([theta], [log prior], [log likelihood 0])."""
+    return [theta], [log_prior(theta, prior)], [0.0]
 
 
 # ---------------------------------------------------------------------------
-# Random-walk kernel
+# Random-walk kernel (on a population of one)
 # ---------------------------------------------------------------------------
 
 def test_rw_vanishing_proposal_always_accepts():
@@ -28,11 +29,11 @@ def test_rw_vanishing_proposal_always_accepts():
     cfg = KernelConfig(gamma=0.0, scales={1: 1e-12 * np.eye(2)})
     rng = np.random.default_rng(0)
     stats = MoveStats()
-    th, lp, ll = _state(prior, ThetaParams(k=1, t=0.3, xi=np.array([0.5])))
+    ths, lps, lls = _state(prior, ThetaParams(k=1, t=0.3, xi=np.array([0.5])))
     accepted = 0
     for _ in range(300):
-        th, lp, ll, acc = rw_metropolis_step(th, lp, ll, FLAT, prior, cfg, rng, stats)
-        accepted += acc
+        ths, lps, lls, acc = rw_metropolis_steps(ths, lps, lls, FLATS, prior, cfg, [rng], stats)
+        accepted += acc[0]
     assert accepted >= 299  # log_r is rounding-level noise
     assert stats.rw_proposed == 300
 
@@ -43,7 +44,7 @@ def test_rw_rejects_from_invalid_state():
     rng = np.random.default_rng(1)
     th = ThetaParams(k=3, t=0.0, xi=np.zeros(3))  # beyond k_max: prior = 0
     with pytest.raises(InvalidStateError):
-        rw_metropolis_step(th, -math.inf, 0.0, FLAT, prior, cfg, rng, MoveStats())
+        rw_metropolis_steps([th], [-math.inf], [0.0], FLATS, prior, cfg, [rng], MoveStats())
 
 
 def test_rw_never_evaluates_likelihood_at_gamma_zero():
@@ -52,13 +53,14 @@ def test_rw_never_evaluates_likelihood_at_gamma_zero():
     rng = np.random.default_rng(2)
     calls = []
 
-    def loglik(th):
+    def logliks(thetas):
         calls.append(1)
-        return 0.0
+        return [0.0] * len(thetas)
 
-    th, lp, ll = _state(prior, ThetaParams(k=0, t=0.0, xi=np.empty(0)))
+    ths, lps, lls = _state(prior, ThetaParams(k=0, t=0.0, xi=np.empty(0)))
     for _ in range(50):
-        th, lp, ll, _ = rw_metropolis_step(th, lp, ll, loglik, prior, cfg, rng, MoveStats())
+        ths, lps, lls, _ = rw_metropolis_steps(ths, lps, lls, logliks, prior, cfg, [rng],
+                                               MoveStats())
     assert not calls
 
 
@@ -70,12 +72,12 @@ def test_rw_prior_chain_matches_logistic_marginal():
     cfg = KernelConfig(gamma=0.0, scales={0: np.array([[scale]])})
     rng = np.random.default_rng(3)
     stats = MoveStats()
-    th, lp, ll = _state(prior, ThetaParams(k=0, t=0.0, xi=np.empty(0)))
+    ths, lps, lls = _state(prior, ThetaParams(k=0, t=0.0, xi=np.empty(0)))
     ds = []
     for step in range(50_000):
-        th, lp, ll, _ = rw_metropolis_step(th, lp, ll, FLAT, prior, cfg, rng, stats)
+        ths, lps, lls, _ = rw_metropolis_steps(ths, lps, lls, FLATS, prior, cfg, [rng], stats)
         if step % 5 == 0:
-            ds.append(th.d)
+            ds.append(ths[0].d)
     stat, _ = kstest(np.array(ds), "uniform", args=(0.0, 0.5))
     assert stat < 0.03, f"KS = {stat}"
     assert 0.25 < stats.rw_rate() < 0.65
@@ -85,16 +87,17 @@ def test_rw_moves_all_coordinates():
     prior = PriorConfig()
     cfg = KernelConfig(gamma=0.0, scales={2: 0.5 * np.eye(3)})
     rng = np.random.default_rng(4)
-    th, lp, ll = _state(prior, ThetaParams(k=2, t=0.0, xi=np.zeros(2)))
-    start = th.as_vector().copy()
+    ths, lps, lls = _state(prior, ThetaParams(k=2, t=0.0, xi=np.zeros(2)))
+    start = ths[0].as_vector().copy()
     for _ in range(200):
-        th, lp, ll, _ = rw_metropolis_step(th, lp, ll, FLAT, prior, cfg, rng, MoveStats())
-    assert np.all(np.abs(th.as_vector() - start) > 0.0)
-    assert th.k == 2  # RW never changes the order
+        ths, lps, lls, _ = rw_metropolis_steps(ths, lps, lls, FLATS, prior, cfg, [rng],
+                                               MoveStats())
+    assert np.all(np.abs(ths[0].as_vector() - start) > 0.0)
+    assert ths[0].k == 2  # RW never changes the order
 
 
 # ---------------------------------------------------------------------------
-# Birth/death kernel
+# Birth/death kernel (on a population of one)
 # ---------------------------------------------------------------------------
 
 def test_birth_from_k0_accepts_at_known_rate():
@@ -105,11 +108,11 @@ def test_birth_from_k0_accepts_at_known_rate():
     rng = np.random.default_rng(5)
     trials, hits = 20_000, 0
     for _ in range(trials):
-        th, lp, ll = _state(prior, ThetaParams(k=0, t=0.0, xi=np.empty(0)))
+        ths, lps, lls = _state(prior, ThetaParams(k=0, t=0.0, xi=np.empty(0)))
         stats = MoveStats()
-        _, _, _, acc = birth_death_step(th, lp, ll, FLAT, prior, cfg, rng, stats)
+        _, _, _, acc = birth_death_steps(ths, lps, lls, FLATS, prior, cfg, [rng], stats)
         assert stats.birth_proposed == 1 and stats.death_proposed == 0
-        hits += acc
+        hits += acc[0]
     rate = hits / trials
     se = math.sqrt(0.4 * 0.6 / trials)
     assert abs(rate - 0.4) < 4.0 * se, f"rate = {rate}"
@@ -123,13 +126,13 @@ def test_death_from_k1_always_accepted_when_proposed():
     rng = np.random.default_rng(6)
     deaths = accepted = 0
     for _ in range(4000):
-        th, lp, ll = _state(prior, ThetaParams(k=1, t=0.0, xi=np.array([1.0])))
+        ths, lps, lls = _state(prior, ThetaParams(k=1, t=0.0, xi=np.array([1.0])))
         stats = MoveStats()
-        out, _, _, acc = birth_death_step(th, lp, ll, FLAT, prior, cfg, rng, stats)
+        out, _, _, acc = birth_death_steps(ths, lps, lls, FLATS, prior, cfg, [rng], stats)
         if stats.death_proposed:
             deaths += 1
-            accepted += acc
-            assert out.k == 0
+            accepted += acc[0]
+            assert out[0].k == 0
     assert deaths > 1500  # proposed about half the time
     assert accepted == deaths
 
@@ -142,48 +145,49 @@ def test_birth_preserves_lower_block_and_death_undoes_it():
     lp0 = log_prior(th0, prior)
     # force a birth by looping until one is proposed and accepted
     for _ in range(500):
-        th1, lp1, ll1, acc = birth_death_step(th0, lp0, 0.0, FLAT, prior, cfg,
-                                              rng, MoveStats())
-        if acc and th1.k == 3:
+        th1, lp1, _, acc = birth_death_steps([th0], [lp0], [0.0], FLATS, prior, cfg,
+                                             [rng], MoveStats())
+        if acc[0] and th1[0].k == 3:
             break
     else:
         pytest.fail("no accepted birth in 500 tries")
-    assert th1.t == th0.t
-    assert np.array_equal(th1.xi[:2], th0.xi)
+    assert th1[0].t == th0.t
+    assert np.array_equal(th1[0].xi[:2], th0.xi)
     # a death from th1 restores the original block exactly
     for _ in range(500):
-        th2, _, _, acc = birth_death_step(th1, lp1, 0.0, FLAT, prior, cfg,
-                                          rng, MoveStats())
-        if acc and th2.k == 2:
+        th2, _, _, acc = birth_death_steps(th1, lp1, [0.0], FLATS, prior, cfg,
+                                           [rng], MoveStats())
+        if acc[0] and th2[0].k == 2:
             break
     else:
         pytest.fail("no accepted death in 500 tries")
-    assert th2.t == th0.t
-    assert np.array_equal(th2.xi, th0.xi)
+    assert th2[0].t == th0.t
+    assert np.array_equal(th2[0].xi, th0.xi)
 
 
 def test_birth_blocked_at_k_max():
     prior = PriorConfig(k_max=2)
     cfg = KernelConfig(gamma=0.0, k_max=2)
     rng = np.random.default_rng(8)
-    th = ThetaParams(k=2, t=0.0, xi=np.zeros(2))
-    lp = log_prior(th, prior)
+    ths, lps, lls = _state(prior, ThetaParams(k=2, t=0.0, xi=np.zeros(2)))
     for _ in range(200):
-        out, _, _, _ = birth_death_step(th, lp, 0.0, FLAT, prior, cfg, rng, MoveStats())
-        assert out.k <= 2
+        out, _, _, _ = birth_death_steps(ths, lps, lls, FLATS, prior, cfg, [rng], MoveStats())
+        assert out[0].k <= 2
 
 
 def test_extreme_likelihood_ratios_do_not_overflow():
     prior = PriorConfig()
     cfg = KernelConfig(gamma=1.0)
     rng = np.random.default_rng(9)
-    wild = lambda th: 1e6 * (th.k - 1.0) - 1e6 * th.t**2
-    th = ThetaParams(k=1, t=0.1, xi=np.array([0.2]))
-    lp, ll = log_prior(th, prior), wild(th)
+    wild = lambda thetas: [1e6 * (th.k - 1.0) - 1e6 * th.t**2 for th in thetas]
+    ths = [ThetaParams(k=1, t=0.1, xi=np.array([0.2]))]
+    lps, lls = [log_prior(ths[0], prior)], wild(ths)
     for _ in range(200):
-        th, lp, ll, _ = rw_metropolis_step(th, lp, ll, wild, prior, cfg, rng, MoveStats())
-        th, lp, ll, _ = birth_death_step(th, lp, ll, wild, prior, cfg, rng, MoveStats())
-        assert math.isfinite(lp) and math.isfinite(ll)
+        ths, lps, lls, _ = rw_metropolis_steps(ths, lps, lls, wild, prior, cfg, [rng],
+                                               MoveStats())
+        ths, lps, lls, _ = birth_death_steps(ths, lps, lls, wild, prior, cfg, [rng],
+                                             MoveStats())
+        assert math.isfinite(lps[0]) and math.isfinite(lls[0])
 
 
 def test_move_stats_counters_are_consistent():
@@ -191,10 +195,10 @@ def test_move_stats_counters_are_consistent():
     cfg = KernelConfig(gamma=0.0)
     rng = np.random.default_rng(10)
     stats = MoveStats()
-    th, lp, ll = _state(prior, sample_prior(prior, np.random.default_rng(0)))
+    ths, lps, lls = _state(prior, sample_prior(prior, np.random.default_rng(0)))
     for _ in range(500):
-        th, lp, ll, _ = rw_metropolis_step(th, lp, ll, FLAT, prior, cfg, rng, stats)
-        th, lp, ll, _ = birth_death_step(th, lp, ll, FLAT, prior, cfg, rng, stats)
+        ths, lps, lls, _ = rw_metropolis_steps(ths, lps, lls, FLATS, prior, cfg, [rng], stats)
+        ths, lps, lls, _ = birth_death_steps(ths, lps, lls, FLATS, prior, cfg, [rng], stats)
     assert stats.rw_proposed == 500
     assert stats.birth_proposed + stats.death_proposed == 500
     assert 0 <= stats.rw_accepted <= stats.rw_proposed

@@ -4,10 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_triangular
 from scipy.stats import chi2
 
+from dense_reference import build_toeplitz, cholesky_lower
 from fexpsmc.exact import NotPositiveDefiniteError
-from fexpsmc.fourier import build_toeplitz, fracdiff_acf
+from fexpsmc.fourier import fracdiff_acf
 from fexpsmc.model import arfima_sdf
 from fexpsmc.simulate import (SimConfig, model_autocov, read_series,
                               simulate_series, write_series)
@@ -86,8 +88,6 @@ def test_sample_covariance_matches_model_acf():
 
 def test_simulated_quadratic_form_is_chi_squared():
     # z = L^{-1} x should be iid standard normal: x' T^{-1} x ~ chi2(n)
-    from scipy.linalg import solve_triangular
-    from fexpsmc.exact import cholesky_lower
     rng = np.random.default_rng(2)
     cfg = SimConfig(kind="fexp", n=128, d=0.25, sigma2=1.0, xi=np.array([0.6, -0.2]))
     T = build_toeplitz(model_autocov(cfg, 128))
@@ -112,8 +112,6 @@ def test_durbin_levinson_path_matches_dense_law():
     x_dl, info = _accel.durbin_levinson_sample(acf, z)
     assert info == 0
     # the DL path must have the model covariance; check via whitening
-    from scipy.linalg import solve_triangular
-    from fexpsmc.exact import cholesky_lower
     L = cholesky_lower(build_toeplitz(acf))
     w = solve_triangular(L, x_dl, lower=True, check_finite=False)
     # whitened DL path is standard normal: its squared norm ~ chi2(256)
@@ -141,7 +139,6 @@ def test_long_series_uses_innovations_path():
 
 def test_innovations_draw_is_the_cholesky_draw():
     # the innovations map z -> x is the lower Cholesky factor of T
-    from fexpsmc.exact import cholesky_lower
     cfg = SimConfig(kind="fexp", n=512, d=0.49, sigma2=1.0, mu=0.7, xi=np.array([3.0]))
     x = simulate_series(cfg, np.random.default_rng(6))
     z = np.random.default_rng(6).standard_normal(512)
@@ -150,19 +147,22 @@ def test_innovations_draw_is_the_cholesky_draw():
 
 
 @pytest.mark.parametrize("colour", [False, True])
-def test_durbin_levinson_backend_twins_agree(colour):
-    # without numba, the njit fallback runs the numba source as plain Python;
-    # both take rows of autocovariances, here one row and a batch of three
+def test_durbin_levinson_matches_dense_reference(colour):
+    # one row and a batch of three, two columns; with C = chol(T) = L D^{1/2},
+    # colouring is C y, whitening L^{-1} y = diag(C) C^{-1} y and v = diag(C)^2
     acf = np.stack([model_autocov(SimConfig(kind="fexp", d=d, xi=np.array(xi)), 64)
                     for d, xi in ((0.4, [1.5, -0.7]), (0.1, []), (0.3, [-0.8]))])
     y = np.random.default_rng(7).standard_normal((64, 2))
     for rows in (1, 3):
-        out_np, v_np, info_np = _accel._durbin_levinson_np(acf[:rows], y, colour)
-        out_nb, v_nb, info_nb = _accel._durbin_levinson_nb(acf[:rows], y, colour)
-        assert out_np.shape == out_nb.shape == (rows, 64, 2)
-        assert np.all(info_np == 0) and np.all(info_nb == 0)
-        assert np.max(np.abs(out_np - out_nb)) <= 1e-12 * np.max(np.abs(out_np))
-        assert np.max(np.abs(v_np - v_nb)) <= 1e-12 * np.max(v_np)
+        out, v, info = _accel._durbin_levinson(acf[:rows], y, colour)
+        assert out.shape == (rows, 64, 2) and v.shape == (rows, 64)
+        assert np.all(info == 0)
+        for b in range(rows):
+            C = cholesky_lower(build_toeplitz(acf[b]))
+            sd = np.diag(C)
+            want = C @ y if colour else sd[:, None] * solve_triangular(C, y, lower=True)
+            assert np.max(np.abs(out[b] - want)) <= 1e-12 * np.max(np.abs(want))
+            assert np.max(np.abs(v[b] - sd ** 2)) <= 1e-12 * np.max(sd ** 2)
 
 
 def test_simulation_reproducible_under_seed():
