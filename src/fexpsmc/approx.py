@@ -110,15 +110,19 @@ class DatasetContext:
         nfft = 1
         while nfft < 2 * n:
             nfft *= 2
-        F = np.fft.rfft(self.xtilde, nfft)
-        ac = np.fft.irfft(np.abs(F) ** 2, nfft)[:n]
-        self.c = 2.0 * ac
-        self.c[0] = ac[0]
+        # a series large enough to overflow |X_j|^2 is refused below
+        with np.errstate(over="ignore", invalid="ignore"):
+            F = np.fft.rfft(self.xtilde, nfft)
+            ac = np.fft.irfft(np.abs(F) ** 2, nfft)[:n]
+            self.c = 2.0 * ac
+            self.c[0] = ac[0]
 
-        # real data: |X_{n-j}| = |X_j|, so the half grid carries twice I_j
-        # except at the Nyquist frequency of an even n
-        self.pgram = np.abs(np.fft.rfft(self.xtilde)[1:]) ** 2
-        self.pgram[:(n - 1) // 2] *= 2.0
+            # real data: |X_{n-j}| = |X_j|, so the half grid carries twice I_j
+            # except at the Nyquist frequency of an even n
+            self.pgram = np.abs(np.fft.rfft(self.xtilde)[1:]) ** 2
+            self.pgram[:(n - 1) // 2] *= 2.0
+        if not (np.all(np.isfinite(self.c)) and np.all(np.isfinite(self.pgram))):
+            raise DataError("series too large in magnitude: its periodogram overflows")
         self.lam_star = 2.0 * np.pi * np.arange(1, n // 2 + 1) / n
         self.logweight = np.log(2.0 - 2.0 * np.cos(self.lam_star))
         self._cosbasis = np.empty((0, n // 2))
@@ -274,7 +278,7 @@ def log_det_approx(theta, n):
     return float(_log_det_approxs([theta], np.array([theta.d]), n)[0])
 
 
-def approx_log_liks(thetas, ctx, prior, mode="whittle", M=None):
+def approx_log_liks(thetas, ctx, prior, mode="whittle"):
     """Approximate log marginal likelihoods of a population, as an array.
 
     -D_n/2 - (a + n/2) log(b + Q/2) with Q from the selected quadratic-form
@@ -294,7 +298,7 @@ def approx_log_liks(thetas, ctx, prior, mode="whittle", M=None):
         if mode == "whittle":
             q = _whittle_quadforms(block, d, ctx)
         else:
-            q = np.array([quadform_approx_toeplitz(th, ctx, M=M) for th in block])
+            q = np.array([quadform_approx_toeplitz(th, ctx) for th in block])
         ok = np.isfinite(q)
         ll = -0.5 * _log_det_approxs(block, d, ctx.n) - (prior.a + 0.5 * ctx.n) * np.log(
             prior.b + 0.5 * np.where(ok, q, 0.0))
@@ -302,7 +306,7 @@ def approx_log_liks(thetas, ctx, prior, mode="whittle", M=None):
     return out
 
 
-def approx_log_lik(theta, ctx, prior, mode="whittle", M=None):
+def approx_log_lik(theta, ctx, prior, mode="whittle"):
     """Approximate log marginal likelihood (up to one theta-free constant);
     the batch of one of :func:`approx_log_liks`."""
-    return float(approx_log_liks([theta], ctx, prior, mode=mode, M=M)[0])
+    return float(approx_log_liks([theta], ctx, prior, mode=mode)[0])

@@ -229,7 +229,6 @@ def _cmd_fit(args):
         c=cfg["smc.c"],
         seed=cfg["smc.seed"],
         mode=cfg["smc.mode"],
-        k_max=cfg["prior.k_max"],
     )
     ps = run_smc(x, prior, smc_cfg)
     weights = np.exp(ps.log_weights)

@@ -194,6 +194,9 @@ class RunConfig:
             val = v[key]
             if val is not None and not (isinstance(val, int) and val >= low):
                 raise ConfigError(f"invalid value for {key}: {val!r}")
+        if v["mcmc.fix_k"] is not None and v["mcmc.fix_k"] > v["prior.k_max"]:
+            raise ConfigError(f"mcmc.fix_k = {v['mcmc.fix_k']} exceeds "
+                              f"prior.k_max = {v['prior.k_max']}")
         for key in ("model.xi", "model.phi", "model.theta_ma"):
             val = v[key]
             if isinstance(val, (int, float)) and not isinstance(val, bool):

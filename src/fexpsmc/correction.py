@@ -64,8 +64,6 @@ def correction_weights(
     seed=0,
     threads=1,
     force_large_n=False,
-    exact_fn=None,
-    approx_fn=None,
 ):
     """Compute self-normalised exact/approximate importance weights.
 
@@ -73,7 +71,7 @@ def correction_weights(
     ----------
     thetas : sequence of ThetaParams
     x : array
-        The observed series (ignored when both evaluators are injected).
+        The observed series.
     prior : PriorConfig
     mode : str
         Quadratic-form mode for the approximate evaluator.
@@ -86,8 +84,6 @@ def correction_weights(
         distinct particles (the same output for any count).
     force_large_n : bool
         Allow series longer than the exact-likelihood guard of 20 000 points.
-    exact_fn, approx_fn : callables theta -> float, optional
-        Test seams replacing the default evaluators.
 
     A covariance that is not positive definite in the exact evaluator zeroes
     that particle's weight (with a warning) instead of aborting the
@@ -100,22 +96,13 @@ def correction_weights(
     if subsample is not None and subsample < 1:
         raise ValueError(f"subsample must be >= 1, got {subsample}")
 
-    if exact_fn is None or approx_fn is None:
-        x = np.asarray(x, dtype=float)
-        if x.size > N_GUARD and not force_large_n:
-            raise ValueError(
-                f"series length {x.size} exceeds the exact-likelihood guard "
-                f"({N_GUARD}); pass force_large_n=True to proceed"
-            )
-    if exact_fn is None:
-        exact_many = lambda ths: exact_log_margliks(ths, x, prior)
-    else:
-        exact_many = lambda ths: _exact_each(exact_fn, ths)
-    if approx_fn is None:
-        ctx = prepare_dataset(x)
-        approx_many = lambda ths: approx_log_liks(ths, ctx, prior, mode=mode)
-    else:
-        approx_many = lambda ths: [approx_fn(th) for th in ths]
+    x = np.asarray(x, dtype=float)
+    if x.size > N_GUARD and not force_large_n:
+        raise ValueError(
+            f"series length {x.size} exceeds the exact-likelihood guard "
+            f"({N_GUARD}); pass force_large_n=True to proceed"
+        )
+    exact_many = lambda ths: exact_log_margliks(ths, x, prior)
 
     if subsample is not None and subsample < n_particles:
         rng = np.random.default_rng(seed)
@@ -128,7 +115,7 @@ def correction_weights(
     for i in indices:
         unique.setdefault(thetas[i].key(), thetas[i])
     distinct = list(unique.values())
-    approx = np.asarray(approx_many(distinct), dtype=float)
+    approx = approx_log_liks(distinct, prepare_dataset(x), prior, mode=mode)
 
     if threads > 1:
         size = min(BLOCK_ROWS, -(-len(distinct) // threads))
@@ -161,19 +148,6 @@ def correction_weights(
         n_failed=int(np.sum(~finite)),
         n_unique=len(distinct),
     )
-
-
-def _exact_each(exact_fn, thetas):
-    """An injected theta -> float evaluator in the (values, info) form of
-    :func:`fexpsmc.exact.exact_log_margliks`."""
-    values = np.full(len(thetas), math.nan)
-    info = np.zeros(len(thetas), dtype=int)
-    for i, th in enumerate(thetas):
-        try:
-            values[i] = exact_fn(th)
-        except NotPositiveDefiniteError as err:
-            info[i] = err.index
-    return values, info
 
 
 def corrected_estimate(thetas, result, statistic):

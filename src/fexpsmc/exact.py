@@ -70,7 +70,7 @@ def fbar_autocov(theta, n, M=None):
     return fourier_coeffs_longmemory(theta.d, lambda lam: fexp_sdf(0.0, theta.xi, lam), n, M=M)
 
 
-def _autocovs(thetas, n, M):
+def _autocovs(thetas, n):
     """Autocovariances of each theta as the rows of a (len(thetas), n) array.
 
     At d = 1/2 the variance gamma(0) diverges, and when exp(sum_j xi_j
@@ -82,7 +82,7 @@ def _autocovs(thetas, n, M):
     for row, th in zip(acf, thetas):
         try:
             with np.errstate(over="raise"):
-                row[:] = fbar_autocov(th, n, M=M) if th.d < 0.5 else math.inf
+                row[:] = fbar_autocov(th, n) if th.d < 0.5 else math.inf
         except FloatingPointError:
             row[:] = math.inf
     return acf
@@ -99,7 +99,7 @@ def _log_marglik(e, v, n, prior):
     return -0.5 * logdet - (prior.a + 0.5 * n) * math.log(prior.b + 0.5 * q)
 
 
-def exact_log_margliks(thetas, x, prior, M=None):
+def exact_log_margliks(thetas, x, prior):
     """Exact log marginal likelihoods of a population, without raising.
 
     Returns (values, info), two arrays over thetas.  info[i] is 0 when
@@ -119,21 +119,21 @@ def exact_log_margliks(thetas, x, prior, M=None):
     info = np.zeros(len(thetas), dtype=int)
     for lo in range(0, len(thetas), BLOCK_ROWS):
         block = thetas[lo:lo + BLOCK_ROWS]
-        e, v, bad = durbin_levinson_whiten(_autocovs(block, n, M), y)
+        e, v, bad = durbin_levinson_whiten(_autocovs(block, n), y)
         info[lo:lo + len(block)] = bad
         for i in np.flatnonzero(bad == 0):
             values[lo + i] = _log_marglik(e[i], v[i], n, prior)
     return values, info
 
 
-def exact_log_marglik(theta, x, prior, M=None):
+def exact_log_marglik(theta, x, prior):
     """Exact log marginal likelihood of theta (up to one theta-free constant);
     the batch of one of :func:`exact_log_margliks`.
 
     O(n^2) time and O(n) memory.  Raises :class:`NotPositiveDefiniteError`
     when T(fbar_theta) is not numerically positive definite.
     """
-    values, info = exact_log_margliks([theta], x, prior, M=M)
+    values, info = exact_log_margliks([theta], x, prior)
     if info[0]:
         raise NotPositiveDefiniteError(info[0])
     return float(values[0])

@@ -10,9 +10,10 @@ cycle applies, in order,
 1. a random-walk Metropolis update of the full (k+1)-dimensional block
    (t, xi_1..xi_k) with a per-order proposal covariance, and
 2. a birth/death move: from order k a birth is proposed with probability
-   rho(k -> k+1) (1 at k = 0, 1/2 otherwise, 0 at k_max), drawing the new
-   coordinate from its conditional prior so that proposal and prior cancel
-   and the acceptance ratio reduces to
+   rho(k -> k+1) (1 at k = 0, 1/2 otherwise, 0 at the prior's k_max, the
+   one cap on the order), drawing the new coordinate from its conditional
+   prior so that proposal and prior cancel and the acceptance ratio
+   reduces to
 
        r = [rho(k* -> k) p(k*) p~(x|theta*)^gamma]
            / [rho(k -> k*) p(k) p~(x|theta)^gamma].
@@ -48,6 +49,9 @@ __all__ = [
 
 #: optimal-scaling constant 2.38^2 for random-walk proposals
 RW_SCALE2 = 2.38 ** 2
+#: an order's covariance is estimated from at least MIN_FACTOR * (k + 2)
+#: particles, otherwise it keeps the identity
+MIN_FACTOR = 2
 
 
 class InvalidStateError(ValueError):
@@ -65,7 +69,6 @@ class KernelConfig:
 
     gamma: float = 1.0
     scales: dict = field(default_factory=dict)
-    k_max: int = 50
 
 
 @dataclass
@@ -204,7 +207,7 @@ def birth_death_steps(thetas, lps, lls, logliks_fn, prior, cfg, rngs, stats):
     lp_out = np.array(lps, dtype=float)
     ll_out = np.array(lls, dtype=float)
     accepted = np.zeros(len(out), dtype=bool)
-    k_max = min(cfg.k_max, prior.k_max)
+    k_max = prior.k_max
     log_pk_ratio = math.log1p(-prior.geom_p)  # log p(k+1) - log p(k)
     moves = []
     for j, th in enumerate(thetas):
@@ -239,10 +242,10 @@ def birth_death_steps(thetas, lps, lls, logliks_fn, prior, cfg, rngs, stats):
 
 
 
-def calibrate_scales(thetas, k_max=50, min_factor=2):
+def calibrate_scales(thetas):
     """Per-order proposal covariances from an equally-weighted population.
 
-    For each order k with at least ``min_factor * (k + 2)`` particles the
+    For each order k with at least ``MIN_FACTOR * (k + 2)`` particles the
     proposal covariance is (2.38^2 / (k+1)) (S_k + eps I) with S_k the
     sample covariance of the (t, xi) blocks and the jitter
     eps = 1e-8 tr(S_k)/(k+1); orders with fewer particles use the
@@ -253,7 +256,7 @@ def calibrate_scales(thetas, k_max=50, min_factor=2):
         groups.setdefault(th.k, []).append(th.as_vector())
     scales = {}
     for k, vecs in groups.items():
-        if k > k_max or len(vecs) < min_factor * (k + 2):
+        if len(vecs) < MIN_FACTOR * (k + 2):
             continue
         arr = np.asarray(vecs)
         S = np.cov(arr, rowvar=False).reshape(k + 1, k + 1)
@@ -274,31 +277,23 @@ def run_mcmc(
     gamma=1.0,
     thin=1,
     seed=0,
-    init=None,
     fix_k=None,
     scales=None,
-    k_max=None,
 ):
     """Plain (non-tempered-sequence) MCMC baseline driver.
 
     Repeats ``steps`` cycles of one RW move followed by one birth/death
     move at fixed inverse temperature ``gamma`` (gamma = 0 targets the
-    prior alone).  The proposal covariance is tau * I for every order
+    prior alone).  The chain starts from a prior draw and visits orders
+    0..prior.k_max.  The proposal covariance is tau * I for every order
     unless an explicit ``scales`` map is supplied.  Returns a dict with
     thinned traces of k, d, t and the move statistics.
     """
     rng = np.random.default_rng(seed)
-    if k_max is None:
-        k_max = prior.k_max
-    cfg = KernelConfig(gamma=gamma, k_max=k_max)
-    if scales is not None:
-        cfg.scales = scales
-    else:
-        cfg.scales = {}
-        tau_chol = math.sqrt(tau)
-        for k in range(k_max + 1):
-            cfg.scales[k] = tau_chol * np.eye(k + 1)
-    theta = init.copy() if init is not None else sample_prior(prior, rng, fix_k=fix_k)
+    if scales is None:
+        scales = {k: math.sqrt(tau) * np.eye(k + 1) for k in range(prior.k_max + 1)}
+    cfg = KernelConfig(gamma=gamma, scales=scales)
+    theta = sample_prior(prior, rng, fix_k=fix_k)
     thetas, rngs = [theta], [rng]
     lps = [log_prior(theta, prior)]
     lls = [loglik_fn(theta) if gamma != 0.0 else 0.0]

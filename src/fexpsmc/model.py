@@ -12,7 +12,7 @@ exp(xi_0) = sigma^2 and the mean mu are handled analytically by the
 conjugate prior in the likelihood modules, not carried in theta.
 
 Prior:
-    k      ~ Geometric(geom_p) on {0, 1, 2, ...}
+    k      ~ Geometric(geom_p) on {0, 1, ..., k_max}
     d      ~ Uniform[0, 1/2]   => p(t) = sigmoid(t) (1 - sigmoid(t))
     xi_j   ~ Normal(0, xi_var0 * j^(-2 beta)),  j = 1..k, independent.
 
@@ -39,7 +39,6 @@ __all__ = [
     "arfima_sdf",
     "eval_fbar",
     "log_prior",
-    "log_conditional_birth_density",
     "sample_prior",
 ]
 
@@ -70,11 +69,6 @@ class ThetaParams:
         """Concatenated (t, xi_1..xi_k) block used by the move kernels."""
         return np.concatenate(([self.t], self.xi))
 
-    @staticmethod
-    def from_vector(vec):
-        vec = np.asarray(vec, dtype=float)
-        return ThetaParams(k=vec.size - 1, t=float(vec[0]), xi=vec[1:].copy())
-
     def copy(self):
         return ThetaParams(self.k, self.t, self.xi.copy())
 
@@ -94,7 +88,7 @@ class PriorConfig:
     b: float = 0.5
     g_mu: float = 0.1         # mu | sigma^2 ~ N(m_mu, sigma^2 / g_mu)
     m_mu: float = 0.0
-    k_max: int = 50           # hard guard on the model order
+    k_max: int = 50           # the model-order cap, which every sampler reads from here
 
     def __post_init__(self):
         if not 0.0 < self.geom_p < 1.0:
@@ -186,19 +180,6 @@ def log_prior(theta, prior):
     for (norm, v), x in zip(terms, theta.xi.tolist()):
         lp += norm - 0.5 * x * x / v
     return lp
-
-
-def log_conditional_birth_density(prior, k_new, xi_new):
-    """Log density of the conditional prior of xi_{k_new} given the lower block.
-
-    The coordinates are a priori independent, so this is just the marginal
-    N(0, xi_var0 * k_new^(-2 beta)) evaluated at xi_new.  Used as the birth
-    proposal so that prior and proposal cancel in the move ratio.
-    """
-    if k_new < 1:
-        raise ValueError("k_new must be >= 1")
-    v = prior.xi_var(k_new)
-    return -0.5 * math.log(2.0 * math.pi * v) - 0.5 * xi_new * xi_new / v
 
 
 def sample_prior(prior, rng, fix_k=None):

@@ -65,13 +65,13 @@ def model_autocov(cfg, n, M=None):
     return fourier_coeffs_longmemory(cfg.d, _smooth_factor(cfg), n, M=M)
 
 
-def simulate_series(cfg, rng, M=None):
+def simulate_series(cfg, rng):
     """Draw one exact sample path x ~ N(mu, T(f)) of length cfg.n.
 
     Raises :class:`NotPositiveDefiniteError` when T(f) is not numerically
     positive definite.
     """
-    acf = model_autocov(cfg, cfg.n, M=M)
+    acf = model_autocov(cfg, cfg.n)
     z = rng.standard_normal(cfg.n)
     x, info = _accel.durbin_levinson_sample(acf, z)
     if info:

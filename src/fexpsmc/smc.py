@@ -12,7 +12,8 @@ ESS above the target).  A -inf log likelihood is a zero weight; NaN or
 +inf raises :class:`~fexpsmc.config.NumericalError`.  Every iteration then
 resamples multinomially and applies M cycles of the RW + birth/death
 kernels at the new temperature, with per-order proposal covariances
-calibrated from the freshly resampled population.
+calibrated from the freshly resampled population.  The model orders the
+particles may visit are those of the prior, 0..``prior.k_max``.
 
 Lockstep mutation: the M cycles run cycle-outer, particle-inner, and each
 half-step (RW, then birth/death) first draws every particle's proposal,
@@ -49,6 +50,11 @@ __all__ = [
     "run_smc",
 ]
 
+#: absolute tolerance of the Brent solve for each tempering increment
+BRENT_TOL = 1e-10
+#: tempering iterations after which the schedule is declared stuck
+MAX_ITERS = 10_000
+
 
 @dataclass
 class SmcConfig:
@@ -59,10 +65,7 @@ class SmcConfig:
     c: float = 0.5           # ESS target fraction for the gamma solve
     seed: int = 0
     mode: str = "whittle"    # approximate-likelihood quadratic-form mode
-    k_max: int = 50
     fix_k: int | None = None  # freeze the model order (testing)
-    brent_tol: float = 1e-10
-    max_iters: int = 10_000
 
     def __post_init__(self):
         if self.N < 2:
@@ -114,11 +117,11 @@ def ess(log_weights):
     return float(s * s / (w @ w))
 
 
-def solve_next_gamma(loglik, gamma, c, N=None, tol=1e-10):
+def solve_next_gamma(loglik, gamma, c, N=None):
     """Next inverse temperature on the adaptive schedule.
 
     Finds alpha in (0, 1 - gamma] with ESS(alpha * loglik) = c * N by
-    Brent's method and returns gamma + alpha; if even the full remaining
+    Brent's method (to BRENT_TOL) and returns gamma + alpha; if even the full remaining
     step keeps the ESS at or above the target the schedule finishes at 1.
     A -inf loglik is a zero weight at every alpha; NaN or +inf raises
     :class:`~fexpsmc.config.NumericalError`.
@@ -138,7 +141,7 @@ def solve_next_gamma(loglik, gamma, c, N=None, tol=1e-10):
 
     if gap(remaining) >= 0.0:
         return 1.0
-    alpha = brentq(gap, 0.0, remaining, xtol=tol)
+    alpha = brentq(gap, 0.0, remaining, xtol=BRENT_TOL)
     return gamma + alpha
 
 
@@ -194,9 +197,9 @@ def run_smc(x, prior, cfg, loglik_fn=None):
     iteration = 0
     while gamma < 1.0:
         iteration += 1
-        if iteration > cfg.max_iters:
+        if iteration > MAX_ITERS:
             raise RuntimeError("tempering schedule failed to reach gamma = 1")
-        gamma_new = solve_next_gamma(ll, gamma, cfg.c, cfg.N, tol=cfg.brent_tol)
+        gamma_new = solve_next_gamma(ll, gamma, cfg.c, cfg.N)
         alpha = gamma_new - gamma
         inc = alpha * ll
         m = np.max(inc[np.isfinite(inc)])
@@ -212,11 +215,7 @@ def run_smc(x, prior, cfg, loglik_fn=None):
         lp = lp[ancestors].copy()
         ll = ll[ancestors].copy()
 
-        kcfg = KernelConfig(
-            gamma=gamma_new,
-            scales=calibrate_scales(thetas, k_max=cfg.k_max),
-            k_max=cfg.k_max,
-        )
+        kcfg = KernelConfig(gamma=gamma_new, scales=calibrate_scales(thetas))
         stats = MoveStats()
         for _ in range(cfg.M):
             thetas, lp, ll, _ = rw_metropolis_steps(

@@ -351,7 +351,8 @@ def test_exit_3_garbled_data_line(tmp_path, capsys):
 @pytest.mark.parametrize("values, message", [
     ([0.1, -0.4, 0.3, 0.9, -1.2], "at least 8"),
     ([0.1, -0.4, 0.3, float("nan"), -1.2, 0.5, 0.2, -0.8, 1.1], "non-finite"),
-], ids=["five_points", "nan"])
+    ([1e160, -1e160] * 8, "periodogram overflows"),
+], ids=["five_points", "nan", "overflow"])
 def test_exit_3_series_unusable_for_the_likelihood(command, values, message, tmp_path, capsys):
     data = tmp_path / "series.csv"
     data.write_text("".join(f"{v}\n" for v in values))
@@ -359,6 +360,13 @@ def test_exit_3_series_unusable_for_the_likelihood(command, values, message, tmp
     cfg.write_text(f"data.path = {data}\nsmc.N = 4\nsmc.M = 0\nmcmc.steps = 2\n")
     assert main([command, "--config", str(cfg), "--output", str(tmp_path)]) == 3
     assert message in capsys.readouterr().err
+
+
+def test_exit_2_mcmc_fix_k_above_prior_k_max(tmp_path, capsys):
+    cfg = tmp_path / "mcmc.cfg"
+    cfg.write_text("mcmc.fix_k = 60\nmcmc.steps = 2\nmcmc.gamma = 0.0\n")
+    assert main(["mcmc-baseline", "--config", str(cfg), "--output", str(tmp_path)]) == 2
+    assert "prior.k_max" in capsys.readouterr().err
 
 
 def test_exit_2_exact_guard_is_checked_before_the_sampler(tmp_path, monkeypatch, capsys):
@@ -419,6 +427,11 @@ def test_public_names_resolve_and_readme_quick_start_imports():
     start = readme.index("from fexpsmc import (")
     statement = readme[start:readme.index(")", start) + 1]
     exec(statement, {})
+    # every documented config key is a live option
+    blocks = readme.split("```ini\n")[1:]
+    assert blocks
+    for block in blocks:
+        RunConfig(parse_config(block[:block.index("```")], source="README.md"))
     # read by the benchmark harness in perfbench/
     for name in ("prepare_dataset", "read_series", "SimConfig", "simulate_series"):
         assert hasattr(fexpsmc, name), name

@@ -5,15 +5,18 @@ import math
 import numpy as np
 import pytest
 
+from fexpsmc import correction
 from fexpsmc.config import NumericalError
-from fexpsmc.correction import (CorrectionResult, corrected_estimate,
-                                correction_weights)
+from fexpsmc.correction import corrected_estimate, correction_weights
 from fexpsmc import exact as exact_module
 from fexpsmc.approx import approx_log_lik, prepare_dataset
 from fexpsmc.exact import NotPositiveDefiniteError, exact_log_marglik
 from fexpsmc.model import PriorConfig, ThetaParams, sample_prior
 from fexpsmc.simulate import SimConfig, simulate_series
 from fexpsmc.smc import SmcConfig, run_smc
+
+#: a series for the tests with fake evaluators, which never look at it
+X = np.zeros(16)
 
 
 def _population(n, seed=0):
@@ -22,35 +25,56 @@ def _population(n, seed=0):
     return [sample_prior(prior, rng) for _ in range(n)]
 
 
+def _fake(monkeypatch, exact, approx):
+    """Replace the correction's evaluators by fakes in their batched forms:
+    ``exact(thetas)`` returns (values, info) as exact_log_margliks does, and
+    ``approx(thetas)`` an array as approx_log_liks does."""
+    monkeypatch.setattr(correction, "exact_log_margliks", lambda ths, x, prior: exact(ths))
+    monkeypatch.setattr(correction, "approx_log_liks",
+                        lambda ths, ctx, prior, mode: approx(ths))
+
+
+def _valid(values):
+    """(values, info) of a batch in which every row succeeded."""
+    return np.asarray(values, dtype=float), np.zeros(len(values), dtype=int)
+
+
+def _zeros(thetas):
+    return np.zeros(len(thetas))
+
+
 # ---------------------------------------------------------------------------
-# Structural behaviour through the evaluator seams
+# Structural behaviour with fake evaluators
 # ---------------------------------------------------------------------------
 
-def test_identical_evaluators_give_uniform_weights():
+def test_identical_evaluators_give_uniform_weights(monkeypatch):
     thetas = _population(40)
-    f = lambda th: -3.0 * th.t**2 + 0.1 * th.k
-    res = correction_weights(thetas, None, None, exact_fn=f, approx_fn=f)
+    f = lambda ths: np.array([-3.0 * th.t**2 + 0.1 * th.k for th in ths])
+    _fake(monkeypatch, lambda ths: _valid(f(ths)), f)
+    res = correction_weights(thetas, X, PriorConfig())
     assert np.allclose(res.weights, 1.0 / 40.0, atol=1e-12)
     assert abs(res.ess_fraction - 1.0) < 1e-12
     assert res.n_failed == 0
 
 
-def test_constant_offset_is_invisible():
+def test_constant_offset_is_invisible(monkeypatch):
     # weights are self-normalised: a theta-free shift changes nothing
     thetas = _population(30, seed=1)
-    exact = lambda th: -th.t**2
-    shifted = lambda th: -th.t**2 + 57.3
-    approx = lambda th: -0.5 * th.t**2
-    a = correction_weights(thetas, None, None, exact_fn=exact, approx_fn=approx)
-    b = correction_weights(thetas, None, None, exact_fn=shifted, approx_fn=approx)
+    approx = lambda ths: np.array([-0.5 * th.t**2 for th in ths])
+    _fake(monkeypatch, lambda ths: _valid([-th.t**2 for th in ths]), approx)
+    a = correction_weights(thetas, X, PriorConfig())
+    _fake(monkeypatch, lambda ths: _valid([-th.t**2 + 57.3 for th in ths]), approx)
+    b = correction_weights(thetas, X, PriorConfig())
     assert np.allclose(a.weights, b.weights, atol=1e-12)
 
 
-def test_log_weights_are_exact_minus_approx():
+def test_log_weights_are_exact_minus_approx(monkeypatch):
     thetas = _population(10, seed=2)
     exact = lambda th: -th.t**2
     approx = lambda th: -2.0 * th.t**2 + 1.0
-    res = correction_weights(thetas, None, None, exact_fn=exact, approx_fn=approx)
+    _fake(monkeypatch, lambda ths: _valid([exact(th) for th in ths]),
+          lambda ths: np.array([approx(th) for th in ths]))
+    res = correction_weights(thetas, X, PriorConfig())
     want = np.array([exact(th) - approx(th) for th in thetas])
     assert np.allclose(res.log_w_raw, want, atol=1e-12)
     lw = want - want.max()
@@ -58,53 +82,50 @@ def test_log_weights_are_exact_minus_approx():
     assert np.allclose(res.weights, w / w.sum(), atol=1e-12)
 
 
-def test_memoisation_collapses_duplicates():
+def test_memoisation_collapses_duplicates(monkeypatch):
     # a resampled population repeats identical particles; each unique theta
     # must be evaluated exactly once
     base = _population(5, seed=3)
     thetas = [base[i % 5].copy() for i in range(50)]
     calls = []
 
-    def exact(th):
-        calls.append(th.key())
-        return -th.t**2
+    def exact(ths):
+        calls.extend(th.key() for th in ths)
+        return _valid([-th.t**2 for th in ths])
 
-    res = correction_weights(thetas, None, None, exact_fn=exact,
-                             approx_fn=lambda th: 0.0)
+    _fake(monkeypatch, exact, _zeros)
+    res = correction_weights(thetas, X, PriorConfig())
     assert len(calls) == 5
     assert res.n_unique == 5
     assert res.weights.size == 50
 
 
-def test_subsample_is_seeded_and_without_replacement():
+def test_subsample_is_seeded_and_without_replacement(monkeypatch):
     thetas = _population(60, seed=4)
-    f = lambda th: -th.t**2
-    g = lambda th: 0.0
-    a = correction_weights(thetas, None, None, subsample=20, seed=9,
-                           exact_fn=f, approx_fn=g)
-    b = correction_weights(thetas, None, None, subsample=20, seed=9,
-                           exact_fn=f, approx_fn=g)
-    c = correction_weights(thetas, None, None, subsample=20, seed=10,
-                           exact_fn=f, approx_fn=g)
+    _fake(monkeypatch, lambda ths: _valid([-th.t**2 for th in ths]), _zeros)
+    prior = PriorConfig()
+    a = correction_weights(thetas, X, prior, subsample=20, seed=9)
+    b = correction_weights(thetas, X, prior, subsample=20, seed=9)
+    c = correction_weights(thetas, X, prior, subsample=20, seed=10)
     assert np.array_equal(a.indices, b.indices)
     assert not np.array_equal(a.indices, c.indices)
     assert a.indices.size == 20
     assert np.unique(a.indices).size == 20
     assert abs(a.weights.sum() - 1.0) < 1e-12
     with pytest.raises(ValueError, match="subsample"):
-        correction_weights(thetas, None, None, subsample=0, exact_fn=f, approx_fn=g)
+        correction_weights(thetas, X, prior, subsample=0)
 
 
-def test_failed_evaluations_zero_the_weight():
+def test_failed_evaluations_zero_the_weight(monkeypatch):
     thetas = _population(12, seed=5)
 
-    def exact(th):
-        if th.k >= 1:
-            raise NotPositiveDefiniteError(1)
-        return 0.0
+    def exact(ths):
+        # rows of order >= 1 fail at their first leading minor
+        info = np.array([int(th.k >= 1) for th in ths])
+        return np.where(info == 0, 0.0, math.nan), info
 
-    res = correction_weights(thetas, None, None, exact_fn=exact,
-                             approx_fn=lambda th: 0.0)
+    _fake(monkeypatch, exact, _zeros)
+    res = correction_weights(thetas, X, PriorConfig())
     n_bad = sum(1 for th in thetas if th.k >= 1)
     assert res.n_failed == n_bad
     for i, th in enumerate(thetas):
@@ -114,24 +135,20 @@ def test_failed_evaluations_zero_the_weight():
     assert abs(res.weights.sum() - 1.0) < 1e-12
 
 
-def test_all_failures_raise():
+def test_all_failures_raise(monkeypatch):
     thetas = _population(5, seed=6)
-
-    def exact(th):
-        raise NotPositiveDefiniteError(1)
-
+    _fake(monkeypatch, lambda ths: (np.full(len(ths), math.nan), np.ones(len(ths), dtype=int)),
+          _zeros)
     with pytest.raises(NumericalError):
-        correction_weights(thetas, None, None, exact_fn=exact,
-                           approx_fn=lambda th: 0.0)
+        correction_weights(thetas, X, PriorConfig())
 
 
-def test_threaded_evaluation_matches_serial():
+def test_threaded_evaluation_matches_serial(monkeypatch):
     thetas = _population(25, seed=7)
-    f = lambda th: -1.3 * th.t**2 + 0.2 * th.k
-    g = lambda th: -th.t**2
-    serial = correction_weights(thetas, None, None, exact_fn=f, approx_fn=g)
-    threaded = correction_weights(thetas, None, None, threads=4,
-                                  exact_fn=f, approx_fn=g)
+    _fake(monkeypatch, lambda ths: _valid([-1.3 * th.t**2 + 0.2 * th.k for th in ths]),
+          lambda ths: np.array([-th.t**2 for th in ths]))
+    serial = correction_weights(thetas, X, PriorConfig())
+    threaded = correction_weights(thetas, X, PriorConfig(), threads=4)
     assert np.array_equal(serial.log_w_raw, threaded.log_w_raw)
     assert np.array_equal(serial.weights, threaded.weights)
 
@@ -143,10 +160,10 @@ def test_large_series_guard():
         correction_weights(thetas, x, PriorConfig())
 
 
-def test_corrected_estimate_basics():
+def test_corrected_estimate_basics(monkeypatch):
     thetas = _population(15, seed=9)
-    res = correction_weights(thetas, None, None,
-                             exact_fn=lambda th: 0.0, approx_fn=lambda th: 0.0)
+    _fake(monkeypatch, lambda ths: _valid(_zeros(ths)), _zeros)
+    res = correction_weights(thetas, X, PriorConfig())
     one = corrected_estimate(thetas, res, lambda th: 1.0)
     assert abs(one - 1.0) < 1e-12
     mean_d = corrected_estimate(thetas, res, lambda th: th.d)
@@ -180,12 +197,14 @@ def test_correction_defaults_match_manual_evaluators():
     thetas = _population(8, seed=23)
     auto = correction_weights(thetas, x, prior)
     ctx = prepare_dataset(x)
-    manual = correction_weights(
-        thetas, None, None,
-        exact_fn=lambda th: exact_log_marglik(th, x, prior),
-        approx_fn=lambda th: approx_log_lik(th, ctx, prior, mode="whittle"),
-    )
-    assert np.allclose(auto.log_w_raw, manual.log_w_raw, atol=1e-10)
+    manual = []
+    for th in thetas:
+        try:
+            manual.append(exact_log_marglik(th, x, prior)
+                          - approx_log_lik(th, ctx, prior, mode="whittle"))
+        except NotPositiveDefiniteError:
+            manual.append(-math.inf)
+    assert np.allclose(auto.log_w_raw, manual, atol=1e-10)
 
 
 @pytest.mark.parametrize("threads", [2, 3])

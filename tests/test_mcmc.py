@@ -167,7 +167,7 @@ def test_birth_preserves_lower_block_and_death_undoes_it():
 
 def test_birth_blocked_at_k_max():
     prior = PriorConfig(k_max=2)
-    cfg = KernelConfig(gamma=0.0, k_max=2)
+    cfg = KernelConfig(gamma=0.0)
     rng = np.random.default_rng(8)
     ths, lps, lls = _state(prior, ThetaParams(k=2, t=0.0, xi=np.zeros(2)))
     for _ in range(200):

@@ -8,8 +8,7 @@ from hypothesis import given, strategies as st
 from scipy.integrate import quad
 
 from fexpsmc.model import (PriorConfig, ThetaParams, arfima_sdf, eval_fbar,
-                           fexp_sdf, log_conditional_birth_density, log_prior,
-                           sample_prior)
+                           fexp_sdf, log_prior, sample_prior)
 
 TWO_PI = 2.0 * math.pi
 
@@ -17,13 +16,6 @@ TWO_PI = 2.0 * math.pi
 # ---------------------------------------------------------------------------
 # Parameter container
 # ---------------------------------------------------------------------------
-
-def test_theta_round_trips_through_vector():
-    th = ThetaParams(k=3, t=-0.7, xi=np.array([0.2, -0.1, 0.05]))
-    back = ThetaParams.from_vector(th.as_vector())
-    assert back.k == 3 and back.t == th.t
-    assert np.array_equal(back.xi, th.xi)
-
 
 def test_theta_validates_dimensions():
     with pytest.raises(ValueError):
@@ -187,15 +179,15 @@ def test_prior_xi_variance_decays_with_order():
 def test_birth_density_is_the_marginal_prior_factor():
     prior = PriorConfig()
     # adding the k-th coordinate shifts log_prior by exactly the birth
-    # density plus the order-prior step
+    # density, the N(0, v_2) log density of the new coordinate, plus the
+    # order-prior step
     val = 0.37
     th0 = ThetaParams(k=1, t=0.2, xi=np.array([1.0]))
     th1 = ThetaParams(k=2, t=0.2, xi=np.array([1.0, val]))
     diff = log_prior(th1, prior) - log_prior(th0, prior)
-    want = log_conditional_birth_density(prior, 2, val) + math.log1p(-prior.geom_p)
-    assert abs(diff - want) < 1e-13
-    with pytest.raises(ValueError):
-        log_conditional_birth_density(prior, 0, 0.0)
+    v = prior.xi_var0 * 2.0 ** (-2.0 * prior.beta)
+    birth = -0.5 * math.log(2.0 * math.pi * v) - 0.5 * val * val / v
+    assert abs(diff - (birth + math.log1p(-prior.geom_p))) < 1e-13
 
 
 # ---------------------------------------------------------------------------

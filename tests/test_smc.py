@@ -286,6 +286,19 @@ def test_batched_likelihood_matches_scalar_likelihood(N, fix_k):
     assert np.allclose(batched.cached_loglik, scalar.cached_loglik, rtol=1e-12, atol=0.0)
 
 
+def test_prior_k_max_caps_every_particle_on_data():
+    # the prior's k_max is the one cap on the model order: on data every
+    # particle stays at k <= 2, and the cap is reached
+    prior = PriorConfig(k_max=2)
+    x = simulate_series(SimConfig(kind="arfima", n=200, d=0.2, theta_ma=[0.8]),
+                        np.random.default_rng(30))
+    ps = run_smc(x, prior, SmcConfig(N=50, M=2, seed=31))
+    ks = [th.k for th in ps.thetas]
+    assert max(ks) == 2
+    with pytest.raises(TypeError):  # no second, lower cap can be set
+        SmcConfig(k_max=1)
+
+
 def test_smc_requires_data_or_likelihood():
     with pytest.raises(ValueError):
         run_smc(None, PriorConfig(), SmcConfig(N=10))
