@@ -54,7 +54,7 @@ from scipy.special import gammaln, zeta
 
 from . import _accel
 from .config import DataError
-from .fourier import fourier_coeffs_bounded
+from .fourier import default_grid_size, fourier_coeffs_bounded
 
 __all__ = [
     "DatasetContext",
@@ -107,9 +107,7 @@ class DatasetContext:
         self.xtilde = x - x.mean()
 
         # lag-weight sums via one zero-padded FFT autocorrelation
-        nfft = 1
-        while nfft < 2 * n:
-            nfft *= 2
+        nfft = default_grid_size(n)
         # a series large enough to overflow |X_j|^2 is refused below
         with np.errstate(over="ignore", invalid="ignore"):
             F = np.fft.rfft(self.xtilde, nfft)

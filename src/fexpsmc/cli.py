@@ -16,6 +16,7 @@ import argparse
 import csv
 import logging
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -25,10 +26,10 @@ from .config import (ConfigError, DataError, NumericalError, RunConfig,
                      dump_document, load_config)
 from .correction import N_GUARD, correction_weights
 from .mcmc import run_mcmc
-from .model import PriorConfig, ThetaParams
+from .model import ThetaParams
 from .report import d_histogram, frequency_grid, spectral_bands, summarize
-from .simulate import SimConfig, read_series, simulate_series, write_series
-from .smc import SmcConfig, run_smc
+from .simulate import read_series, simulate_series, write_series
+from .smc import run_smc
 
 _FLOAT_FMT = "%.17g"
 
@@ -58,19 +59,6 @@ def _out_dir(args):
     out = Path(args.output or ".")
     out.mkdir(parents=True, exist_ok=True)
     return out
-
-
-def _prior_from(cfg):
-    return PriorConfig(
-        geom_p=cfg["prior.geom_p"],
-        xi_var0=cfg["prior.xi_var0"],
-        beta=cfg["prior.beta"],
-        a=cfg["prior.a"],
-        b=cfg["prior.b"],
-        g_mu=cfg["prior.g_mu"],
-        m_mu=cfg["prior.m_mu"],
-        k_max=cfg["prior.k_max"],
-    )
 
 
 def _read_data(cfg):
@@ -179,36 +167,15 @@ def _write_report_artifacts(out, thetas, weights, cfg):
 
 def _cmd_simulate(args):
     cfg = _load_run_config(args)
-    seed = args.seed if args.seed is not None else cfg["smc.seed"]
-    try:
-        sim = SimConfig(
-            kind=cfg["model.kind"],
-            n=cfg["model.n"],
-            d=cfg["model.d"],
-            sigma2=cfg["model.sigma2"],
-            mu=cfg["model.mu"],
-            xi=cfg["model.xi"],
-            phi=cfg["model.phi"],
-            theta_ma=cfg["model.theta_ma"],
-        )
-    except ValueError as err:
-        raise ConfigError(str(err)) from None
+    seed = cfg["smc.seed"]
+    sim = cfg.section("model")
     rng = np.random.default_rng(seed)
     x = simulate_series(sim, rng)
     out = _out_dir(args)
     series_path = out / "series.csv"
     write_series(series_path, x)
-    meta = {
-        "model.kind": sim.kind,
-        "model.n": sim.n,
-        "model.d": sim.d,
-        "model.sigma2": sim.sigma2,
-        "model.mu": sim.mu,
-        "model.xi": list(sim.xi),
-        "model.phi": list(sim.phi),
-        "model.theta_ma": list(sim.theta_ma),
-        "simulate.seed": seed,
-    }
+    meta = {f"model.{key}": value for key, value in asdict(sim).items()}
+    meta["simulate.seed"] = seed
     (out / "series.meta").write_text(dump_document(meta))
     print(f"wrote {series_path} ({x.size} observations)")
     return 0
@@ -222,14 +189,7 @@ def _cmd_fit(args):
             f"series length {x.size} exceeds the exact-likelihood guard ({N_GUARD}); "
             "set correction.force_large_n = true or disable the correction"
         )
-    prior = _prior_from(cfg)
-    smc_cfg = SmcConfig(
-        N=cfg["smc.N"],
-        M=cfg["smc.M"],
-        c=cfg["smc.c"],
-        seed=cfg["smc.seed"],
-        mode=cfg["smc.mode"],
-    )
+    prior, smc_cfg = cfg.section("prior"), cfg.section("smc")
     ps = run_smc(x, prior, smc_cfg)
     weights = np.exp(ps.log_weights)
 
@@ -240,7 +200,7 @@ def _cmd_fit(args):
             ps.thetas,
             x,
             prior,
-            mode=cfg["smc.mode"],
+            mode=smc_cfg.mode,
             subsample=cfg["correction.subsample"],
             seed=cfg["correction.seed"],
             threads=cfg["correction.threads"],
@@ -256,11 +216,11 @@ def _cmd_fit(args):
 
     diag = {
         "run.command": "fit",
-        "run.seed": cfg["smc.seed"],
-        "run.mode": cfg["smc.mode"],
+        "run.seed": smc_cfg.seed,
+        "run.mode": smc_cfg.mode,
         "run.n_observations": int(x.size),
-        "smc.N": cfg["smc.N"],
-        "smc.M": cfg["smc.M"],
+        "smc.N": smc_cfg.N,
+        "smc.M": smc_cfg.M,
         "smc.iterations": len(ps.gamma_schedule),
         "smc.gamma_schedule": list(ps.gamma_schedule),
         "smc.ess_trace": list(ps.ess_trace),
@@ -299,7 +259,7 @@ def _cmd_report(args):
 
 def _cmd_mcmc_baseline(args):
     cfg = _load_run_config(args)
-    prior = _prior_from(cfg)
+    prior = cfg.section("prior")
     gamma = cfg["mcmc.gamma"]
     if gamma > 0.0:
         x = _read_data(cfg)

@@ -10,8 +10,13 @@ floats, comma-separated float lists, and otherwise verbatim strings.
 Unknown keys are rejected -- a misspelt key is a configuration error, not
 a silent default.  The same format serialises the diagnostic and summary
 documents so that every artifact of a run round-trips through one parser.
+
+:class:`RunConfig` types a document: PriorConfig, SmcConfig and SimConfig own
+the defaults and range checks of the ``prior.*``, ``smc.*`` and ``model.*`` keys,
+``_DEFAULTS`` those of the rest, and one type rule covers them all.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -106,47 +111,67 @@ def dump_document(entries):
 # Typed run configuration
 # ---------------------------------------------------------------------------
 
+#: key -> (default, type, range check or None); a default of None makes it optional
 _DEFAULTS = {
-    "data.path": None,
-    "data.scale_by": 1.0,
-    "model.kind": "fracnoise",
-    "model.n": 1000,
-    "model.d": 0.2,
-    "model.sigma2": 1.0,
-    "model.mu": 0.0,
-    "model.xi": [],
-    "model.phi": [],
-    "model.theta_ma": [],
-    "prior.geom_p": 0.2,
-    "prior.xi_var0": 100.0,
-    "prior.beta": 1.0,
-    "prior.a": 0.5,
-    "prior.b": 0.5,
-    "prior.g_mu": 0.1,
-    "prior.m_mu": 0.0,
-    "prior.k_max": 50,
-    "smc.N": 1000,
-    "smc.M": 20,
-    "smc.c": 0.5,
-    "smc.seed": 0,
-    "smc.mode": "whittle",
-    "correction.enabled": True,
-    "correction.subsample": None,
-    "correction.threads": 1,
-    "correction.seed": 0,
-    "correction.force_large_n": False,
-    "mcmc.steps": 10000,
-    "mcmc.tau": 0.015,
-    "mcmc.thin": 1,
-    "mcmc.gamma": 1.0,
-    "mcmc.fix_k": None,
-    "report.grid_points": 200,
-    "report.grid_min": 1e-3,
-    "report.bins": 40,
+    "data.path": (None, str, None),
+    "data.scale_by": (1.0, float, lambda x: x != 0),
+    "correction.enabled": (True, bool, None),
+    "correction.subsample": (None, int, lambda x: x >= 1),
+    "correction.threads": (1, int, lambda x: x >= 1),
+    "correction.seed": (0, int, None),
+    "correction.force_large_n": (False, bool, None),
+    "mcmc.steps": (10000, int, lambda x: x >= 1),
+    "mcmc.tau": (0.015, float, lambda x: x > 0),
+    "mcmc.thin": (1, int, lambda x: x >= 1),
+    "mcmc.gamma": (1.0, float, lambda x: 0 <= x <= 1),
+    "mcmc.fix_k": (None, int, lambda x: x >= 0),
+    "report.grid_points": (200, int, lambda x: x >= 2),
+    "report.grid_min": (1e-3, float, lambda x: 0 < x < math.pi),
+    "report.bins": (40, int, lambda x: x >= 1),
 }
 
-#: optional integer keys and the smallest value each accepts
-_OPTIONAL_INTS = {"correction.subsample": 1, "mcmc.fix_k": 0}
+
+def _sections():
+    """The section classes by key prefix (imported here: smc imports this module)."""
+    from .model import PriorConfig
+    from .simulate import SimConfig
+    from .smc import SmcConfig
+    return {"prior": PriorConfig, "smc": SmcConfig, "model": SimConfig}
+
+
+def _keys():
+    """Every key -> (default, type, check); a section's class checks its ranges."""
+    keys = dict(_DEFAULTS)
+    for name, cls in _sections().items():
+        for f in dataclasses.fields(cls):
+            default = f.default_factory() if f.default is dataclasses.MISSING else f.default
+            keys[f"{name}.{f.name}"] = (default, f.type, None)
+    return keys
+
+
+_WANT = {float: "a finite number", int: "an integer", bool: "true or false",
+         str: "a string", np.ndarray: "a list of finite numbers"}
+
+
+def _is_float(x):
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+
+
+def _typed(key, value, kind):
+    """The type rule: a bool is not a number, a float (also in a coefficient
+    list) is finite, an int is an int.  A list comes back as a list of floats."""
+    if kind is np.ndarray:
+        if isinstance(value, str) and not value:
+            value = []  # a serialised empty list reads back as an empty string
+        value = [value] if _is_float(value) else value
+        ok = isinstance(value, (list, tuple, np.ndarray)) and all(map(_is_float, value))
+    elif kind is float:
+        ok = _is_float(value)
+    else:  # bool subclasses int, but true is not an integer
+        ok = isinstance(value, kind) and not (kind is int and isinstance(value, bool))
+    if not ok:
+        raise ConfigError(f"invalid value: {key} must be {_WANT[kind]}, got {value!r}")
+    return [float(v) for v in value] if kind is np.ndarray else value
 
 
 class RunConfig:
@@ -154,63 +179,43 @@ class RunConfig:
 
     def __init__(self, mapping=None):
         mapping = dict(mapping or {})
-        unknown = sorted(set(mapping) - set(_DEFAULTS))
+        self._keys = _keys()
+        unknown = sorted(set(mapping) - set(self._keys))
         if unknown:
             raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
-        self.values = dict(_DEFAULTS)
+        self.values = {key: default for key, (default, _, _) in self._keys.items()}
         self.values.update(mapping)
         self._validate()
 
     def _validate(self):
         v = self.values
-        checks = [
-            ("data.scale_by", lambda x: isinstance(x, (int, float)) and x != 0),
-            ("model.n", lambda x: isinstance(x, int) and x >= 1),
-            ("model.d", lambda x: isinstance(x, (int, float)) and 0.0 <= x < 0.5),
-            ("model.sigma2", lambda x: isinstance(x, (int, float)) and x > 0),
-            ("prior.geom_p", lambda x: isinstance(x, (int, float)) and 0 < x < 1),
-            ("prior.xi_var0", lambda x: isinstance(x, (int, float)) and x > 0),
-            ("prior.a", lambda x: isinstance(x, (int, float)) and x > 0),
-            ("prior.b", lambda x: isinstance(x, (int, float)) and x > 0),
-            ("prior.g_mu", lambda x: isinstance(x, (int, float)) and x > 0),
-            ("prior.k_max", lambda x: isinstance(x, int) and x >= 0),
-            ("smc.N", lambda x: isinstance(x, int) and x >= 2),
-            ("smc.M", lambda x: isinstance(x, int) and x >= 0),
-            ("smc.c", lambda x: isinstance(x, (int, float)) and 0 < x < 1),
-            ("smc.mode", lambda x: x in ("whittle", "toeplitz")),
-            ("correction.threads", lambda x: isinstance(x, int) and x >= 1),
-            ("mcmc.steps", lambda x: isinstance(x, int) and x >= 1),
-            ("mcmc.tau", lambda x: isinstance(x, (int, float)) and x > 0),
-            ("mcmc.thin", lambda x: isinstance(x, int) and x >= 1),
-            ("mcmc.gamma", lambda x: isinstance(x, (int, float)) and 0 <= x <= 1),
-            ("report.grid_points", lambda x: isinstance(x, int) and x >= 2),
-            ("report.grid_min", lambda x: isinstance(x, (int, float)) and 0 < x < math.pi),
-            ("report.bins", lambda x: isinstance(x, int) and x >= 1),
-        ]
-        for key, ok in checks:
-            if not ok(v[key]):
-                raise ConfigError(f"invalid value for {key}: {v[key]!r}")
-        for key, low in _OPTIONAL_INTS.items():
-            val = v[key]
-            if val is not None and not (isinstance(val, int) and val >= low):
-                raise ConfigError(f"invalid value for {key}: {val!r}")
+        for key, (default, kind, check) in self._keys.items():
+            if v[key] is None and default is None:
+                continue  # an optional key left unset
+            v[key] = _typed(key, v[key], kind)
+            if check is not None and not check(v[key]):
+                raise ConfigError(f"invalid value: {key} = {v[key]!r} is out of range")
         if v["mcmc.fix_k"] is not None and v["mcmc.fix_k"] > v["prior.k_max"]:
             raise ConfigError(f"mcmc.fix_k = {v['mcmc.fix_k']} exceeds "
                               f"prior.k_max = {v['prior.k_max']}")
-        for key in ("model.xi", "model.phi", "model.theta_ma"):
-            val = v[key]
-            if isinstance(val, (int, float)) and not isinstance(val, bool):
-                v[key] = [float(val)]
-            elif val == "":
-                v[key] = []  # serialised empty list reads back as an empty string
-            elif not isinstance(val, list):
-                raise ConfigError(f"invalid value for {key}: {val!r}")
+        for name in _sections():
+            self.section(name)
+
+    def section(self, name):
+        """The ``prior``, ``smc`` or ``model`` keys as a PriorConfig, SmcConfig
+        or SimConfig; a value the class refuses is a ConfigError naming the key."""
+        cls = _sections()[name]
+        kwargs = {f.name: self.values[f"{name}.{f.name}"] for f in dataclasses.fields(cls)}
+        try:
+            return cls(**kwargs)
+        except ValueError as err:
+            raise ConfigError(f"invalid value: {name}.{err}") from None
 
     def __getitem__(self, key):
         return self.values[key]
 
     def override(self, key, value):
-        if key not in _DEFAULTS:
+        if key not in self._keys:
             raise ConfigError(f"unknown config key {key!r}")
         self.values[key] = value
         self._validate()

@@ -35,6 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import NumericalError
 from .model import ThetaParams, log_prior, sample_prior
 
 __all__ = [
@@ -54,7 +55,7 @@ RW_SCALE2 = 2.38 ** 2
 MIN_FACTOR = 2
 
 
-class InvalidStateError(ValueError):
+class InvalidStateError(NumericalError):
     """Raised when a kernel is started from a state with -inf target density."""
 
 

@@ -79,7 +79,8 @@ class ThetaParams:
 
 @dataclass
 class PriorConfig:
-    """Hyperparameters of the hierarchical prior and conjugate scale/mean prior."""
+    """Hyperparameters of the hierarchical prior and conjugate scale/mean prior;
+    the only owner of the ``prior.*`` config keys' defaults and range checks."""
 
     geom_p: float = 0.2       # success probability of the Geometric order prior
     xi_var0: float = 100.0    # prior variance of xi_1
@@ -93,8 +94,9 @@ class PriorConfig:
     def __post_init__(self):
         if not 0.0 < self.geom_p < 1.0:
             raise ValueError("geom_p must lie in (0, 1)")
-        if min(self.xi_var0, self.a, self.b, self.g_mu) <= 0.0:
-            raise ValueError("xi_var0, a, b, g_mu must be positive")
+        for name in ("xi_var0", "a", "b", "g_mu"):
+            if getattr(self, name) <= 0.0:
+                raise ValueError(f"{name} must be positive")
         if self.k_max < 0:
             raise ValueError("k_max must be >= 0")
 
@@ -186,7 +188,8 @@ def sample_prior(prior, rng, fix_k=None):
     """Draw theta from the prior (k optionally frozen at ``fix_k``)."""
     if fix_k is None:
         k = int(rng.geometric(prior.geom_p) - 1)  # numpy geometric lives on {1, 2, ...}
-        k = min(k, prior.k_max)
+        while k > prior.k_max:  # redraw: the geometric truncated to 0..k_max
+            k = int(rng.geometric(prior.geom_p) - 1)
     else:
         k = int(fix_k)
         if not 0 <= k <= prior.k_max:

@@ -25,7 +25,8 @@ __all__ = ["SimConfig", "model_autocov", "simulate_series", "write_series", "rea
 
 @dataclass
 class SimConfig:
-    """Generative model specification."""
+    """Generative model specification; the only owner of the ``model.*`` config
+    keys' defaults and range checks."""
 
     kind: str = "fracnoise"   # fracnoise | fexp | arfima
     n: int = 1000
@@ -41,7 +42,7 @@ class SimConfig:
         self.phi = np.asarray(self.phi, dtype=float).reshape(-1)
         self.theta_ma = np.asarray(self.theta_ma, dtype=float).reshape(-1)
         if self.kind not in ("fracnoise", "fexp", "arfima"):
-            raise ValueError(f"unknown model kind {self.kind!r}")
+            raise ValueError(f"kind must be fracnoise, fexp or arfima, got {self.kind!r}")
         if not 0.0 <= self.d < 0.5:
             raise ValueError("d must lie in [0, 0.5)")
         if self.sigma2 <= 0.0:

@@ -9,7 +9,9 @@ choosing each increment adaptively so that the effective sample size of
 the incremental weights w_t = p~^{gamma_t - gamma_{t-1}} equals c * N
 (Brent root solve; the increment is capped once the endpoint keeps the
 ESS above the target).  A -inf log likelihood is a zero weight; NaN or
-+inf raises :class:`~fexpsmc.config.NumericalError`.  Every iteration then
++inf raises :class:`~fexpsmc.config.NumericalError`, and so does a
+population with no more than c * N finite log likelihoods, whose ESS
+cannot reach the target at any increment.  Every iteration then
 resamples multinomially and applies M cycles of the RW + birth/death
 kernels at the new temperature, with per-order proposal covariances
 calibrated from the freshly resampled population.  The model orders the
@@ -58,14 +60,13 @@ MAX_ITERS = 10_000
 
 @dataclass
 class SmcConfig:
-    """Sampler settings (defaults follow the reference configuration)."""
+    """Sampler settings; the only owner of the ``smc.*`` keys' defaults and checks."""
 
     N: int = 1000            # particles
     M: int = 20              # kernel cycles per tempering iteration
     c: float = 0.5           # ESS target fraction for the gamma solve
     seed: int = 0
     mode: str = "whittle"    # approximate-likelihood quadratic-form mode
-    fix_k: int | None = None  # freeze the model order (testing)
 
     def __post_init__(self):
         if self.N < 2:
@@ -75,7 +76,7 @@ class SmcConfig:
         if not 0.0 < self.c < 1.0:
             raise ValueError("c must lie in (0, 1)")
         if self.mode not in ("whittle", "toeplitz"):
-            raise ValueError(f"unknown mode {self.mode!r}")
+            raise ValueError(f"mode must be whittle or toeplitz, got {self.mode!r}")
 
 
 @dataclass
@@ -92,11 +93,6 @@ class ParticleSystem:
     loglik_evals: list = field(default_factory=list)      # proposals scored
     loglik_minus_inf: list = field(default_factory=list)  # of those, scored -inf
     log_evidence: float = 0.0
-
-    @property
-    def weights(self):
-        w = np.exp(self.log_weights - np.max(self.log_weights))
-        return w / w.sum()
 
 
 def ess(log_weights):
@@ -117,20 +113,20 @@ def ess(log_weights):
     return float(s * s / (w @ w))
 
 
-def solve_next_gamma(loglik, gamma, c, N=None):
+def solve_next_gamma(loglik, gamma, c):
     """Next inverse temperature on the adaptive schedule.
 
-    Finds alpha in (0, 1 - gamma] with ESS(alpha * loglik) = c * N by
-    Brent's method (to BRENT_TOL) and returns gamma + alpha; if even the full remaining
-    step keeps the ESS at or above the target the schedule finishes at 1.
-    A -inf loglik is a zero weight at every alpha; NaN or +inf raises
-    :class:`~fexpsmc.config.NumericalError`.
+    Finds alpha in (0, 1 - gamma] with ESS(alpha * loglik) = c * N, N =
+    loglik.size, by Brent's method (to BRENT_TOL) and returns gamma + alpha; if
+    even the full remaining step keeps the ESS at or above the target the
+    schedule finishes at 1.  A -inf loglik is a zero weight at every alpha.
+    NaN or +inf raises :class:`~fexpsmc.config.NumericalError`, as do L <= c * N
+    finite logliks: the ESS tends to L as alpha -> 0, so no alpha meets c * N.
     """
     loglik = np.asarray(loglik, dtype=float)
-    if N is None:
-        N = loglik.size
     if not 0.0 <= gamma < 1.0:
         raise ValueError("gamma must lie in [0, 1)")
+    N = loglik.size
     target = c * N
     remaining = 1.0 - gamma
     live = ~np.isneginf(loglik)  # a -inf stays a zero weight at alpha = 0 too
@@ -141,6 +137,9 @@ def solve_next_gamma(loglik, gamma, c, N=None):
 
     if gap(remaining) >= 0.0:
         return 1.0
+    if live.sum() <= target:
+        raise NumericalError(f"only {live.sum()} of {N} particles have a finite log likelihood, "
+                             f"not above the ESS target c * N = {target:g}")
     alpha = brentq(gap, 0.0, remaining, xtol=BRENT_TOL)
     return gamma + alpha
 
@@ -183,7 +182,7 @@ def run_smc(x, prior, cfg, loglik_fn=None):
     streams = [np.random.default_rng(s) for s in np.random.SeedSequence(cfg.seed).spawn(cfg.N + 1)]
     particle_rngs, resample_rng = streams[:cfg.N], streams[cfg.N]
 
-    thetas = [sample_prior(prior, rng, fix_k=cfg.fix_k) for rng in particle_rngs]
+    thetas = [sample_prior(prior, rng) for rng in particle_rngs]
     lp = np.array([log_prior(th, prior) for th in thetas])
     ll = np.asarray(logliks_fn(thetas), dtype=float)
 
@@ -199,7 +198,7 @@ def run_smc(x, prior, cfg, loglik_fn=None):
         iteration += 1
         if iteration > MAX_ITERS:
             raise RuntimeError("tempering schedule failed to reach gamma = 1")
-        gamma_new = solve_next_gamma(ll, gamma, cfg.c, cfg.N)
+        gamma_new = solve_next_gamma(ll, gamma, cfg.c)
         alpha = gamma_new - gamma
         inc = alpha * ll
         m = np.max(inc[np.isfinite(inc)])
@@ -221,10 +220,9 @@ def run_smc(x, prior, cfg, loglik_fn=None):
             thetas, lp, ll, _ = rw_metropolis_steps(
                 thetas, lp, ll, logliks_fn, prior, kcfg, particle_rngs, stats
             )
-            if cfg.fix_k is None:
-                thetas, lp, ll, _ = birth_death_steps(
-                    thetas, lp, ll, logliks_fn, prior, kcfg, particle_rngs, stats
-                )
+            thetas, lp, ll, _ = birth_death_steps(
+                thetas, lp, ll, logliks_fn, prior, kcfg, particle_rngs, stats
+            )
 
         system.rw_rates.append(stats.rw_rate())
         system.bd_rates.append(stats.bd_rate())

@@ -1,5 +1,7 @@
 """Config grammar, CLI round trips, exit codes, artifact reproducibility."""
 
+import dataclasses
+import math
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +11,9 @@ import fexpsmc
 from fexpsmc.cli import _read_particles, _write_particles, main
 from fexpsmc.config import (ConfigError, RunConfig, dump_document,
                             format_value, parse_config)
-from fexpsmc.model import ThetaParams
+from fexpsmc.model import PriorConfig, ThetaParams
+from fexpsmc.simulate import SimConfig, simulate_series, write_series
+from fexpsmc.smc import SmcConfig
 
 # ---------------------------------------------------------------------------
 # Config grammar
@@ -92,10 +96,63 @@ def test_runconfig_rejects_unknown_key():
     ("smc.mode", "nope"),
     ("model.xi", "bananas"),
     ("correction.subsample", 0),
+    # a bool is not a number, and a float must be finite
+    ("correction.subsample", True),
+    ("smc.M", True),
+    ("prior.k_max", True),
+    ("data.scale_by", False),
+    ("prior.xi_var0", math.inf),
+    ("prior.beta", math.nan),
+    ("prior.a", math.inf),
+    ("mcmc.tau", math.inf),
+    ("model.mu", -math.inf),
+    ("model.theta_ma", [0.2, math.nan]),
+    ("model.xi", [True]),
+    ("smc.mode", 1),
 ])
 def test_runconfig_rejects_bad_values(key, value):
     with pytest.raises(ConfigError, match="invalid value"):
         RunConfig({key: value})
+
+
+def test_runconfig_names_the_dotted_key_the_section_refuses():
+    with pytest.raises(ConfigError, match=r"invalid value: smc\.c must lie in \(0, 1\)"):
+        RunConfig({"smc.c": 1.5})
+    with pytest.raises(ConfigError, match=r"invalid value: prior\.b must be positive"):
+        RunConfig({"prior.b": 0.0})
+    with pytest.raises(ConfigError, match=r"invalid value: model\.kind must be"):
+        RunConfig({"model.kind": "walk"})
+
+
+def test_runconfig_key_set():
+    assert set(RunConfig({}).values) == {
+        "data.path", "data.scale_by",
+        "model.kind", "model.n", "model.d", "model.sigma2", "model.mu",
+        "model.xi", "model.phi", "model.theta_ma",
+        "prior.geom_p", "prior.xi_var0", "prior.beta", "prior.a", "prior.b",
+        "prior.g_mu", "prior.m_mu", "prior.k_max",
+        "smc.N", "smc.M", "smc.c", "smc.seed", "smc.mode",
+        "correction.enabled", "correction.subsample", "correction.threads",
+        "correction.seed", "correction.force_large_n",
+        "mcmc.steps", "mcmc.tau", "mcmc.thin", "mcmc.gamma", "mcmc.fix_k",
+        "report.grid_points", "report.grid_min", "report.bins",
+    }
+
+
+def test_runconfig_sections_are_the_dataclass_defaults():
+    cfg = RunConfig({})
+    for name, want in (("prior", PriorConfig()), ("smc", SmcConfig()), ("model", SimConfig())):
+        got = cfg.section(name)
+        assert type(got) is type(want)
+        for f in dataclasses.fields(want):
+            assert np.array_equal(getattr(got, f.name), getattr(want, f.name)), f"{name}.{f.name}"
+
+
+def test_runconfig_defaults_round_trip_through_the_grammar():
+    # an optional key left unset (None) has no spelling; omitting it keeps it unset
+    cfg = RunConfig({})
+    text = dump_document({k: v for k, v in cfg.values.items() if v is not None})
+    assert RunConfig(parse_config(text)).values == cfg.values
 
 
 def test_runconfig_defaults_and_override():
@@ -408,6 +465,31 @@ def test_exit_4_nan_log_likelihood(workspace, tmp_path, monkeypatch, capsys):
                  "--output", str(tmp_path)])
     assert code == 4
     assert "NaN" in capsys.readouterr().err
+
+
+@pytest.fixture
+def wide_prior_series(tmp_path):
+    # with xi_1 ~ N(0, 1e12) most prior draws overflow exp(xi_1 cos lam) on
+    # the Whittle grid, so their approximate log likelihood is -inf
+    path = tmp_path / "series.csv"
+    write_series(path, simulate_series(SimConfig(n=300, d=0.25), np.random.default_rng(0)))
+    return f"data.path = {path}\nprior.xi_var0 = 1e12\n"
+
+
+def test_exit_4_too_few_finite_logliks_for_the_tempering_solve(wide_prior_series, tmp_path,
+                                                               capsys):
+    cfg = tmp_path / "fit.cfg"
+    cfg.write_text(wide_prior_series + "smc.N = 20\nsmc.M = 0\n")
+    assert main(["fit", "--config", str(cfg), "--seed", "0", "--output", str(tmp_path)]) == 4
+    assert "of 20 particles have a finite log likelihood" in capsys.readouterr().err
+
+
+def test_exit_4_mcmc_baseline_from_a_zero_density_start(wide_prior_series, tmp_path, capsys):
+    cfg = tmp_path / "mcmc.cfg"
+    cfg.write_text(wide_prior_series + "mcmc.gamma = 1.0\nmcmc.steps = 2\n")
+    assert main(["mcmc-baseline", "--config", str(cfg), "--seed", "0",
+                 "--output", str(tmp_path)]) == 4
+    assert "zero target density" in capsys.readouterr().err
 
 
 def test_missing_subcommand_exits_2(capsys):

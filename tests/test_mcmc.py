@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.stats import kstest
 
+from fexpsmc.config import NumericalError
 from fexpsmc.mcmc import (InvalidStateError, KernelConfig, MoveStats,
                           RW_SCALE2, birth_death_steps, calibrate_scales,
                           rw_metropolis_steps, run_mcmc)
@@ -45,6 +46,7 @@ def test_rw_rejects_from_invalid_state():
     th = ThetaParams(k=3, t=0.0, xi=np.zeros(3))  # beyond k_max: prior = 0
     with pytest.raises(InvalidStateError):
         rw_metropolis_steps([th], [-math.inf], [0.0], FLATS, prior, cfg, [rng], MoveStats())
+    assert issubclass(InvalidStateError, NumericalError)  # a CLI exit 4, not a traceback
 
 
 def test_rw_never_evaluates_likelihood_at_gamma_zero():

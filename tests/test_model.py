@@ -231,6 +231,20 @@ def test_sample_prior_respects_fix_k_and_k_max():
         sample_prior(prior, rng, fix_k=7)
 
 
+def test_sample_prior_draws_the_truncated_geometric():
+    # p(k) = geom_p (1 - geom_p)^k / (1 - (1 - geom_p)^(k_max + 1)) on 0..k_max,
+    # the prior log_prior scores, not a clamp that piles the tail on k_max
+    prior = PriorConfig(k_max=2)
+    rng = np.random.default_rng(8)
+    n = 20_000
+    ks = np.array([sample_prior(prior, rng).k for _ in range(n)])
+    q = 1.0 - prior.geom_p
+    for k in range(3):
+        p = prior.geom_p * q ** k / (1.0 - q ** 3)
+        se = math.sqrt(p * (1.0 - p) / n)
+        assert abs(np.mean(ks == k) - p) < 4.0 * se, f"k={k}"
+
+
 def test_sampled_draws_have_finite_positive_prior_density():
     prior = PriorConfig()
     rng = np.random.default_rng(5)

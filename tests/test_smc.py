@@ -85,7 +85,7 @@ def test_schedule_two_particle_closed_form():
     L, c = 8.0, 0.75
     u = (math.sqrt(1.0 - (1.0 - 2.0 * c) ** 2) - 1.0) / (1.0 - 2.0 * c)
     want = -math.log(u) / L
-    got = solve_next_gamma(np.array([0.0, L]), 0.0, c, N=2)
+    got = solve_next_gamma(np.array([0.0, L]), 0.0, c)
     assert abs(got - want) < 1e-9
 
 
@@ -119,6 +119,15 @@ def test_schedule_keeps_minus_inf_at_zero_weight():
     gamma1 = solve_next_gamma(ll, 0.0, 0.7)
     assert 0.0 < gamma1 < 1.0
     assert abs(ess(gamma1 * ll) - 0.7 * 5) < 1e-6
+
+
+@pytest.mark.parametrize("n_minus_inf", [2, 3], ids=["live_at_target", "live_below_target"])
+def test_schedule_refuses_too_few_finite_logliks(n_minus_inf):
+    # the ESS tends to the live count L as alpha -> 0: with L = c * N the
+    # root is alpha = 0 (a 0 * -inf weight), with L < c * N there is none
+    ll = np.concatenate([[0.0, 1.0], np.full(n_minus_inf, -math.inf)])
+    with pytest.raises(NumericalError, match=f"only 2 of {ll.size} particles"):
+        solve_next_gamma(ll, 0.0, 0.5)
 
 
 def test_schedule_validates_gamma():
@@ -168,11 +177,11 @@ def _logistic_density(t):
 
 
 def test_smc_matches_quadrature_posterior_mean():
-    # fix k = 0 and weight by a Gaussian bump in t: the target is
+    # cap k at 0 and weight by a Gaussian bump in t: the target is
     # logistic(t) * exp(-2 (t - 1)^2), integrable by quadrature
-    prior = PriorConfig()
+    prior = PriorConfig(k_max=0)
     loglik = lambda th: -2.0 * (th.t - 1.0) ** 2
-    cfg = SmcConfig(N=3000, M=8, seed=6, fix_k=0)
+    cfg = SmcConfig(N=3000, M=8, seed=6)
     ps = run_smc(None, prior, cfg, loglik_fn=loglik)
 
     dens = lambda t: _logistic_density(t) * math.exp(-2.0 * (t - 1.0) ** 2)
@@ -193,14 +202,14 @@ def test_smc_evidence_unbiased_on_tractable_target():
     # Z = E_prior[e^{ll}] by quadrature; the SMC estimator of Z is unbiased
     # in the linear domain, so the replicate mean of Z_hat/Z should sit
     # within a few standard errors of 1
-    prior = PriorConfig()
+    prior = PriorConfig(k_max=0)
     loglik = lambda th: -0.5 * (th.t + 0.5) ** 2
     dens = lambda t: _logistic_density(t) * math.exp(-0.5 * (t + 0.5) ** 2)
     z_true, _ = quad(dens, -30, 30)
 
     ratios = []
     for seed in range(40):
-        cfg = SmcConfig(N=400, M=3, seed=seed, fix_k=0)
+        cfg = SmcConfig(N=400, M=3, seed=seed)
         ps = run_smc(None, prior, cfg, loglik_fn=loglik)
         ratios.append(math.exp(ps.log_evidence) / z_true)
     ratios = np.array(ratios)
@@ -253,7 +262,7 @@ def test_smc_with_m_zero_matches_mirror_implementation():
     ll = np.array([loglik(th) for th in thetas])
     gamma, log_z = 0.0, 0.0
     while gamma < 1.0:
-        gamma_new = solve_next_gamma(ll, gamma, c, N)
+        gamma_new = solve_next_gamma(ll, gamma, c)
         inc = (gamma_new - gamma) * ll
         m = inc.max()
         w = np.exp(inc - m)
@@ -269,15 +278,15 @@ def test_smc_with_m_zero_matches_mirror_implementation():
 
 
 @pytest.mark.parametrize("N", [2, 6, 64])
-@pytest.mark.parametrize("fix_k", [None, 2])
-def test_batched_likelihood_matches_scalar_likelihood(N, fix_k):
+@pytest.mark.parametrize("k_max", [50, 2])
+def test_batched_likelihood_matches_scalar_likelihood(N, k_max):
     # lockstep mutation scores each half-step with one batched call; the same
     # run with the scalar evaluator called theta by theta must agree
-    prior = PriorConfig()
+    prior = PriorConfig(k_max=k_max)
     x = simulate_series(SimConfig(kind="arfima", n=300, d=0.25, theta_ma=[-0.3, 0.2]),
                         np.random.default_rng(N))
     ctx = prepare_dataset(x)
-    cfg = SmcConfig(N=N, M=3, seed=20 + N, fix_k=fix_k)
+    cfg = SmcConfig(N=N, M=3, seed=20 + N)
     batched = run_smc(x, prior, cfg)
     scalar = run_smc(None, prior, cfg,
                      loglik_fn=lambda th: approx_log_lik(th, ctx, prior))
@@ -297,6 +306,8 @@ def test_prior_k_max_caps_every_particle_on_data():
     assert max(ks) == 2
     with pytest.raises(TypeError):  # no second, lower cap can be set
         SmcConfig(k_max=1)
+    with pytest.raises(TypeError):  # nor a frozen order
+        SmcConfig(fix_k=1)
 
 
 def test_smc_requires_data_or_likelihood():
