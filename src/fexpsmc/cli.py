@@ -24,7 +24,7 @@ import numpy as np
 from .approx import approx_log_lik, prepare_dataset
 from .config import (ConfigError, DataError, NumericalError, RunConfig,
                      dump_document, load_config)
-from .correction import N_GUARD, correction_weights
+from .correction import correction_weights
 from .mcmc import run_mcmc
 from .model import ThetaParams
 from .report import d_histogram, frequency_grid, spectral_bands, summarize
@@ -184,28 +184,17 @@ def _cmd_simulate(args):
 def _cmd_fit(args):
     cfg = _load_run_config(args)
     x = _read_data(cfg)
-    if cfg["correction.enabled"] and not cfg["correction.force_large_n"] and x.size > N_GUARD:
-        raise ConfigError(
-            f"series length {x.size} exceeds the exact-likelihood guard ({N_GUARD}); "
-            "set correction.force_large_n = true or disable the correction"
-        )
+    corr_cfg = cfg.section("correction")
+    if corr_cfg.enabled:
+        corr_cfg.check_length(x.size)  # before the sampler, not after it
     prior, smc_cfg = cfg.section("prior"), cfg.section("smc")
     ps = run_smc(x, prior, smc_cfg)
     weights = np.exp(ps.log_weights)
 
     corr = None
     log_w_corr = None
-    if cfg["correction.enabled"]:
-        corr = correction_weights(
-            ps.thetas,
-            x,
-            prior,
-            mode=smc_cfg.mode,
-            subsample=cfg["correction.subsample"],
-            seed=cfg["correction.seed"],
-            threads=cfg["correction.threads"],
-            force_large_n=cfg["correction.force_large_n"],
-        )
+    if corr_cfg.enabled:
+        corr = correction_weights(ps.thetas, x, prior, corr_cfg, mode=smc_cfg.mode)
         weights = np.zeros(len(ps.thetas))
         weights[corr.indices] = corr.weights
         log_w_corr = np.full(len(ps.thetas), -np.inf)
@@ -259,26 +248,16 @@ def _cmd_report(args):
 
 def _cmd_mcmc_baseline(args):
     cfg = _load_run_config(args)
-    prior = cfg.section("prior")
-    gamma = cfg["mcmc.gamma"]
-    if gamma > 0.0:
+    prior, mcmc_cfg = cfg.section("prior"), cfg.section("mcmc")
+    if mcmc_cfg.gamma > 0.0:
         x = _read_data(cfg)
         ctx = prepare_dataset(x)
         loglik = lambda th: approx_log_lik(th, ctx, prior, mode=cfg["smc.mode"])
     else:
         loglik = lambda th: 0.0  # chain targets the prior alone
-    res = run_mcmc(
-        loglik,
-        prior,
-        steps=cfg["mcmc.steps"],
-        tau=cfg["mcmc.tau"],
-        gamma=gamma,
-        thin=cfg["mcmc.thin"],
-        seed=cfg["smc.seed"],
-        fix_k=cfg["mcmc.fix_k"],
-    )
+    res = run_mcmc(loglik, prior, mcmc_cfg, cfg["smc.seed"])
     out = _out_dir(args)
-    steps = np.arange(res["k"].size) * cfg["mcmc.thin"]
+    steps = np.arange(res["k"].size) * mcmc_cfg.thin
     with open(out / "trace.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["step", "k", "d", "t"])
@@ -288,9 +267,9 @@ def _cmd_mcmc_baseline(args):
     diag = {
         "run.command": "mcmc-baseline",
         "run.seed": cfg["smc.seed"],
-        "mcmc.steps": cfg["mcmc.steps"],
-        "mcmc.gamma": float(gamma),
-        "mcmc.thin": cfg["mcmc.thin"],
+        "mcmc.steps": mcmc_cfg.steps,
+        "mcmc.gamma": float(mcmc_cfg.gamma),
+        "mcmc.thin": mcmc_cfg.thin,
         "mcmc.rw_accept_rate": stats.rw_rate(),
         "mcmc.bd_accept_rate": stats.bd_rate(),
     }

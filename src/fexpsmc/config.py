@@ -11,9 +11,11 @@ Unknown keys are rejected -- a misspelt key is a configuration error, not
 a silent default.  The same format serialises the diagnostic and summary
 documents so that every artifact of a run round-trips through one parser.
 
-:class:`RunConfig` types a document: PriorConfig, SmcConfig and SimConfig own
-the defaults and range checks of the ``prior.*``, ``smc.*`` and ``model.*`` keys,
-``_DEFAULTS`` those of the rest, and one type rule covers them all.
+:class:`RunConfig` types a document.  PriorConfig, SmcConfig, SimConfig,
+McmcConfig and CorrectionConfig own the defaults and range checks of the
+``prior.*``, ``smc.*``, ``model.*``, ``mcmc.*`` and ``correction.*`` keys,
+``_DEFAULTS`` those of the ``data.*`` and ``report.*`` keys that only the CLI
+reads, and one type rule covers them all.
 """
 
 import dataclasses
@@ -115,16 +117,6 @@ def dump_document(entries):
 _DEFAULTS = {
     "data.path": (None, str, None),
     "data.scale_by": (1.0, float, lambda x: x != 0),
-    "correction.enabled": (True, bool, None),
-    "correction.subsample": (None, int, lambda x: x >= 1),
-    "correction.threads": (1, int, lambda x: x >= 1),
-    "correction.seed": (0, int, None),
-    "correction.force_large_n": (False, bool, None),
-    "mcmc.steps": (10000, int, lambda x: x >= 1),
-    "mcmc.tau": (0.015, float, lambda x: x > 0),
-    "mcmc.thin": (1, int, lambda x: x >= 1),
-    "mcmc.gamma": (1.0, float, lambda x: 0 <= x <= 1),
-    "mcmc.fix_k": (None, int, lambda x: x >= 0),
     "report.grid_points": (200, int, lambda x: x >= 2),
     "report.grid_min": (1e-3, float, lambda x: 0 < x < math.pi),
     "report.bins": (40, int, lambda x: x >= 1),
@@ -132,11 +124,14 @@ _DEFAULTS = {
 
 
 def _sections():
-    """The section classes by key prefix (imported here: smc imports this module)."""
+    """The section classes by key prefix (imported here: their modules import this one)."""
+    from .correction import CorrectionConfig
+    from .mcmc import McmcConfig
     from .model import PriorConfig
     from .simulate import SimConfig
     from .smc import SmcConfig
-    return {"prior": PriorConfig, "smc": SmcConfig, "model": SimConfig}
+    return {"prior": PriorConfig, "smc": SmcConfig, "model": SimConfig,
+            "mcmc": McmcConfig, "correction": CorrectionConfig}
 
 
 def _keys():
@@ -202,8 +197,8 @@ class RunConfig:
             self.section(name)
 
     def section(self, name):
-        """The ``prior``, ``smc`` or ``model`` keys as a PriorConfig, SmcConfig
-        or SimConfig; a value the class refuses is a ConfigError naming the key."""
+        """The keys of one prefix as its section object (``"prior"`` gives a
+        PriorConfig, ...); a value the class refuses is a ConfigError naming the key."""
         cls = _sections()[name]
         kwargs = {f.name: self.values[f"{name}.{f.name}"] for f in dataclasses.fields(cls)}
         try:

@@ -10,7 +10,10 @@ constants, so the weights are correct up to a single global factor that
 normalisation removes.  The exact evaluation costs one O(n^2)
 Durbin-Levinson sweep per distinct particle, so weights are memoised
 across duplicated particles (resampled populations contain many copies)
-and the step can be subsampled.  Both sides of all distinct particles are
+and the step can be subsampled.  The settings are a
+:class:`CorrectionConfig`, the only owner of the ``correction.*`` keys'
+defaults and checks, and of the exact-likelihood length guard that the CLI
+also applies before it samples.  Both sides of all distinct particles are
 batched evaluations: the exact side whitens blocks of thetas in one sweep
 each (:func:`fexpsmc.exact.exact_log_margliks`).  With ``threads > 1`` the
 distinct particles are cut into one block per thread and the blocks run on
@@ -27,10 +30,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .approx import approx_log_liks, prepare_dataset
-from .config import NumericalError
+from .config import ConfigError, NumericalError
 from .exact import BLOCK_ROWS, NotPositiveDefiniteError, exact_log_margliks
 
-__all__ = ["CorrectionResult", "correction_weights", "corrected_estimate"]
+__all__ = ["CorrectionConfig", "CorrectionResult", "correction_weights"]
 
 logger = logging.getLogger(__name__)
 
@@ -41,6 +44,32 @@ logger = logging.getLogger(__name__)
 #: the numpy backend (one core of a 2-core x86 host; one particle alone
 #: 1.0-1.2 s), growing as n^2.
 N_GUARD = 20_000
+
+
+@dataclass
+class CorrectionConfig:
+    """Correction settings; the only owner of the ``correction.*`` keys'
+    defaults and checks.  ``enabled`` is read by the CLI, which skips the
+    correction when it is false."""
+
+    enabled: bool = True
+    subsample: int = None        # weight a seeded draw of this many particles
+    threads: int = 1             # one block of distinct particles per thread
+    seed: int = 0                # seed of the subsample draw
+    force_large_n: bool = False  # allow series longer than N_GUARD
+
+    def __post_init__(self):
+        if self.subsample is not None and self.subsample < 1:
+            raise ValueError("subsample must be >= 1")
+        if self.threads < 1:
+            raise ValueError("threads must be >= 1")
+
+    def check_length(self, n):
+        """Refuse a series of n > N_GUARD points unless ``force_large_n``."""
+        if n > N_GUARD and not self.force_large_n:
+            raise ConfigError(
+                f"series length {n} exceeds the exact-likelihood guard ({N_GUARD}); "
+                "set correction.force_large_n = true or disable the correction")
 
 
 @dataclass
@@ -55,16 +84,7 @@ class CorrectionResult:
     n_unique: int = 0         # exact evaluations: distinct particles weighted
 
 
-def correction_weights(
-    thetas,
-    x,
-    prior,
-    mode="whittle",
-    subsample=None,
-    seed=0,
-    threads=1,
-    force_large_n=False,
-):
+def correction_weights(thetas, x, prior, cfg=None, mode="whittle"):
     """Compute self-normalised exact/approximate importance weights.
 
     Parameters
@@ -73,40 +93,28 @@ def correction_weights(
     x : array
         The observed series.
     prior : PriorConfig
+    cfg : CorrectionConfig, optional
+        Subsample size and seed, worker threads (the same output for any
+        count) and the length guard; None means ``CorrectionConfig()``.
     mode : str
         Quadratic-form mode for the approximate evaluator.
-    subsample : int, optional
-        Weight only a seeded without-replacement draw of this size.
-    seed : int
-        Seed for the subsample draw.
-    threads : int
-        Worker threads for the exact evaluations, each taking one block of
-        distinct particles (the same output for any count).
-    force_large_n : bool
-        Allow series longer than the exact-likelihood guard of 20 000 points.
 
     A covariance that is not positive definite in the exact evaluator zeroes
     that particle's weight (with a warning) instead of aborting the
     correction; :class:`NumericalError` is raised when every weight fails.
     """
+    cfg = CorrectionConfig() if cfg is None else cfg
     thetas = list(thetas)
     n_particles = len(thetas)
     if n_particles == 0:
         raise ValueError("no particles to weight")
-    if subsample is not None and subsample < 1:
-        raise ValueError(f"subsample must be >= 1, got {subsample}")
-
     x = np.asarray(x, dtype=float)
-    if x.size > N_GUARD and not force_large_n:
-        raise ValueError(
-            f"series length {x.size} exceeds the exact-likelihood guard "
-            f"({N_GUARD}); pass force_large_n=True to proceed"
-        )
+    cfg.check_length(x.size)
     exact_many = lambda ths: exact_log_margliks(ths, x, prior)
 
-    if subsample is not None and subsample < n_particles:
-        rng = np.random.default_rng(seed)
-        indices = np.sort(rng.choice(n_particles, size=subsample, replace=False))
+    if cfg.subsample is not None and cfg.subsample < n_particles:
+        rng = np.random.default_rng(cfg.seed)
+        indices = np.sort(rng.choice(n_particles, size=cfg.subsample, replace=False))
     else:
         indices = np.arange(n_particles)
 
@@ -117,10 +125,10 @@ def correction_weights(
     distinct = list(unique.values())
     approx = approx_log_liks(distinct, prepare_dataset(x), prior, mode=mode)
 
-    if threads > 1:
-        size = min(BLOCK_ROWS, -(-len(distinct) // threads))
+    if cfg.threads > 1:
+        size = min(BLOCK_ROWS, -(-len(distinct) // cfg.threads))
         blocks = [distinct[lo:lo + size] for lo in range(0, len(distinct), size)]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
             parts = list(pool.map(exact_many, blocks))
     else:
         parts = [exact_many(distinct)]
@@ -148,9 +156,3 @@ def correction_weights(
         n_failed=int(np.sum(~finite)),
         n_unique=len(distinct),
     )
-
-
-def corrected_estimate(thetas, result, statistic):
-    """Self-normalised estimate sum_j W_j * statistic(theta_j)."""
-    vals = np.array([statistic(thetas[i]) for i in result.indices], dtype=float)
-    return float(result.weights @ vals)

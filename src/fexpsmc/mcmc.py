@@ -11,9 +11,9 @@ cycle applies, in order,
    (t, xi_1..xi_k) with a per-order proposal covariance, and
 2. a birth/death move: from order k a birth is proposed with probability
    rho(k -> k+1) (1 at k = 0, 1/2 otherwise, 0 at the prior's k_max, the
-   one cap on the order), drawing the new coordinate from its conditional
-   prior so that proposal and prior cancel and the acceptance ratio
-   reduces to
+   one cap on the order; no move at all when k_max = 0), drawing the new
+   coordinate from its conditional prior so that proposal and prior cancel
+   and the acceptance ratio reduces to
 
        r = [rho(k* -> k) p(k*) p~(x|theta*)^gamma]
            / [rho(k -> k*) p(k) p~(x|theta)^gamma].
@@ -26,8 +26,8 @@ functions of (state, rng): they mutate nothing and return the new state
 together with its cached log-prior/log-likelihood.
 Each kernel moves a whole population (``rw_metropolis_steps``,
 ``birth_death_steps``) with one likelihood call for all its proposals;
-:func:`run_mcmc` moves a population of one.  ``MoveStats`` also counts the
-proposals scored and those scored -inf.
+:func:`run_mcmc` moves a population of one, set by a :class:`McmcConfig`.
+``MoveStats`` also counts the proposals scored and those scored -inf.
 """
 
 import math
@@ -41,6 +41,7 @@ from .model import ThetaParams, log_prior, sample_prior
 __all__ = [
     "InvalidStateError",
     "KernelConfig",
+    "McmcConfig",
     "MoveStats",
     "rw_metropolis_steps",
     "birth_death_steps",
@@ -70,6 +71,29 @@ class KernelConfig:
 
     gamma: float = 1.0
     scales: dict = field(default_factory=dict)
+
+
+@dataclass
+class McmcConfig:
+    """Baseline-chain settings; the only owner of the ``mcmc.*`` keys' defaults and checks."""
+
+    steps: int = 10000       # kernel cycles
+    tau: float = 0.015       # RW proposal variance tau * I (without explicit scales)
+    thin: int = 1            # store every thin-th state
+    gamma: float = 1.0       # fixed inverse temperature; 0 targets the prior alone
+    fix_k: int = None        # freeze the model order (no birth/death moves)
+
+    def __post_init__(self):
+        if self.steps < 1:
+            raise ValueError("steps must be >= 1")
+        if self.tau <= 0.0:
+            raise ValueError("tau must be positive")
+        if self.thin < 1:
+            raise ValueError("thin must be >= 1")
+        if not 0.0 <= self.gamma <= 1.0:
+            raise ValueError("gamma must lie in [0, 1]")
+        if self.fix_k is not None and self.fix_k < 0:
+            raise ValueError("fix_k must be >= 0")
 
 
 @dataclass
@@ -132,7 +156,6 @@ def _score(props, lls, logliks_fn, gamma, stats):
     return scores
 
 
-
 def rw_metropolis_steps(thetas, lps, lls, logliks_fn, prior, cfg, rngs, stats):
     """One random-walk Metropolis update of the (t, xi) block of every particle.
 
@@ -181,7 +204,6 @@ def rw_metropolis_steps(thetas, lps, lls, logliks_fn, prior, cfg, rngs, stats):
     return out, lp_out, ll_out, accepted
 
 
-
 def _rho_up(k, k_max):
     """Probability of proposing a birth from order k."""
     if k == 0:
@@ -209,6 +231,8 @@ def birth_death_steps(thetas, lps, lls, logliks_fn, prior, cfg, rngs, stats):
     ll_out = np.array(lls, dtype=float)
     accepted = np.zeros(len(out), dtype=bool)
     k_max = prior.k_max
+    if k_max == 0:  # a single order: no move to propose
+        return out, lp_out, ll_out, accepted
     log_pk_ratio = math.log1p(-prior.geom_p)  # log p(k+1) - log p(k)
     moves = []
     for j, th in enumerate(thetas):
@@ -242,7 +266,6 @@ def birth_death_steps(thetas, lps, lls, logliks_fn, prior, cfg, rngs, stats):
     return out, lp_out, ll_out, accepted
 
 
-
 def calibrate_scales(thetas):
     """Per-order proposal covariances from an equally-weighted population.
 
@@ -270,46 +293,37 @@ def calibrate_scales(thetas):
     return scales
 
 
-def run_mcmc(
-    loglik_fn,
-    prior,
-    steps,
-    tau=0.015,
-    gamma=1.0,
-    thin=1,
-    seed=0,
-    fix_k=None,
-    scales=None,
-):
+def run_mcmc(loglik_fn, prior, cfg, seed, scales=None):
     """Plain (non-tempered-sequence) MCMC baseline driver.
 
-    Repeats ``steps`` cycles of one RW move followed by one birth/death
-    move at fixed inverse temperature ``gamma`` (gamma = 0 targets the
-    prior alone).  The chain starts from a prior draw and visits orders
-    0..prior.k_max.  The proposal covariance is tau * I for every order
-    unless an explicit ``scales`` map is supplied.  Returns a dict with
-    thinned traces of k, d, t and the move statistics.
+    Repeats ``cfg.steps`` cycles of one RW move followed by one birth/death
+    move (none with ``cfg.fix_k`` set) at the fixed inverse temperature
+    ``cfg.gamma``.  The chain starts from a prior draw seeded by ``seed`` and
+    visits orders 0..prior.k_max.  The proposal covariance is cfg.tau * I
+    for every order unless an explicit ``scales`` map is supplied.  Returns
+    a dict with the traces of k, d, t thinned by ``cfg.thin``, and the move
+    statistics.
     """
     rng = np.random.default_rng(seed)
     if scales is None:
-        scales = {k: math.sqrt(tau) * np.eye(k + 1) for k in range(prior.k_max + 1)}
-    cfg = KernelConfig(gamma=gamma, scales=scales)
-    theta = sample_prior(prior, rng, fix_k=fix_k)
+        scales = {k: math.sqrt(cfg.tau) * np.eye(k + 1) for k in range(prior.k_max + 1)}
+    kcfg = KernelConfig(gamma=cfg.gamma, scales=scales)
+    theta = sample_prior(prior, rng, fix_k=cfg.fix_k)
     thetas, rngs = [theta], [rng]
     lps = [log_prior(theta, prior)]
-    lls = [loglik_fn(theta) if gamma != 0.0 else 0.0]
+    lls = [loglik_fn(theta) if cfg.gamma != 0.0 else 0.0]
     logliks_fn = lambda ths: [loglik_fn(th) for th in ths]
     stats = MoveStats()
     ks, ds, ts = [], [], []
-    for step in range(steps):
+    for step in range(cfg.steps):
         thetas, lps, lls, _ = rw_metropolis_steps(
-            thetas, lps, lls, logliks_fn, prior, cfg, rngs, stats
+            thetas, lps, lls, logliks_fn, prior, kcfg, rngs, stats
         )
-        if fix_k is None:
+        if cfg.fix_k is None:
             thetas, lps, lls, _ = birth_death_steps(
-                thetas, lps, lls, logliks_fn, prior, cfg, rngs, stats
+                thetas, lps, lls, logliks_fn, prior, kcfg, rngs, stats
             )
-        if step % thin == 0:
+        if step % cfg.thin == 0:
             ks.append(thetas[0].k)
             ds.append(thetas[0].d)
             ts.append(thetas[0].t)

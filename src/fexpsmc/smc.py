@@ -98,15 +98,15 @@ class ParticleSystem:
 def ess(log_weights):
     """Effective sample size (sum w)^2 / sum w^2 of unnormalised log weights.
 
-    A -inf log weight is a zero weight; NaN or +inf raises
-    :class:`~fexpsmc.config.NumericalError`.
+    A -inf log weight is a zero weight; NaN or +inf, or no nonzero weight at
+    all, raises :class:`~fexpsmc.config.NumericalError`.
     """
     lw = np.asarray(log_weights, dtype=float)
     if np.any(np.isnan(lw) | (lw == math.inf)):
         raise NumericalError("log weights contain NaN or +inf")
     finite = lw[np.isfinite(lw)]
     if finite.size == 0:
-        raise ValueError("all weights are zero")
+        raise NumericalError("all weights are zero")
     m = finite.max()
     w = np.exp(lw - m, where=np.isfinite(lw), out=np.zeros_like(lw))
     s = w.sum()
@@ -135,7 +135,7 @@ def solve_next_gamma(loglik, gamma, c):
         lw = np.multiply(alpha, loglik, where=live, out=np.full_like(loglik, -math.inf))
         return ess(lw) - target
 
-    if gap(remaining) >= 0.0:
+    if live.any() and gap(remaining) >= 0.0:  # none live: the count check below raises
         return 1.0
     if live.sum() <= target:
         raise NumericalError(f"only {live.sum()} of {N} particles have a finite log likelihood, "

@@ -23,7 +23,7 @@ from fexpsmc.approx import (approx_log_lik, log_barnes_g, log_det_approx,
 from fexpsmc.correction import correction_weights
 from fexpsmc.exact import exact_log_marglik, fbar_autocov
 from fexpsmc.fourier import fourier_coeffs_longmemory
-from fexpsmc.mcmc import RW_SCALE2, run_mcmc
+from fexpsmc.mcmc import RW_SCALE2, McmcConfig, run_mcmc
 from fexpsmc.model import PriorConfig, ThetaParams, sample_prior
 from fexpsmc.simulate import SimConfig, simulate_series
 from fexpsmc.smc import SmcConfig, run_smc
@@ -200,7 +200,7 @@ def test_06_prior_chain_reproduces_marginals():
     for k in range(PRIOR.k_max + 1):
         var = [math.pi ** 2 / 3] + [PRIOR.xi_var(j) for j in range(1, k + 1)]
         scales[k] = np.linalg.cholesky((RW_SCALE2 / (k + 1)) * np.diag(var))
-    res = run_mcmc(lambda th: 0.0, PRIOR, steps=250_000, gamma=0.0, seed=3,
+    res = run_mcmc(lambda th: 0.0, PRIOR, McmcConfig(steps=250_000, gamma=0.0), seed=3,
                    scales=scales)
 
     ks_stat = sps.kstest(res["d"], sps.uniform(loc=0, scale=0.5).cdf).statistic
@@ -252,7 +252,7 @@ def test_08_corrected_estimate_matches_grid_quadrature():
     draw = np.random.default_rng(5)
     thetas = [sample_prior(PRIOR, draw, fix_k=1) for _ in range(2000)]
     base = np.array([approx_log_lik(th, ctx, PRIOR) for th in thetas])
-    corr = correction_weights(thetas, x, PRIOR, seed=0)
+    corr = correction_weights(thetas, x, PRIOR)
     total = base + corr.log_w_raw
     w = np.exp(total - total.max())
     w /= w.sum()
@@ -363,7 +363,7 @@ def test_04_correction_ess_at_scale():
     rng = np.random.default_rng(0)
     x = simulate_series(SimConfig(kind="fracnoise", n=3000, d=0.3), rng)
     ps = run_smc(x, PRIOR, SmcConfig(N=1000, M=10, seed=0))
-    corr = correction_weights(ps.thetas, x, PRIOR, seed=0)
+    corr = correction_weights(ps.thetas, x, PRIOR)
     ess = corr.ess_fraction * corr.indices.size
     elapsed = time.time() - t0
     _check(

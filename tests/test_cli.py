@@ -11,6 +11,8 @@ import fexpsmc
 from fexpsmc.cli import _read_particles, _write_particles, main
 from fexpsmc.config import (ConfigError, RunConfig, dump_document,
                             format_value, parse_config)
+from fexpsmc.correction import N_GUARD, CorrectionConfig
+from fexpsmc.mcmc import McmcConfig
 from fexpsmc.model import PriorConfig, ThetaParams
 from fexpsmc.simulate import SimConfig, simulate_series, write_series
 from fexpsmc.smc import SmcConfig
@@ -122,6 +124,10 @@ def test_runconfig_names_the_dotted_key_the_section_refuses():
         RunConfig({"prior.b": 0.0})
     with pytest.raises(ConfigError, match=r"invalid value: model\.kind must be"):
         RunConfig({"model.kind": "walk"})
+    with pytest.raises(ConfigError, match=r"invalid value: mcmc\.tau must be positive"):
+        RunConfig({"mcmc.tau": 0.0})
+    with pytest.raises(ConfigError, match=r"invalid value: correction\.threads must be >= 1"):
+        RunConfig({"correction.threads": 0})
 
 
 def test_runconfig_key_set():
@@ -141,7 +147,8 @@ def test_runconfig_key_set():
 
 def test_runconfig_sections_are_the_dataclass_defaults():
     cfg = RunConfig({})
-    for name, want in (("prior", PriorConfig()), ("smc", SmcConfig()), ("model", SimConfig())):
+    for name, want in (("prior", PriorConfig()), ("smc", SmcConfig()), ("model", SimConfig()),
+                       ("mcmc", McmcConfig()), ("correction", CorrectionConfig())):
         got = cfg.section(name)
         assert type(got) is type(want)
         for f in dataclasses.fields(want):
@@ -434,7 +441,7 @@ def test_exit_2_exact_guard_is_checked_before_the_sampler(tmp_path, monkeypatch,
 
     monkeypatch.setattr(cli, "run_smc", fail)
     data = tmp_path / "series.csv"
-    data.write_text("1.0\n" * (cli.N_GUARD + 1))
+    data.write_text("1.0\n" * (N_GUARD + 1))
     cfg = tmp_path / "fit.cfg"
     cfg.write_text(f"data.path = {data}\nsmc.N = 4\nsmc.M = 0\n")
     assert main(["fit", "--config", str(cfg), "--output", str(tmp_path)]) == 2
@@ -482,6 +489,18 @@ def test_exit_4_too_few_finite_logliks_for_the_tempering_solve(wide_prior_series
     cfg.write_text(wide_prior_series + "smc.N = 20\nsmc.M = 0\n")
     assert main(["fit", "--config", str(cfg), "--seed", "0", "--output", str(tmp_path)]) == 4
     assert "of 20 particles have a finite log likelihood" in capsys.readouterr().err
+
+
+def test_exit_4_no_finite_loglik_at_all(tmp_path, capsys):
+    # at this seed every one of the 4 initial draws scores -inf
+    sim = tmp_path / "sim.cfg"
+    sim.write_text("model.kind = arfima\nmodel.n = 1000\nmodel.d = 0.25\nmodel.theta_ma = 0.4\n")
+    assert main(["simulate", "--config", str(sim), "--seed", "3", "--output", str(tmp_path)]) == 0
+    cfg = tmp_path / "fit.cfg"
+    cfg.write_text(f"data.path = {tmp_path / 'series.csv'}\nsmc.N = 4\nsmc.M = 1\n"
+                   "prior.xi_var0 = 1e12\ncorrection.enabled = false\n")
+    assert main(["fit", "--config", str(cfg), "--seed", "0", "--output", str(tmp_path)]) == 4
+    assert "only 0 of 4 particles have a finite log likelihood" in capsys.readouterr().err
 
 
 def test_exit_4_mcmc_baseline_from_a_zero_density_start(wide_prior_series, tmp_path, capsys):

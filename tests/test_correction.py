@@ -7,7 +7,8 @@ import pytest
 
 from fexpsmc import correction
 from fexpsmc.config import NumericalError
-from fexpsmc.correction import corrected_estimate, correction_weights
+from fexpsmc.config import RunConfig
+from fexpsmc.correction import CorrectionConfig, correction_weights
 from fexpsmc import exact as exact_module
 from fexpsmc.approx import approx_log_lik, prepare_dataset
 from fexpsmc.exact import NotPositiveDefiniteError, exact_log_marglik
@@ -104,16 +105,16 @@ def test_subsample_is_seeded_and_without_replacement(monkeypatch):
     thetas = _population(60, seed=4)
     _fake(monkeypatch, lambda ths: _valid([-th.t**2 for th in ths]), _zeros)
     prior = PriorConfig()
-    a = correction_weights(thetas, X, prior, subsample=20, seed=9)
-    b = correction_weights(thetas, X, prior, subsample=20, seed=9)
-    c = correction_weights(thetas, X, prior, subsample=20, seed=10)
+    a = correction_weights(thetas, X, prior, CorrectionConfig(subsample=20, seed=9))
+    b = correction_weights(thetas, X, prior, CorrectionConfig(subsample=20, seed=9))
+    c = correction_weights(thetas, X, prior, CorrectionConfig(subsample=20, seed=10))
     assert np.array_equal(a.indices, b.indices)
     assert not np.array_equal(a.indices, c.indices)
     assert a.indices.size == 20
     assert np.unique(a.indices).size == 20
     assert abs(a.weights.sum() - 1.0) < 1e-12
     with pytest.raises(ValueError, match="subsample"):
-        correction_weights(thetas, X, prior, subsample=0)
+        CorrectionConfig(subsample=0)
 
 
 def test_failed_evaluations_zero_the_weight(monkeypatch):
@@ -148,7 +149,7 @@ def test_threaded_evaluation_matches_serial(monkeypatch):
     _fake(monkeypatch, lambda ths: _valid([-1.3 * th.t**2 + 0.2 * th.k for th in ths]),
           lambda ths: np.array([-th.t**2 for th in ths]))
     serial = correction_weights(thetas, X, PriorConfig())
-    threaded = correction_weights(thetas, X, PriorConfig(), threads=4)
+    threaded = correction_weights(thetas, X, PriorConfig(), CorrectionConfig(threads=4))
     assert np.array_equal(serial.log_w_raw, threaded.log_w_raw)
     assert np.array_equal(serial.weights, threaded.weights)
 
@@ -160,13 +161,32 @@ def test_large_series_guard():
         correction_weights(thetas, x, PriorConfig())
 
 
+def test_large_series_guard_can_be_forced(monkeypatch):
+    thetas = _population(3, seed=8)
+    _fake(monkeypatch, lambda ths: _valid(_zeros(ths)), _zeros)
+    res = correction_weights(thetas, np.zeros(20_001), PriorConfig(),
+                             CorrectionConfig(force_large_n=True))
+    assert abs(res.weights.sum() - 1.0) < 1e-12
+
+
+def test_default_cfg_is_the_run_config_section(monkeypatch):
+    thetas = _population(30, seed=10)
+    _fake(monkeypatch, lambda ths: _valid([-th.t**2 + 0.1 * th.k for th in ths]), _zeros)
+    a = correction_weights(thetas, X, PriorConfig())
+    b = correction_weights(thetas, X, PriorConfig(), RunConfig({}).section("correction"))
+    assert np.array_equal(a.indices, b.indices)
+    assert np.array_equal(a.log_w_raw, b.log_w_raw)
+    assert np.array_equal(a.weights, b.weights)
+
+
 def test_corrected_estimate_basics(monkeypatch):
     thetas = _population(15, seed=9)
     _fake(monkeypatch, lambda ths: _valid(_zeros(ths)), _zeros)
     res = correction_weights(thetas, X, PriorConfig())
-    one = corrected_estimate(thetas, res, lambda th: 1.0)
+    sub = [thetas[i] for i in res.indices]
+    one = float(res.weights @ np.ones(len(sub)))
     assert abs(one - 1.0) < 1e-12
-    mean_d = corrected_estimate(thetas, res, lambda th: th.d)
+    mean_d = float(res.weights @ np.array([th.d for th in sub]))
     assert abs(mean_d - np.mean([th.d for th in thetas])) < 1e-12
 
 
@@ -186,7 +206,7 @@ def test_correction_weights_concentrated_on_real_data():
     assert res.n_failed == 0
     # the weighted mean of d moves only slightly
     mean_before = np.mean([th.d for th in ps.thetas])
-    mean_after = corrected_estimate(ps.thetas, res, lambda th: th.d)
+    mean_after = float(res.weights @ np.array([ps.thetas[i].d for i in res.indices]))
     assert abs(mean_after - mean_before) < 0.1
 
 
@@ -218,7 +238,7 @@ def test_threaded_default_evaluators_are_bitwise_serial(threads, monkeypatch):
     base = _population(10, seed=25)
     thetas = base + [base[3].copy(), base[7].copy()]
     serial = correction_weights(thetas, x, prior)
-    threaded = correction_weights(thetas, x, prior, threads=threads)
+    threaded = correction_weights(thetas, x, prior, CorrectionConfig(threads=threads))
     assert serial.n_unique == threaded.n_unique == 10
     assert np.array_equal(serial.log_w_raw, threaded.log_w_raw)
     assert np.array_equal(serial.weights, threaded.weights)

@@ -7,7 +7,7 @@ import pytest
 from scipy.stats import kstest
 
 from fexpsmc.config import NumericalError
-from fexpsmc.mcmc import (InvalidStateError, KernelConfig, MoveStats,
+from fexpsmc.mcmc import (InvalidStateError, KernelConfig, McmcConfig, MoveStats,
                           RW_SCALE2, birth_death_steps, calibrate_scales,
                           rw_metropolis_steps, run_mcmc)
 from fexpsmc.model import PriorConfig, ThetaParams, log_prior, sample_prior
@@ -177,6 +177,20 @@ def test_birth_blocked_at_k_max():
         assert out[0].k <= 2
 
 
+def test_no_birth_death_move_at_k_max_zero():
+    # a single order: the half-step proposes, draws and counts nothing
+    prior = PriorConfig(k_max=0)
+    rng = np.random.default_rng(8)
+    before = rng.bit_generator.state
+    ths, lps, lls = _state(prior, ThetaParams(k=0, t=0.3, xi=np.empty(0)))
+    stats = MoveStats()
+    out, _, _, acc = birth_death_steps(ths, lps, lls, FLATS, prior, KernelConfig(gamma=1.0),
+                                       [rng], stats)
+    assert out[0] is ths[0] and not acc[0]
+    assert rng.bit_generator.state == before
+    assert stats == MoveStats() and math.isnan(stats.bd_rate())
+
+
 def test_extreme_likelihood_ratios_do_not_overflow():
     prior = PriorConfig()
     cfg = KernelConfig(gamma=1.0)
@@ -246,7 +260,7 @@ def test_chain_occupancy_matches_k_only_posterior():
     prior = PriorConfig(k_max=30)
     c = -0.4
     loglik = lambda th: c * th.k
-    res = run_mcmc(loglik, prior, steps=60_000, gamma=1.0, thin=10, seed=11,
+    res = run_mcmc(loglik, prior, McmcConfig(steps=60_000, gamma=1.0, thin=10), seed=11,
                    scales={k: np.eye(k + 1) for k in range(31)})
     ks = res["k"]
     logmass = np.array([k * math.log(0.8) + c * k for k in range(31)])
@@ -299,7 +313,7 @@ def test_calibrate_scales_handles_degenerate_population():
 
 def test_run_mcmc_thinning_and_shapes():
     prior = PriorConfig()
-    res = run_mcmc(FLAT, prior, steps=10, gamma=0.0, thin=3, seed=0)
+    res = run_mcmc(FLAT, prior, McmcConfig(steps=10, gamma=0.0, thin=3), seed=0)
     assert res["k"].size == 4  # stored at steps 0, 3, 6, 9
     assert res["d"].size == 4 and res["t"].size == 4
     assert np.all((res["d"] >= 0.0) & (res["d"] <= 0.5))
@@ -307,7 +321,7 @@ def test_run_mcmc_thinning_and_shapes():
 
 def test_run_mcmc_fix_k_freezes_order():
     prior = PriorConfig()
-    res = run_mcmc(FLAT, prior, steps=300, gamma=0.0, thin=1, seed=1, fix_k=2)
+    res = run_mcmc(FLAT, prior, McmcConfig(steps=300, gamma=0.0, fix_k=2), seed=1)
     assert np.all(res["k"] == 2)
     assert res["stats"].birth_proposed == 0
     assert res["stats"].death_proposed == 0
@@ -315,6 +329,7 @@ def test_run_mcmc_fix_k_freezes_order():
 
 def test_run_mcmc_is_deterministic_in_the_seed():
     prior = PriorConfig()
-    a = run_mcmc(FLAT, prior, steps=200, gamma=0.0, thin=1, seed=42)
-    b = run_mcmc(FLAT, prior, steps=200, gamma=0.0, thin=1, seed=42)
+    cfg = McmcConfig(steps=200, gamma=0.0)
+    a = run_mcmc(FLAT, prior, cfg, seed=42)
+    b = run_mcmc(FLAT, prior, cfg, seed=42)
     assert np.array_equal(a["t"], b["t"]) and np.array_equal(a["k"], b["k"])

@@ -44,8 +44,13 @@ def test_ess_two_particle_closed_form():
 
 
 def test_ess_rejects_all_zero():
-    with pytest.raises(ValueError):
+    with pytest.raises(NumericalError, match="all weights are zero"):
         ess(np.full(4, -np.inf))
+
+
+def test_solve_next_gamma_with_no_finite_loglik_is_a_numerical_error():
+    with pytest.raises(NumericalError, match="only 0 of 4 particles"):
+        solve_next_gamma(np.full(4, -np.inf), 0.0, 0.5)
 
 
 # log weights with at least one finite entry; -inf is a zero weight
@@ -235,6 +240,14 @@ def test_smc_trace_bookkeeping():
         assert abs(e - cfg.c * cfg.N) < 1e-3
     # final population is equally weighted
     assert np.allclose(ps.log_weights, -math.log(cfg.N))
+
+
+def test_smc_reports_no_birth_death_rate_at_k_max_zero():
+    # a single model order has no birth/death move, so no rate to report
+    ps = run_smc(None, PriorConfig(k_max=0), SmcConfig(N=50, M=2, seed=1),
+                 loglik_fn=lambda th: -(th.t - 1.0) ** 2)
+    assert ps.bd_rates and all(math.isnan(r) for r in ps.bd_rates)
+    assert all(0.0 <= r <= 1.0 for r in ps.rw_rates)
 
 
 def test_smc_is_deterministic_in_the_seed():
