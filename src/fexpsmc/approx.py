@@ -25,7 +25,10 @@ Two ingredients replace the exact O(n^2) computation:
       D_n = d^2 log n + (1/4) sum_j j xi_j^2 + d sum_j j xi_j
             + log( G(1-d)^2 / G(1-2d) )
 
-  with Barnes' double-Gamma function G.
+  with Barnes' double-Gamma function G.  Its Taylor coefficients need
+  zeta(2..55), which is a literal table of scipy.special.zeta's doubles
+  (each correctly rounded), and its functional-equation shifts use
+  math.lgamma, so the module needs numpy alone.
 
 The approximate log likelihood is then
 
@@ -50,7 +53,6 @@ bit.
 import math
 
 import numpy as np
-from scipy.special import gammaln, zeta
 
 from . import _accel
 from .config import DataError
@@ -196,13 +198,36 @@ def quadform_approx_toeplitz(theta, ctx, M=None):
 # Barnes' G function
 # ---------------------------------------------------------------------------
 
+#: zeta(2) .. zeta(55) as the repr of scipy.special.zeta's doubles, each the
+#: correctly rounded value; _TAYLOR is the same bits as when it called zeta
+_ZETA = (
+    1.6449340668482264, 1.2020569031595942, 1.0823232337111381, 1.03692775514337,
+    1.0173430619844492, 1.008349277381923, 1.0040773561979444, 1.0020083928260821,
+    1.000994575127818, 1.0004941886041194, 1.000246086553308, 1.0001227133475785,
+    1.0000612481350588, 1.000030588236307, 1.0000152822594086, 1.0000076371976379,
+    1.000003817293265, 1.0000019082127165, 1.0000009539620338, 1.0000004769329869,
+    1.0000002384505027, 1.000000119219926, 1.000000059608189, 1.0000000298035034,
+    1.0000000149015549, 1.0000000074507118, 1.000000003725334, 1.0000000018626598,
+    1.0000000009313275, 1.0000000004656628, 1.000000000232831, 1.0000000001164155,
+    1.0000000000582077, 1.0000000000291038, 1.000000000014552, 1.000000000007276,
+    1.000000000003638, 1.000000000001819, 1.0000000000009095, 1.0000000000004547,
+    1.0000000000002274, 1.0000000000001137, 1.0000000000000568, 1.0000000000000284,
+    1.0000000000000142, 1.000000000000007, 1.0000000000000036, 1.0000000000000018,
+    1.0000000000000009, 1.0000000000000004, 1.0000000000000002, 1.0000000000000002,
+    1.0, 1.0,
+)
 #: Taylor coefficients of log G(1 + w) for w^1 .. w^56; at |w| <= 1/2 the
 #: first omitted term is about 1e-19
 _K = np.arange(3, 57)
 _TAYLOR = np.concatenate((
     [0.5 * (math.log(2.0 * math.pi) - 1.0), -0.5 * (1.0 + np.euler_gamma)],
-    np.where(_K % 2, 1.0, -1.0) * zeta(_K - 1.0) / _K,
+    np.where(_K % 2, 1.0, -1.0) * np.array(_ZETA) / _K,
 ))
+
+
+def _lgamma(z):
+    """log|Gamma| of each element of a 1-D array, by math.lgamma."""
+    return np.fromiter(map(math.lgamma, z.tolist()), float, z.size)
 
 
 def log_barnes_g(x):
@@ -226,12 +251,12 @@ def log_barnes_g(x):
     z = arr.reshape(-1).copy()
     acc = np.zeros_like(z)
     low = z < 0.5
-    acc[low] -= gammaln(z[low])
+    acc[low] -= _lgamma(z[low])
     z[low] += 1.0
     high = z > 1.5
     while high.any():
         z[high] -= 1.0
-        acc[high] += gammaln(z[high])
+        acc[high] += _lgamma(z[high])
         high = z > 1.5
     powers = np.cumprod(np.repeat((z - 1.0)[:, None], _TAYLOR.size, axis=1), axis=1)
     out = acc + np.einsum("ij,j->i", powers, _TAYLOR)

@@ -25,8 +25,9 @@ where the second term extends continuously by 0 at lam = 0 whenever g is
 smooth (it vanishes like lam^{2-2d}).
 """
 
+import math
+
 import numpy as np
-from scipy.special import gammaln
 
 __all__ = [
     "fourier_coeffs_bounded",
@@ -120,7 +121,7 @@ def fracdiff_acf(d, lags):
         raise ValueError("lags must be nonnegative")
     lmax = int(lag_arr.max()) if lag_arr.size else 0
     seq = np.empty(lmax + 1)
-    seq[0] = np.exp(gammaln(1.0 - 2.0 * d) - 2.0 * gammaln(1.0 - d))
+    seq[0] = np.exp(math.lgamma(1.0 - 2.0 * d) - 2.0 * math.lgamma(1.0 - d))
     for l in range(lmax):
         seq[l + 1] = seq[l] * (l + d) / (l + 1.0 - d)
     out = seq[lag_arr]

@@ -188,8 +188,12 @@ def sample_prior(prior, rng, fix_k=None):
     """Draw theta from the prior (k optionally frozen at ``fix_k``)."""
     if fix_k is None:
         k = int(rng.geometric(prior.geom_p) - 1)  # numpy geometric lives on {1, 2, ...}
-        while k > prior.k_max:  # redraw: the geometric truncated to 0..k_max
-            k = int(rng.geometric(prior.geom_p) - 1)
+        if k > prior.k_max:
+            # one inverse-CDF draw of the geometric truncated to 0..k_max; mixed
+            # with the first draw's accepted part it is exactly the truncated law
+            log_q = math.log1p(-prior.geom_p)
+            mass = -math.expm1((prior.k_max + 1) * log_q)
+            k = min(math.floor(math.log1p(-rng.random() * mass) / log_q), prior.k_max)
     else:
         k = int(fix_k)
         if not 0 <= k <= prior.k_max:

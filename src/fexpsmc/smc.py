@@ -7,8 +7,9 @@ The sampler moves N particles through the tempered path
 
 choosing each increment adaptively so that the effective sample size of
 the incremental weights w_t = p~^{gamma_t - gamma_{t-1}} equals c * N
-(Brent root solve; the increment is capped once the endpoint keeps the
-ESS above the target).  A -inf log likelihood is a zero weight; NaN or
+(a root solve by Brent's method, ported from scipy's ``brentq.c`` so the
+package needs numpy alone; the increment is capped once the endpoint keeps
+the ESS above the target).  A -inf log likelihood is a zero weight; NaN or
 +inf raises :class:`~fexpsmc.config.NumericalError`, and so does a
 population with no more than c * N finite log likelihoods, whose ESS
 cannot reach the target at any increment.  Every iteration then
@@ -35,7 +36,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .approx import approx_log_liks, prepare_dataset
 from .config import NumericalError
@@ -54,6 +54,9 @@ __all__ = [
 
 #: absolute tolerance of the Brent solve for each tempering increment
 BRENT_TOL = 1e-10
+#: relative tolerance and iteration cap of the Brent solve (scipy's defaults)
+BRENT_RTOL = 4.0 * np.finfo(float).eps
+BRENT_MAXITER = 100
 #: tempering iterations after which the schedule is declared stuck
 MAX_ITERS = 10_000
 
@@ -113,11 +116,66 @@ def ess(log_weights):
     return float(s * s / (w @ w))
 
 
+def _brentq(f, xa, xb, xtol):
+    """Root of f in [xa, xb], where f(xa) and f(xb) differ in sign.
+
+    Brent's method (Brent 1973, *Algorithms for Minimization without
+    Derivatives*, ch. 4) as scipy's ``brentq.c`` writes it, operation for
+    operation, so it returns the same bits as ``scipy.optimize.brentq(f, xa,
+    xb, xtol=xtol)``: inverse quadratic interpolation or the secant step
+    when it stays well inside the bracket, bisection otherwise, stopping
+    once the bracket is within xtol + BRENT_RTOL * |x|.  No convergence in
+    BRENT_MAXITER steps raises :class:`~fexpsmc.config.NumericalError`.
+    """
+    xpre, xcur = xa, xb
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = f(xpre), f(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    for _ in range(BRENT_MAXITER):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+
+        delta = (xtol + BRENT_RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):  # good short step
+                spre, scur = scur, stry
+            else:  # bisect
+                spre = scur = sbis
+        else:  # bisect
+            spre = scur = sbis
+
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = f(xcur)
+    raise NumericalError(f"Brent solve did not converge in {BRENT_MAXITER} iterations")
+
+
 def solve_next_gamma(loglik, gamma, c):
     """Next inverse temperature on the adaptive schedule.
 
     Finds alpha in (0, 1 - gamma] with ESS(alpha * loglik) = c * N, N =
-    loglik.size, by Brent's method (to BRENT_TOL) and returns gamma + alpha; if
+    loglik.size, by Brent's method (to BRENT_TOL; a port of scipy's
+    ``brentq`` that gives the same bits) and returns gamma + alpha; if
     even the full remaining step keeps the ESS at or above the target the
     schedule finishes at 1.  A -inf loglik is a zero weight at every alpha.
     NaN or +inf raises :class:`~fexpsmc.config.NumericalError`, as do L <= c * N
@@ -140,7 +198,7 @@ def solve_next_gamma(loglik, gamma, c):
     if live.sum() <= target:
         raise NumericalError(f"only {live.sum()} of {N} particles have a finite log likelihood, "
                              f"not above the ESS target c * N = {target:g}")
-    alpha = brentq(gap, 0.0, remaining, xtol=BRENT_TOL)
+    alpha = _brentq(gap, 0.0, remaining, BRENT_TOL)
     return gamma + alpha
 
 

@@ -5,6 +5,8 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
+from scipy.special import zeta
 
 from dense_reference import build_toeplitz
 from fexpsmc import approx
@@ -256,6 +258,22 @@ def test_barnes_g_matches_mpmath():
 def test_barnes_g_rejects_nonpositive():
     with pytest.raises(ValueError):
         log_barnes_g(0.0)
+
+
+def test_zeta_table_is_scipys_zeta():
+    # the Taylor coefficients of log G were computed from these doubles
+    assert approx._ZETA == tuple(zeta(np.arange(2.0, 56.0)))
+
+
+@given(st.floats(0.0, 0.5, exclude_min=True))
+@example(5e-324)
+@example(0.5)
+def test_lgamma_below_one_half_matches_mpmath(x):
+    # log_barnes_g shifts an argument below 1/2 up by one with math.lgamma
+    with mpmath.workdps(40):
+        want = float(mpmath.loggamma(x))
+    eps = np.finfo(float).eps
+    assert abs(math.lgamma(x) - want) <= 8.0 * eps * max(1.0, abs(want))
 
 
 @pytest.mark.parametrize("grid", [np.linspace(0.0, 0.5, 26)[1:-1],

@@ -1,0 +1,42 @@
+"""The package needs numpy alone at run time; scipy is a test oracle only."""
+
+import ast
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import fexpsmc
+
+PACKAGE_DIR = Path(fexpsmc.__file__).parent
+ALLOWED = set(sys.stdlib_module_names) | {"numpy", "fexpsmc"}
+
+
+def test_importing_the_package_and_cli_loads_no_scipy():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(PACKAGE_DIR.parent)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    code = ("import sys, fexpsmc, fexpsmc.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
+
+
+def _imported_top_names(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield node.lineno, alias.name.split(".")[0]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.lineno, node.module.split(".")[0]
+
+
+def test_package_imports_only_stdlib_numpy_and_itself():
+    # every import statement counts, a function-level one included, so a
+    # lazy import of a third-party module cannot slip back in
+    bad = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        bad += [f"{path.name}:{line} imports {name}"
+                for line, name in _imported_top_names(tree) if name not in ALLOWED]
+    assert not bad, "\n".join(bad)

@@ -1,10 +1,12 @@
 """Model densities, parameter containers and the hierarchical prior."""
 
+import collections
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from scipy import stats
 from scipy.integrate import quad
 
 from fexpsmc.model import (PriorConfig, ThetaParams, arfima_sdf, eval_fbar,
@@ -243,6 +245,62 @@ def test_sample_prior_draws_the_truncated_geometric():
         p = prior.geom_p * q ** k / (1.0 - q ** 3)
         se = math.sqrt(p * (1.0 - p) / n)
         assert abs(np.mean(ks == k) - p) < 4.0 * se, f"k={k}"
+
+
+class _CountingRng:
+    """A Generator that counts calls per method."""
+
+    def __init__(self, seed):
+        self._rng = np.random.default_rng(seed)
+        self.calls = collections.Counter()
+
+    def __getattr__(self, name):
+        method = getattr(self._rng, name)
+
+        def counted(*args, **kwargs):
+            self.calls[name] += 1
+            return method(*args, **kwargs)
+        return counted
+
+
+@pytest.mark.parametrize("geom_p, k_max", [(1e-7, 0), (0.01, 3), (0.5, 5), (0.2, 50)])
+def test_sample_prior_makes_a_bounded_number_of_draws(geom_p, k_max):
+    # a redraw loop would need about 1e7 geometric draws per theta at
+    # geom_p = 1e-7, k_max = 0
+    prior = PriorConfig(geom_p=geom_p, k_max=k_max)
+    for seed in range(200):
+        rng = _CountingRng(seed)
+        th = sample_prior(prior, rng)
+        assert th.k <= k_max
+        assert rng.calls["geometric"] == 1
+        assert rng.calls["random"] <= 2  # d, and at most one tail redraw
+        assert rng.calls["standard_normal"] == th.k
+
+
+def test_sample_prior_tail_draw_has_the_truncated_law():
+    # at geom_p = 0.01, k_max = 3 the first draw exceeds k_max with
+    # probability 0.99^4 = 0.96, so this is mostly the inverse-CDF branch
+    prior = PriorConfig(geom_p=0.01, k_max=3)
+    rng = np.random.default_rng(17)
+    n = 20_000
+    counts = np.bincount([sample_prior(prior, rng).k for _ in range(n)], minlength=4)
+    q = 1.0 - prior.geom_p
+    p = prior.geom_p * q ** np.arange(4) / (1.0 - q ** 4)
+    assert stats.chisquare(counts, n * p).pvalue > 1e-3
+
+
+def test_sample_prior_keeps_the_redraw_loops_streams_where_it_never_redrew():
+    # at the default prior the first geometric draw exceeds k_max = 50 with
+    # probability 0.8^51, about 1e-5; the former sampler redrew the geometric
+    # until k <= k_max and otherwise drew exactly as fix_k does
+    prior = PriorConfig()
+    for seed in range(3000):
+        old_rng = np.random.default_rng(seed)
+        k = int(old_rng.geometric(prior.geom_p) - 1)
+        while k > prior.k_max:
+            k = int(old_rng.geometric(prior.geom_p) - 1)
+        old = sample_prior(prior, old_rng, fix_k=k)
+        assert sample_prior(prior, np.random.default_rng(seed)).key() == old.key()
 
 
 def test_sampled_draws_have_finite_positive_prior_density():

@@ -4,15 +4,17 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.integrate import quad
+from scipy.optimize import brentq
 
 from fexpsmc.approx import approx_log_lik, prepare_dataset
 from fexpsmc.config import NumericalError
 from fexpsmc.model import PriorConfig, sample_prior
 from fexpsmc.simulate import SimConfig, simulate_series
-from fexpsmc.smc import (ParticleSystem, SmcConfig, ess, multinomial_resample,
+from fexpsmc import smc
+from fexpsmc.smc import (BRENT_TOL, ParticleSystem, SmcConfig, ess, multinomial_resample,
                          run_smc, solve_next_gamma)
 
 
@@ -140,6 +142,30 @@ def test_schedule_validates_gamma():
         solve_next_gamma(np.zeros(10), 1.0, 0.5)
     with pytest.raises(ValueError):
         solve_next_gamma(np.zeros(10), -0.1, 0.5)
+
+
+@settings(max_examples=300)  # about a quarter of the draws have a root to solve for
+@given(arrays(float, st.integers(2, 80),
+              elements=st.one_of(st.floats(-1e4, 1e4), st.just(-math.inf))),
+       st.floats(0.05, 0.95), st.one_of(st.just(0.0), st.floats(0.0, 0.99)))
+def test_brent_port_is_scipy_brentq_bit_for_bit(ll, c, gamma):
+    live = ~np.isneginf(ll)
+    target = c * ll.size
+
+    def gap(alpha):
+        return ess(np.multiply(alpha, ll, where=live, out=np.full_like(ll, -math.inf))) - target
+
+    if live.sum() <= target or gap(1.0 - gamma) >= 0.0:
+        return  # no root to solve for: the schedule raises or finishes at 1
+    want = gamma + brentq(gap, 0.0, 1.0 - gamma, xtol=BRENT_TOL)
+    assert solve_next_gamma(ll, gamma, c) == want
+
+
+def test_brent_solve_without_convergence_is_a_numerical_error(monkeypatch):
+    monkeypatch.setattr(smc, "BRENT_MAXITER", 1)
+    ll = 4.0 * np.random.default_rng(2).standard_normal(400)
+    with pytest.raises(NumericalError, match="did not converge"):
+        solve_next_gamma(ll, 0.0, 0.5)
 
 
 # ---------------------------------------------------------------------------
