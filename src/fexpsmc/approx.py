@@ -3,15 +3,11 @@
 Two ingredients replace the exact O(n^2) computation:
 
 * the inverse covariance T(fbar)^{-1} is approximated by the Toeplitz
-  matrix T(h) of h = 1/(4 pi^2 fbar) -- a bounded function vanishing like
-  lam^{2d} at 0 -- so the quadratic form becomes either
+  matrix T(h) of h = 1/(4 pi^2 fbar), and the quadratic form x~' T(h) x~
+  by its Riemann sum over the Fourier frequencies lam_j = 2 pi j / n (the
+  Whittle form),
 
-      sum_{j=0}^{n-1} c_j gamma_h(j)                     ("toeplitz" mode)
-
-  with c_0 = sum x~_i^2, c_j = 2 sum_{i=1}^{n-j} x~_i x~_{i+j}, or its
-  Riemann-sum twin over the Fourier frequencies lam_j = 2 pi j / n,
-
-      (1/(2 pi n)) sum_{j=1}^{n-1} I(lam_j) / fbar(lam_j*)   ("whittle" mode)
+      Q = (1/(2 pi n)) sum_{j=1}^{n-1} I(lam_j) / fbar(lam_j*),
 
   where I is the raw periodogram |sum_t x~_t e^{i t lam_j}|^2 of the
   centred data and lam_j* = min(lam_j, 2 pi - lam_j) folds the grid away
@@ -38,12 +34,12 @@ exact up to a single theta-free additive constant, mirroring
 :func:`fexpsmc.exact.exact_log_marglik`.
 
 :func:`approx_log_liks` scores a whole population at once, which is how the
-SMC sampler and the correction call it: per block of BLOCK_ROWS thetas the
-Whittle form is one exp over a (rows, floor(n/2)) exponent matrix and one
-product with the folded periodogram, and D_n is one vectorised Barnes-G
-call for 1 - d and 1 - 2d together, with d computed once for both.  A
-block costs O(rows * n * (1 + k_max)) flops for the exponents, where k_max
-is the largest order in the block, and blocking bounds the temporaries to
+SMC sampler and the correction call it: per block of BLOCK_ROWS thetas Q is
+one exp over a (rows, floor(n/2)) exponent matrix and one product with the
+folded periodogram, and D_n is one vectorised Barnes-G call for 1 - d and
+1 - 2d together, with d computed once for both.  A block costs
+O(rows * n * (1 + k_max)) flops for the exponents, where k_max is the
+largest order in the block, and blocking bounds the temporaries to
 BLOCK_ROWS x floor(n/2) doubles however many thetas are passed.  Every sum
 runs within its own row, so a theta's value does not depend on the rest of
 its batch; :func:`approx_log_lik` is the batch of one and agrees bit for
@@ -54,14 +50,11 @@ import math
 
 import numpy as np
 
-from . import _accel
 from .config import DataError
-from .fourier import default_grid_size, fourier_coeffs_bounded
 
 __all__ = [
     "DatasetContext",
     "prepare_dataset",
-    "quadform_approx_toeplitz",
     "quadform_whittle",
     "log_barnes_g",
     "log_det_approx",
@@ -84,8 +77,6 @@ class DatasetContext:
     xtilde : ndarray
         Mean-centred series.
     n : int
-    c : ndarray, shape (n,)
-        Lag-weight sums c_0 = sum x~^2, c_j = 2 sum_i x~_i x~_{i+j}.
     lam_star : ndarray, shape (floor(n/2),)
         The folded grid: Fourier frequencies lam_j = 2 pi j/n, j = 1..floor(n/2),
         each standing for itself and for its mirror 2 pi - lam_j.
@@ -108,20 +99,13 @@ class DatasetContext:
         self.n = n
         self.xtilde = x - x.mean()
 
-        # lag-weight sums via one zero-padded FFT autocorrelation
-        nfft = default_grid_size(n)
-        # a series large enough to overflow |X_j|^2 is refused below
+        # real data: |X_{n-j}| = |X_j|, so the half grid carries twice I_j
+        # except at the Nyquist frequency of an even n; a series large enough
+        # to overflow |X_j|^2 is refused below
         with np.errstate(over="ignore", invalid="ignore"):
-            F = np.fft.rfft(self.xtilde, nfft)
-            ac = np.fft.irfft(np.abs(F) ** 2, nfft)[:n]
-            self.c = 2.0 * ac
-            self.c[0] = ac[0]
-
-            # real data: |X_{n-j}| = |X_j|, so the half grid carries twice I_j
-            # except at the Nyquist frequency of an even n
             self.pgram = np.abs(np.fft.rfft(self.xtilde)[1:]) ** 2
             self.pgram[:(n - 1) // 2] *= 2.0
-        if not (np.all(np.isfinite(self.c)) and np.all(np.isfinite(self.pgram))):
+        if not np.all(np.isfinite(self.pgram)):
             raise DataError("series too large in magnitude: its periodogram overflows")
         self.lam_star = 2.0 * np.pi * np.arange(1, n // 2 + 1) / n
         self.logweight = np.log(2.0 - 2.0 * np.cos(self.lam_star))
@@ -164,34 +148,6 @@ def _whittle_quadforms(thetas, d, ctx):
 def quadform_whittle(theta, ctx):
     """Riemann-sum approximation of x~' T(fbar)^{-1} x~ over Fourier frequencies."""
     return float(_whittle_quadforms([theta], np.array([theta.d]), ctx)[0])
-
-
-def quadform_approx_toeplitz(theta, ctx, M=None):
-    """Toeplitz-form approximation sum_j c_j gamma_h(j), h = 1/(4 pi^2 fbar).
-
-    h is bounded (h(0) = 0 for d > 0) so its coefficients come from the
-    bounded-path FFT rule; cost O(M log M) per theta.  Returns inf when
-    exp(-sum_j xi_j cos(j lam)) overflows on the grid, as the Whittle form
-    does.
-    """
-    d = theta.d
-    xi = np.asarray(theta.xi, dtype=float)
-
-    def h(lam):
-        lam = np.asarray(lam, dtype=float)
-        with np.errstate(over="raise"):
-            vals = (2.0 - 2.0 * np.cos(lam)) ** d * np.exp(
-                -_accel.cosine_series(xi, lam)
-            ) / (2.0 * np.pi)
-        if d > 0.0:
-            vals = np.where(np.abs(lam) < 1e-300, 0.0, vals)
-        return vals
-
-    try:
-        gamma_h = fourier_coeffs_bounded(h, ctx.n, M=M)
-    except FloatingPointError:
-        return math.inf
-    return float(ctx.c @ gamma_h)
 
 
 # ---------------------------------------------------------------------------
@@ -301,27 +257,21 @@ def log_det_approx(theta, n):
     return float(_log_det_approxs([theta], np.array([theta.d]), n)[0])
 
 
-def approx_log_liks(thetas, ctx, prior, mode="whittle"):
+def approx_log_liks(thetas, ctx, prior):
     """Approximate log marginal likelihoods of a population, as an array.
 
-    -D_n/2 - (a + n/2) log(b + Q/2) with Q from the selected quadratic-form
-    mode ("whittle", the O(n) default, or "toeplitz"); a non-finite Q gives
-    -inf.  The thetas are taken in blocks of BLOCK_ROWS.  In whittle mode a
-    block costs one exp over its (rows, floor(n/2)) exponents and one
-    product with the folded periodogram; toeplitz mode computes Q theta by
-    theta.  A theta gets the same value in any batch, alone included.
+    -D_n/2 - (a + n/2) log(b + Q/2) with Q the Whittle form; a non-finite Q
+    gives -inf.  The thetas are taken in blocks of BLOCK_ROWS, and a block
+    costs one exp over its (rows, floor(n/2)) exponents and one product
+    with the folded periodogram.  A theta gets the same value in any batch,
+    alone included.
     """
-    if mode not in ("whittle", "toeplitz"):
-        raise ValueError(f"unknown mode {mode!r}")
     thetas = list(thetas)
     out = np.empty(len(thetas))
     for lo in range(0, len(thetas), BLOCK_ROWS):
         block = thetas[lo:lo + BLOCK_ROWS]
         d = np.array([th.d for th in block])
-        if mode == "whittle":
-            q = _whittle_quadforms(block, d, ctx)
-        else:
-            q = np.array([quadform_approx_toeplitz(th, ctx) for th in block])
+        q = _whittle_quadforms(block, d, ctx)
         ok = np.isfinite(q)
         ll = -0.5 * _log_det_approxs(block, d, ctx.n) - (prior.a + 0.5 * ctx.n) * np.log(
             prior.b + 0.5 * np.where(ok, q, 0.0))
@@ -329,7 +279,7 @@ def approx_log_liks(thetas, ctx, prior, mode="whittle"):
     return out
 
 
-def approx_log_lik(theta, ctx, prior, mode="whittle"):
+def approx_log_lik(theta, ctx, prior):
     """Approximate log marginal likelihood (up to one theta-free constant);
     the batch of one of :func:`approx_log_liks`."""
-    return float(approx_log_liks([theta], ctx, prior, mode=mode)[0])
+    return float(approx_log_liks([theta], ctx, prior)[0])

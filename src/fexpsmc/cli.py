@@ -97,7 +97,12 @@ def _write_particles(path, thetas, weights, log_w_corr=None):
 
 
 def _read_particles(path):
-    """Load a particles.csv back into (thetas, weights)."""
+    """Load a particles.csv back into (thetas, weights).
+
+    A row that does not make a particle (a missing or unparsable field, k
+    not matching the xi fields, a non-finite t or xi) or whose weight is
+    not a finite nonnegative number is a DataError naming the file and line.
+    """
     thetas, weights = [], []
     try:
         with open(path, newline="") as fh:
@@ -108,12 +113,15 @@ def _read_particles(path):
             for lineno, row in enumerate(reader, start=2):
                 try:
                     k = int(row[1])
-                    t = float(row[3])
                     w = float(row[4])
                     xi = np.array([float(v) for v in row[6:6 + k]], dtype=float)
-                except (IndexError, ValueError):
-                    raise DataError(f"{path}: line {lineno}: malformed particle row") from None
-                thetas.append(ThetaParams(k=k, t=t, xi=xi))
+                    if not np.all(np.isfinite(xi)):
+                        raise ValueError("xi must be finite")
+                    if not (np.isfinite(w) and w >= 0.0):
+                        raise ValueError(f"weight {w!r} is not a finite nonnegative number")
+                    thetas.append(ThetaParams(k=k, t=float(row[3]), xi=xi))
+                except (IndexError, ValueError) as err:
+                    raise DataError(f"{path}: line {lineno}: malformed particle row ({err})") from None
                 weights.append(w)
     except OSError as err:
         raise DataError(f"cannot read particles {path}: {err}") from None
@@ -194,7 +202,7 @@ def _cmd_fit(args):
     corr = None
     log_w_corr = None
     if corr_cfg.enabled:
-        corr = correction_weights(ps.thetas, x, prior, corr_cfg, mode=smc_cfg.mode)
+        corr = correction_weights(ps.thetas, x, prior, corr_cfg)
         weights = np.zeros(len(ps.thetas))
         weights[corr.indices] = corr.weights
         log_w_corr = np.full(len(ps.thetas), -np.inf)
@@ -206,7 +214,6 @@ def _cmd_fit(args):
     diag = {
         "run.command": "fit",
         "run.seed": smc_cfg.seed,
-        "run.mode": smc_cfg.mode,
         "run.n_observations": int(x.size),
         "smc.N": smc_cfg.N,
         "smc.M": smc_cfg.M,
@@ -252,7 +259,7 @@ def _cmd_mcmc_baseline(args):
     if mcmc_cfg.gamma > 0.0:
         x = _read_data(cfg)
         ctx = prepare_dataset(x)
-        loglik = lambda th: approx_log_lik(th, ctx, prior, mode=cfg["smc.mode"])
+        loglik = lambda th: approx_log_lik(th, ctx, prior)
     else:
         loglik = lambda th: 0.0  # chain targets the prior alone
     res = run_mcmc(loglik, prior, mcmc_cfg, cfg["smc.seed"])

@@ -84,7 +84,7 @@ class CorrectionResult:
     n_unique: int = 0         # exact evaluations: distinct particles weighted
 
 
-def correction_weights(thetas, x, prior, cfg=None, mode="whittle"):
+def correction_weights(thetas, x, prior, cfg=None):
     """Compute self-normalised exact/approximate importance weights.
 
     Parameters
@@ -96,8 +96,6 @@ def correction_weights(thetas, x, prior, cfg=None, mode="whittle"):
     cfg : CorrectionConfig, optional
         Subsample size and seed, worker threads (the same output for any
         count) and the length guard; None means ``CorrectionConfig()``.
-    mode : str
-        Quadratic-form mode for the approximate evaluator.
 
     A covariance that is not positive definite in the exact evaluator zeroes
     that particle's weight (with a warning) instead of aborting the
@@ -123,7 +121,7 @@ def correction_weights(thetas, x, prior, cfg=None, mode="whittle"):
     for i in indices:
         unique.setdefault(thetas[i].key(), thetas[i])
     distinct = list(unique.values())
-    approx = approx_log_liks(distinct, prepare_dataset(x), prior, mode=mode)
+    approx = approx_log_liks(distinct, prepare_dataset(x), prior)
 
     if cfg.threads > 1:
         size = min(BLOCK_ROWS, -(-len(distinct) // cfg.threads))

@@ -69,7 +69,6 @@ class SmcConfig:
     M: int = 20              # kernel cycles per tempering iteration
     c: float = 0.5           # ESS target fraction for the gamma solve
     seed: int = 0
-    mode: str = "whittle"    # approximate-likelihood quadratic-form mode
 
     def __post_init__(self):
         if self.N < 2:
@@ -78,8 +77,6 @@ class SmcConfig:
             raise ValueError("M must be >= 0")
         if not 0.0 < self.c < 1.0:
             raise ValueError("c must lie in (0, 1)")
-        if self.mode not in ("whittle", "toeplitz"):
-            raise ValueError(f"mode must be whittle or toeplitz, got {self.mode!r}")
 
 
 @dataclass
@@ -95,6 +92,10 @@ class ParticleSystem:
     bd_rates: list = field(default_factory=list)
     loglik_evals: list = field(default_factory=list)      # proposals scored
     loglik_minus_inf: list = field(default_factory=list)  # of those, scored -inf
+    # log of the normalising constant of p~(x | theta) under the law of the
+    # initial draws, the prior truncated to orders 0..k_max; log_prior keeps
+    # the untruncated log p(k), but that constant cancels in every accept
+    # ratio, so the moves target the same truncated law
     log_evidence: float = 0.0
 
 
@@ -227,13 +228,19 @@ def run_smc(x, prior, cfg, loglik_fn=None):
 
     Returns a :class:`ParticleSystem`.  The final population is equally
     weighted because every iteration -- including the last one at
-    gamma = 1 -- resamples before moving.
+    gamma = 1 -- resamples before moving.  Its ``log_evidence`` estimates
+    log E[p~(x | theta)] under the law of the initial draws, which is the
+    prior truncated to orders 0..``prior.k_max``: ``log_prior`` does not
+    renormalise p(k) over that range, but the missing constant cancels in
+    every accept ratio, so this is the evidence of the truncated prior, not
+    a bias.  A schedule that has not reached gamma = 1 after MAX_ITERS
+    iterations raises :class:`~fexpsmc.config.NumericalError`.
     """
     if loglik_fn is None:
         if x is None:
             raise ValueError("either data or loglik_fn is required")
         ctx = prepare_dataset(x)
-        logliks_fn = lambda ths: approx_log_liks(ths, ctx, prior, mode=cfg.mode)
+        logliks_fn = lambda ths: approx_log_liks(ths, ctx, prior)
     else:
         logliks_fn = lambda ths: [loglik_fn(th) for th in ths]
 
@@ -255,7 +262,8 @@ def run_smc(x, prior, cfg, loglik_fn=None):
     while gamma < 1.0:
         iteration += 1
         if iteration > MAX_ITERS:
-            raise RuntimeError("tempering schedule failed to reach gamma = 1")
+            raise NumericalError(f"tempering schedule did not reach gamma = 1 in "
+                                 f"{MAX_ITERS} iterations (gamma = {gamma:.6g})")
         gamma_new = solve_next_gamma(ll, gamma, cfg.c)
         alpha = gamma_new - gamma
         inc = alpha * ll

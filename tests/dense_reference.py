@@ -1,11 +1,17 @@
-"""Dense O(n^3) references for the Toeplitz covariances the package handles
-in O(n^2) by the Durbin-Levinson recursion."""
+"""Dense references for the tests: O(n^3) Toeplitz matrices and Cholesky
+factors for the covariances the package handles in O(n^2) by the
+Durbin-Levinson recursion, and the T(h) form of the approximate quadratic
+form, the oracle for the package's Whittle form."""
+
+import math
 
 import numpy as np
 from scipy.linalg import toeplitz as scipy_toeplitz
 from scipy.linalg.lapack import dpotrf
 
+from fexpsmc._accel import cosine_series
 from fexpsmc.exact import NotPositiveDefiniteError
+from fexpsmc.fourier import default_grid_size, fourier_coeffs_bounded
 
 
 def build_toeplitz(acf, ridge=0.0):
@@ -44,3 +50,44 @@ def cholesky_lower(S):
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of dpotrf")
     return np.tril(L)
+
+
+def lag_weight_sums(xtilde):
+    """Lag-weight sums c_0 = sum x~_i^2, c_j = 2 sum_i x~_i x~_{i+j} of a
+    centred series, by one zero-padded FFT autocorrelation."""
+    n = xtilde.size
+    nfft = default_grid_size(n)
+    F = np.fft.rfft(xtilde, nfft)
+    ac = np.fft.irfft(np.abs(F) ** 2, nfft)[:n]
+    c = 2.0 * ac
+    c[0] = ac[0]
+    return c
+
+
+def quadform_approx_toeplitz(theta, ctx, M=None):
+    """T(h) form x~' T(h) x~ = sum_j c_j gamma_h(j) of the approximate
+    quadratic form, h = 1/(4 pi^2 fbar), of the series of a DatasetContext.
+
+    h is bounded (h(0) = 0 for d > 0) so its coefficients come from the
+    bounded-path FFT rule; cost O(M log M) per theta.  Returns inf when
+    exp(-sum_j xi_j cos(j lam)) overflows on the grid, as the Whittle form
+    does.
+    """
+    d = theta.d
+    xi = np.asarray(theta.xi, dtype=float)
+
+    def h(lam):
+        lam = np.asarray(lam, dtype=float)
+        with np.errstate(over="raise"):
+            vals = (2.0 - 2.0 * np.cos(lam)) ** d * np.exp(
+                -cosine_series(xi, lam)
+            ) / (2.0 * np.pi)
+        if d > 0.0:
+            vals = np.where(np.abs(lam) < 1e-300, 0.0, vals)
+        return vals
+
+    try:
+        gamma_h = fourier_coeffs_bounded(h, ctx.n, M=M)
+    except FloatingPointError:
+        return math.inf
+    return float(lag_weight_sums(ctx.xtilde) @ gamma_h)

@@ -16,10 +16,9 @@ import numpy as np
 from scipy import stats as sps
 from scipy.special import gammaln
 
-from dense_reference import build_toeplitz
+from dense_reference import build_toeplitz, quadform_approx_toeplitz
 from fexpsmc.approx import (approx_log_lik, log_barnes_g, log_det_approx,
-                            prepare_dataset, quadform_approx_toeplitz,
-                            quadform_whittle)
+                            prepare_dataset, quadform_whittle)
 from fexpsmc.correction import correction_weights
 from fexpsmc.exact import exact_log_marglik, fbar_autocov
 from fexpsmc.fourier import fourier_coeffs_longmemory
@@ -164,7 +163,8 @@ def test_03_log_weight_variance_shrinks_with_series_length():
 
 
 # ---------------------------------------------------------------------------
-# 5. Whittle and Toeplitz quadratic forms agree at n = 1024
+# 5. Whittle and Toeplitz quadratic forms agree at n = 1024 (the T(h) form
+#    is the test oracle in dense_reference)
 # ---------------------------------------------------------------------------
 
 def test_05_whittle_and_toeplitz_quadforms_agree():

@@ -8,12 +8,11 @@ import pytest
 from hypothesis import example, given, strategies as st
 from scipy.special import zeta
 
-from dense_reference import build_toeplitz
+from dense_reference import build_toeplitz, lag_weight_sums, quadform_approx_toeplitz
 from fexpsmc import approx
 from fexpsmc._accel import cosine_series
 from fexpsmc.approx import (approx_log_lik, approx_log_liks, log_barnes_g,
-                            log_det_approx, prepare_dataset,
-                            quadform_approx_toeplitz, quadform_whittle)
+                            log_det_approx, prepare_dataset, quadform_whittle)
 from fexpsmc.exact import fbar_autocov
 from fexpsmc.model import PriorConfig, ThetaParams
 from fexpsmc.simulate import SimConfig, simulate_series
@@ -58,6 +57,7 @@ def test_context_centres_the_series():
 
 
 def test_lag_weight_sums_match_brute_force():
+    # the T(h)-form oracle's c_j, from the context's centred series
     rng = np.random.default_rng(8)
     x = rng.standard_normal(33)
     ctx = prepare_dataset(x)
@@ -66,7 +66,7 @@ def test_lag_weight_sums_match_brute_force():
     want[0] = np.sum(xt * xt)
     for j in range(1, 33):
         want[j] = 2.0 * np.sum(xt[: 33 - j] * xt[j:])
-    assert np.max(np.abs(ctx.c - want)) < 1e-10
+    assert np.max(np.abs(lag_weight_sums(ctx.xtilde) - want)) < 1e-10
 
 
 def test_periodogram_of_pure_cosine():
@@ -188,11 +188,12 @@ def test_folded_whittle_form_matches_full_grid_sum():
 
 
 # ---------------------------------------------------------------------------
-# Toeplitz-mode quadratic form
+# T(h) form of the quadratic form (the Whittle form's oracle)
 # ---------------------------------------------------------------------------
 
 def test_toeplitz_quadform_is_dense_quadratic_in_inverse_density():
-    # sum_j c_j gamma_h(j) equals x~' T(h) x~ with T(h) dense (h bounded)
+    # the oracle's sum_j c_j gamma_h(j) equals x~' T(h) x~ with T(h) dense
+    # (h bounded)
     rng = np.random.default_rng(6)
     x = rng.standard_normal(20)
     ctx = prepare_dataset(x)
@@ -200,7 +201,6 @@ def test_toeplitz_quadform_is_dense_quadratic_in_inverse_density():
     got = quadform_approx_toeplitz(th, ctx, M=1024)
 
     from fexpsmc.fourier import fourier_coeffs_bounded
-    from fexpsmc._accel import cosine_series
 
     def h(lam):
         lam = np.asarray(lam, dtype=float)
@@ -215,8 +215,8 @@ def test_toeplitz_quadform_is_dense_quadratic_in_inverse_density():
 
 
 def test_whittle_and_toeplitz_modes_agree_moderately():
-    # the two quadratic forms are different approximations of the same
-    # object; on a well-behaved series they agree to about a percent
+    # the Whittle form is a Riemann sum of the T(h) form; on a well-behaved
+    # series they agree to about a percent
     rng = np.random.default_rng(77)
     sim = SimConfig(kind="fracnoise", n=512, d=0.25, sigma2=1.0)
     x = simulate_series(sim, rng)
@@ -331,10 +331,17 @@ def test_log_det_approx_validates_n():
 # Full approximate likelihood
 # ---------------------------------------------------------------------------
 
+def _toeplitz_form_log_lik(th, ctx, prior):
+    """The approximate log likelihood with the T(h) form of the oracle as Q."""
+    q = quadform_approx_toeplitz(th, ctx)
+    return -0.5 * log_det_approx(th, ctx.n) - (prior.a + 0.5 * ctx.n) * math.log(
+        prior.b + 0.5 * q)
+
+
 def test_approx_log_lik_modes_agree_within_amplified_tolerance():
-    # a relative difference delta between the two quadratic forms moves the
-    # log likelihood by about (a + n/2) * delta; with delta ~ 1% at n = 256
-    # that is ~1.3 log units, so 2.0 is the honest bound here
+    # a relative difference delta between the Whittle and the T(h) form
+    # moves the log likelihood by about (a + n/2) * delta; with delta ~ 1% at
+    # n = 256 that is ~1.3 log units, so 2.0 is the honest bound here
     rng = np.random.default_rng(30)
     sim = SimConfig(kind="fracnoise", n=256, d=0.2)
     x = simulate_series(sim, rng)
@@ -344,8 +351,8 @@ def test_approx_log_lik_modes_agree_within_amplified_tolerance():
         r = np.random.default_rng(seed)
         k = int(r.integers(0, 3))
         th = ThetaParams(k=k, t=float(r.normal()), xi=r.normal(scale=0.3, size=k))
-        lw = approx_log_lik(th, ctx, prior, mode="whittle")
-        lt = approx_log_lik(th, ctx, prior, mode="toeplitz")
+        lw = approx_log_lik(th, ctx, prior)
+        lt = _toeplitz_form_log_lik(th, ctx, prior)
         assert abs(lw - lt) < 2.0, f"seed={seed}: {lw} vs {lt}"
 
 
@@ -371,13 +378,10 @@ def test_approx_log_lik_tracks_exact_up_to_constant():
     assert np.max(np.abs(centred_a - centred_e)) < 1.0
 
 
-def _reference_log_lik(th, ctx, prior, mode):
+def _reference_log_lik(th, ctx, prior):
     """Scalar reference: oracle-free loop over the formula, with mpmath's G
     and the Whittle form summed over the whole (n - 1)-point grid."""
-    if mode == "whittle":
-        q = _full_grid_whittle(th, ctx.x)
-    else:
-        q = quadform_approx_toeplitz(th, ctx)
+    q = _full_grid_whittle(th, ctx.x)
     if not math.isfinite(q):
         return -math.inf
     d = th.d
@@ -388,8 +392,7 @@ def _reference_log_lik(th, ctx, prior, mode):
     return -0.5 * dn - (prior.a + 0.5 * ctx.n) * math.log(prior.b + 0.5 * q)
 
 
-@pytest.mark.parametrize("mode", ["whittle", "toeplitz"])
-def test_approx_log_liks_matches_scalar_path_across_blocks(mode, monkeypatch):
+def test_approx_log_liks_matches_scalar_path_across_blocks(monkeypatch):
     mpmath.mp.dps = 30
     x = simulate_series(SimConfig(kind="fracnoise", n=96, d=0.3),
                         np.random.default_rng(17))
@@ -401,19 +404,18 @@ def test_approx_log_liks_matches_scalar_path_across_blocks(mode, monkeypatch):
     # exp(800 cos lam) overflows near lam = 0: this particle scores -inf
     thetas.insert(4, ThetaParams(k=1, t=0.0, xi=np.array([-800.0])))
     monkeypatch.setattr(approx, "BLOCK_ROWS", 4)  # blocks of 4, 4 and 1
-    got = approx_log_liks(thetas, ctx, prior, mode=mode)
+    got = approx_log_liks(thetas, ctx, prior)
     assert got.shape == (len(thetas),)
     assert got[4] == -math.inf
-    alone = [approx_log_lik(th, ctx, prior, mode=mode) for th in thetas]
+    alone = [approx_log_lik(th, ctx, prior) for th in thetas]
     assert np.array_equal(got, alone)
-    want = np.array([_reference_log_lik(th, ctx, prior, mode) for th in thetas])
+    want = np.array([_reference_log_lik(th, ctx, prior) for th in thetas])
     live = np.isfinite(want)
     assert np.array_equal(live, np.isfinite(got))
     assert np.allclose(got[live], want[live], rtol=1e-12, atol=0.0)
 
 
-@pytest.mark.parametrize("mode", ["whittle", "toeplitz"])
-def test_approx_side_at_d_one_half_is_minus_inf(mode):
+def test_approx_side_at_d_one_half_is_minus_inf():
     # t = 37 rounds d to 1/2 exactly: G(1 - 2d) = G(0) = 0, so D_n = inf
     pole = ThetaParams(k=1, t=37.0, xi=np.array([0.3]))
     assert pole.d == 0.5
@@ -422,16 +424,9 @@ def test_approx_side_at_d_one_half_is_minus_inf(mode):
     prior = PriorConfig()
     thetas = [ThetaParams(k=0, t=0.2, xi=np.empty(0)), pole,
               ThetaParams(k=2, t=-1.0, xi=np.array([0.5, -0.2]))]
-    got = approx_log_liks(thetas, ctx, prior, mode=mode)
+    got = approx_log_liks(thetas, ctx, prior)
     assert got[1] == -math.inf
-    assert approx_log_lik(pole, ctx, prior, mode=mode) == -math.inf
+    assert approx_log_lik(pole, ctx, prior) == -math.inf
     assert log_det_approx(pole, 64) == math.inf
-    assert got[[0, 2]].tolist() == [approx_log_lik(th, ctx, prior, mode=mode)
+    assert got[[0, 2]].tolist() == [approx_log_lik(th, ctx, prior)
                                      for th in (thetas[0], thetas[2])]
-
-
-def test_approx_log_lik_unknown_mode_raises():
-    ctx = prepare_dataset(np.random.default_rng(0).standard_normal(16))
-    with pytest.raises(ValueError):
-        approx_log_lik(ThetaParams(k=0, t=0.0, xi=np.empty(0)), ctx,
-                       PriorConfig(), mode="bogus")

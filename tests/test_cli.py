@@ -89,13 +89,19 @@ def test_runconfig_rejects_unknown_key():
         RunConfig({"smc.walkers": 10})
 
 
+def test_runconfig_rejects_the_removed_quadratic_form_mode():
+    # the Whittle form is the only approximate quadratic form: smc.mode is gone
+    with pytest.raises(ConfigError, match="unknown config keys: smc.mode"):
+        RunConfig({"smc.mode": "whittle"})
+
+
 @pytest.mark.parametrize("key, value", [
     ("smc.c", 1.5),
     ("smc.N", 1),
     ("model.d", 0.7),
     ("prior.geom_p", 0.0),
     ("mcmc.thin", 0),
-    ("smc.mode", "nope"),
+    ("smc.seed", 1.5),
     ("model.xi", "bananas"),
     ("correction.subsample", 0),
     # a bool is not a number, and a float must be finite
@@ -110,7 +116,6 @@ def test_runconfig_rejects_unknown_key():
     ("model.mu", -math.inf),
     ("model.theta_ma", [0.2, math.nan]),
     ("model.xi", [True]),
-    ("smc.mode", 1),
 ])
 def test_runconfig_rejects_bad_values(key, value):
     with pytest.raises(ConfigError, match="invalid value"):
@@ -137,7 +142,7 @@ def test_runconfig_key_set():
         "model.xi", "model.phi", "model.theta_ma",
         "prior.geom_p", "prior.xi_var0", "prior.beta", "prior.a", "prior.b",
         "prior.g_mu", "prior.m_mu", "prior.k_max",
-        "smc.N", "smc.M", "smc.c", "smc.seed", "smc.mode",
+        "smc.N", "smc.M", "smc.c", "smc.seed",
         "correction.enabled", "correction.subsample", "correction.threads",
         "correction.seed", "correction.force_large_n",
         "mcmc.steps", "mcmc.tau", "mcmc.thin", "mcmc.gamma", "mcmc.fix_k",
@@ -252,6 +257,14 @@ def test_fit_writes_all_artifacts(workspace):
 
 def test_fit_diagnostics_document(workspace):
     diag = parse_config((workspace / "fit" / "diagnostics.txt").read_text())
+    assert list(diag) == [
+        "run.command", "run.seed", "run.n_observations",
+        "smc.N", "smc.M", "smc.iterations", "smc.gamma_schedule", "smc.ess_trace",
+        "smc.rw_accept_rates", "smc.bd_accept_rates", "smc.loglik_evals",
+        "smc.loglik_minus_inf", "smc.log_evidence",
+        "correction.enabled", "correction.n_weighted", "correction.n_unique",
+        "correction.n_failed", "correction.ess_fraction",
+    ]
     assert diag["run.command"] == "fit"
     assert diag["smc.N"] == 40
     assert diag["correction.enabled"] is True
@@ -383,6 +396,13 @@ def test_exit_2_unknown_config_key(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def test_exit_2_fit_with_the_removed_smc_mode_key(workspace, tmp_path, capsys):
+    cfg = tmp_path / "fit.cfg"
+    cfg.write_text((workspace / "fit.cfg").read_text() + "smc.mode = whittle\n")
+    assert main(["fit", "--config", str(cfg), "--output", str(tmp_path)]) == 2
+    assert "unknown config keys: smc.mode" in capsys.readouterr().err
+
+
 def test_exit_2_invalid_config_value(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("smc.c = 1.5\n")
@@ -455,6 +475,23 @@ def test_exit_3_report_on_non_particle_file(tmp_path, capsys):
     assert "header" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("row, message", [
+    ("1,2,0.25,0.0,0.5,,0.1", "k=2 but xi has length 1"),
+    ("1,0,0.25,inf,0.5,", "t must be finite"),
+    ("1,0,0.25,0.0,-1.0,", "weight -1.0 is not a finite nonnegative number"),
+    ("1,1,0.25,0.0,0.5,,nan", "xi must be finite"),
+], ids=["k_without_its_xi", "infinite_t", "negative_weight", "nan_xi"])
+def test_exit_3_report_on_a_malformed_particle_row(row, message, tmp_path, capsys):
+    pf = tmp_path / "particles.csv"
+    pf.write_text("index,k,d,t,weight,log_w_corr,xi_1,xi_2\n"
+                  "0,1,0.25,0.0,0.5,,0.3,\n"
+                  + row + "\n")
+    assert main(["report", str(pf), "--output", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert f"{pf}: line 3: malformed particle row" in err
+    assert message in err
+
+
 def test_exit_4_degenerate_weights(tmp_path, capsys):
     pf = tmp_path / "particles.csv"
     _write_particles(pf, [ThetaParams(k=0, t=0.0, xi=np.empty(0)),
@@ -467,11 +504,20 @@ def test_exit_4_degenerate_weights(tmp_path, capsys):
 def test_exit_4_nan_log_likelihood(workspace, tmp_path, monkeypatch, capsys):
     from fexpsmc import smc
     monkeypatch.setattr(smc, "approx_log_liks",
-                        lambda thetas, ctx, prior, mode: np.full(len(thetas), np.nan))
+                        lambda thetas, ctx, prior: np.full(len(thetas), np.nan))
     code = main(["fit", "--config", str(workspace / "fit.cfg"),
                  "--output", str(tmp_path)])
     assert code == 4
     assert "NaN" in capsys.readouterr().err
+
+
+def test_exit_4_tempering_schedule_stuck(workspace, tmp_path, monkeypatch, capsys):
+    from fexpsmc import smc
+    monkeypatch.setattr(smc, "MAX_ITERS", 1)
+    code = main(["fit", "--config", str(workspace / "fit.cfg"),
+                 "--output", str(tmp_path)])
+    assert code == 4
+    assert "tempering schedule did not reach gamma = 1 in 1 iterations" in capsys.readouterr().err
 
 
 @pytest.fixture

@@ -32,7 +32,7 @@ def _fake(monkeypatch, exact, approx):
     ``approx(thetas)`` an array as approx_log_liks does."""
     monkeypatch.setattr(correction, "exact_log_margliks", lambda ths, x, prior: exact(ths))
     monkeypatch.setattr(correction, "approx_log_liks",
-                        lambda ths, ctx, prior, mode: approx(ths))
+                        lambda ths, ctx, prior: approx(ths))
 
 
 def _valid(values):
@@ -221,7 +221,7 @@ def test_correction_defaults_match_manual_evaluators():
     for th in thetas:
         try:
             manual.append(exact_log_marglik(th, x, prior)
-                          - approx_log_lik(th, ctx, prior, mode="whittle"))
+                          - approx_log_lik(th, ctx, prior))
         except NotPositiveDefiniteError:
             manual.append(-math.inf)
     assert np.allclose(auto.log_w_raw, manual, atol=1e-10)

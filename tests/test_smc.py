@@ -276,6 +276,15 @@ def test_smc_reports_no_birth_death_rate_at_k_max_zero():
     assert all(0.0 <= r <= 1.0 for r in ps.rw_rates)
 
 
+def test_smc_stuck_tempering_schedule_is_a_numerical_error(monkeypatch):
+    # a sharp likelihood needs more than one tempering step, and one is all
+    # the cap allows
+    monkeypatch.setattr(smc, "MAX_ITERS", 1)
+    with pytest.raises(NumericalError, match="did not reach gamma = 1 in 1 iterations"):
+        run_smc(None, PriorConfig(k_max=0), SmcConfig(N=50, M=0, seed=1),
+                loglik_fn=lambda th: -50.0 * (th.t - 1.0) ** 2)
+
+
 def test_smc_is_deterministic_in_the_seed():
     prior = PriorConfig()
     loglik = lambda th: -0.5 * th.t**2
@@ -361,5 +370,3 @@ def test_smc_config_validation():
         SmcConfig(c=1.5)
     with pytest.raises(ValueError):
         SmcConfig(M=-1)
-    with pytest.raises(ValueError):
-        SmcConfig(mode="nope")
