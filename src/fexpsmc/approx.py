@@ -34,16 +34,18 @@ exact up to a single theta-free additive constant, mirroring
 :func:`fexpsmc.exact.exact_log_marglik`.
 
 :func:`approx_log_liks` scores a whole population at once, which is how the
-SMC sampler and the correction call it: per block of BLOCK_ROWS thetas Q is
-one exp over a (rows, floor(n/2)) exponent matrix and one product with the
-folded periodogram, and D_n is one vectorised Barnes-G call for 1 - d and
-1 - 2d together, with d computed once for both.  A block costs
+SMC sampler and the correction call it.  It takes the population as arrays
+(k, t, xi), xi zero-padded beyond each row's order (see
+:mod:`fexpsmc.model`), and computes d for all rows once.  Per block of
+BLOCK_ROWS rows Q is one exp over a (rows, floor(n/2)) exponent matrix and
+one product with the folded periodogram, and D_n is one vectorised
+Barnes-G call for 1 - d and 1 - 2d together.  A block costs
 O(rows * n * (1 + k_max)) flops for the exponents, where k_max is the
 largest order in the block, and blocking bounds the temporaries to
-BLOCK_ROWS x floor(n/2) doubles however many thetas are passed.  Every sum
+BLOCK_ROWS x floor(n/2) doubles however many rows are passed.  Every sum
 runs within its own row, so a theta's value does not depend on the rest of
-its batch; :func:`approx_log_lik` is the batch of one and agrees bit for
-bit.
+its batch or on the padding; :func:`approx_log_lik` is the batch of one
+and agrees bit for bit.
 """
 
 import math
@@ -51,6 +53,7 @@ import math
 import numpy as np
 
 from .config import DataError
+from .model import memory_d, rows_by_order, to_arrays
 
 __all__ = [
     "DatasetContext",
@@ -126,20 +129,24 @@ def prepare_dataset(x):
     return DatasetContext(x)
 
 
-def _whittle_quadforms(thetas, d, ctx):
+def _whittle_quadforms(k, xi, d, ctx):
     """Whittle quadratic forms pgram . exp(d logweight - xi cos_basis) / n of
-    a batch of thetas with memory parameters ``d``, on the folded grid.
+    the rows (k, xi) with memory parameters ``d``, on the folded grid.
 
-    Each row's cosine series is its own length-k product and einsum sums
-    each row on its own, so a theta gets the same bits in any batch: a
-    padded BLAS matrix product rounds a row differently with its padding
-    and its neighbours.
+    Each row's cosine series is its own length-k vector-matrix product (the
+    rows of one order are one stacked product, the same BLAS call per row)
+    and einsum sums each row on its own, so a theta gets the same bits in
+    any batch: a padded BLAS matrix product rounds a row differently with
+    its padding and its neighbours.
     """
+    orders = rows_by_order(k)
+    basis = ctx.cos_basis(max(orders))
+    series = np.zeros((d.size, basis.shape[1]))  # sum_j xi_j cos(j lam); 0 at k = 0
+    for kk, rows in orders.items():
+        if kk:
+            series[rows] = np.matmul(xi[rows, None, :kk], basis[:kk])[:, 0]
     s = np.multiply.outer(d, ctx.logweight)
-    basis = ctx.cos_basis(max(th.k for th in thetas))
-    for row, th in zip(s, thetas):
-        if th.k:
-            row -= th.xi @ basis[:th.k]
+    s -= series
     with np.errstate(over="ignore"):
         np.exp(s, out=s)
     return np.einsum("ij,j->i", s, ctx.pgram) / ctx.n
@@ -147,7 +154,8 @@ def _whittle_quadforms(thetas, d, ctx):
 
 def quadform_whittle(theta, ctx):
     """Riemann-sum approximation of x~' T(fbar)^{-1} x~ over Fourier frequencies."""
-    return float(_whittle_quadforms([theta], np.array([theta.d]), ctx)[0])
+    k, t, xi = to_arrays([theta])
+    return float(_whittle_quadforms(k, xi, memory_d(t), ctx)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -180,6 +188,9 @@ _TAYLOR = np.concatenate((
     np.where(_K % 2, 1.0, -1.0) * np.array(_ZETA) / _K,
 ))
 
+#: the multipliers of d in the Barnes-G arguments 1 - d and 1 - 2d
+_ONE_TWO = np.array([1.0, 2.0])
+
 
 def _lgamma(z):
     """log|Gamma| of each element of a 1-D array, by math.lgamma."""
@@ -202,47 +213,52 @@ def log_barnes_g(x):
     argument returns a float.
     """
     arr = np.asarray(x, dtype=float)
-    if not np.all(arr > 0.0):
+    if not arr.min(initial=math.inf) > 0.0:  # NaN fails too
         raise ValueError(f"log_barnes_g requires x > 0, got {x}")
-    z = arr.reshape(-1).copy()
-    acc = np.zeros_like(z)
-    low = z < 0.5
-    acc[low] -= _lgamma(z[low])
-    z[low] += 1.0
-    high = z > 1.5
-    while high.any():
-        z[high] -= 1.0
-        acc[high] += _lgamma(z[high])
-        high = z > 1.5
-    powers = np.cumprod(np.repeat((z - 1.0)[:, None], _TAYLOR.size, axis=1), axis=1)
-    out = acc + np.einsum("ij,j->i", powers, _TAYLOR)
+    out = _log_g(arr.reshape(-1))
     return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
 
-def _log_det_approxs(thetas, d, n):
-    """D_n of a batch of thetas with memory parameters ``d``, with G(1 - d)
-    and G(1 - 2d) in one call.
+def _log_g(z):
+    """log G of each element of a 1-D array of positive values."""
+    low = z < 0.5  # shifted up by one: log G(z) = log G(z + 1) - log Gamma(z)
+    acc = np.where(low, -_lgamma(z), 0.0)
+    z = z + low
+    high = z > 1.5
+    while np.count_nonzero(high):
+        z[high] -= 1.0
+        acc[high] += _lgamma(z[high])
+        high = z > 1.5
+    powers = np.repeat((z - 1.0)[:, None], _TAYLOR.size, axis=1)
+    np.multiply.accumulate(powers, axis=1, out=powers)
+    return acc + np.einsum("ij,j->i", powers, _TAYLOR)
 
-    The xi_j sums run in order of j over columns zero-padded to the largest
-    k, and trailing zeros leave a running sum unchanged, so a theta gets the
-    same bits in any batch.
+
+def _log_det_approxs(xi, d, n):
+    """D_n of the rows xi (zero-padded) with memory parameters ``d``, with
+    G(1 - d) and G(1 - 2d) in one call.
+
+    The xi_j sums run in order of j behind a leading zero column, and
+    trailing zeros leave a running sum unchanged, so a theta gets the same
+    bits in any batch and at any padding.
     """
-    xi = np.zeros((len(thetas), 1 + max(th.k for th in thetas)))
-    for row, th in zip(xi, thetas):
-        row[1:1 + th.k] = th.xi
-    j = np.arange(xi.shape[1], dtype=float)
-    sq = np.cumsum(xi * xi * j, axis=1)[:, -1]
-    lin = np.cumsum(xi * j, axis=1)[:, -1]
-    x = np.concatenate((1.0 - d, 1.0 - 2.0 * d))
+    j = np.arange(1.0, xi.shape[1] + 1.0)
+    terms = np.zeros((2, d.size, 1 + j.size))  # j xi_j^2 and j xi_j
+    np.multiply(xi, xi, out=terms[0, :, 1:])
+    terms[0, :, 1:] *= j
+    np.multiply(xi, j, out=terms[1, :, 1:])
+    sq, lin = terms.cumsum(axis=2)[:, :, -1]
+    x = 1.0 - np.multiply.outer(_ONE_TWO, d).ravel()
     # G(1 - 2d) -> 0 as d -> 1/2, so D_n -> inf and the likelihood -> -inf:
     # a d that rounds to 1/2 exactly gets that limit (G(1) stands in for G(0))
-    pole = d >= 0.5 if d.max() >= 0.5 else None
-    if pole is not None:
-        x[d.size:][pole] = 1.0
-    g = log_barnes_g(x)
+    pole = x == 0.0
+    poles = np.count_nonzero(pole)
+    if poles:
+        x[pole] = 1.0
+    g = _log_g(x)
     dn = d * d * math.log(n) + (0.25 * sq + d * lin) + (2.0 * g[:d.size] - g[d.size:])
-    if pole is not None:
-        dn[pole] = math.inf
+    if poles:
+        dn[pole[d.size:]] = math.inf
     return dn
 
 
@@ -254,32 +270,31 @@ def log_det_approx(theta, n):
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    return float(_log_det_approxs([theta], np.array([theta.d]), n)[0])
+    return float(_log_det_approxs(theta.xi[None, :], np.array([theta.d]), n)[0])
 
 
-def approx_log_liks(thetas, ctx, prior):
-    """Approximate log marginal likelihoods of a population, as an array.
+def approx_log_liks(k, t, xi, ctx, prior):
+    """Approximate log marginal likelihoods of the population (k, t, xi), as an array.
 
     -D_n/2 - (a + n/2) log(b + Q/2) with Q the Whittle form; a non-finite Q
-    gives -inf.  The thetas are taken in blocks of BLOCK_ROWS, and a block
+    gives -inf.  The rows are taken in blocks of BLOCK_ROWS, and a block
     costs one exp over its (rows, floor(n/2)) exponents and one product
-    with the folded periodogram.  A theta gets the same value in any batch,
-    alone included.
+    with the folded periodogram.  A row gets the same value in any batch,
+    alone included, and at any padding of xi.
     """
-    thetas = list(thetas)
-    out = np.empty(len(thetas))
-    for lo in range(0, len(thetas), BLOCK_ROWS):
-        block = thetas[lo:lo + BLOCK_ROWS]
-        d = np.array([th.d for th in block])
-        q = _whittle_quadforms(block, d, ctx)
-        ok = np.isfinite(q)
-        ll = -0.5 * _log_det_approxs(block, d, ctx.n) - (prior.a + 0.5 * ctx.n) * np.log(
-            prior.b + 0.5 * np.where(ok, q, 0.0))
-        out[lo:lo + len(block)] = np.where(ok, ll, -math.inf)
+    d = memory_d(t)
+    out = np.empty(k.size)
+    for lo in range(0, k.size, BLOCK_ROWS):
+        rows = slice(lo, lo + BLOCK_ROWS)
+        q = _whittle_quadforms(k[rows], xi[rows], d[rows], ctx)
+        ll = out[rows]
+        np.subtract(-0.5 * _log_det_approxs(xi[rows], d[rows], ctx.n),
+                    (prior.a + 0.5 * ctx.n) * np.log(prior.b + 0.5 * q), out=ll)
+        ll[~np.isfinite(q)] = -math.inf
     return out
 
 
 def approx_log_lik(theta, ctx, prior):
     """Approximate log marginal likelihood (up to one theta-free constant);
     the batch of one of :func:`approx_log_liks`."""
-    return float(approx_log_liks([theta], ctx, prior)[0])
+    return float(approx_log_liks(*to_arrays([theta]), ctx, prior)[0])

@@ -220,6 +220,7 @@ def _cmd_fit(args):
         "smc.iterations": len(ps.gamma_schedule),
         "smc.gamma_schedule": list(ps.gamma_schedule),
         "smc.ess_trace": list(ps.ess_trace),
+        "smc.distinct_after_resample": list(ps.distinct_after_resample),
         "smc.rw_accept_rates": list(ps.rw_rates),
         "smc.bd_accept_rates": list(ps.bd_rates),
         "smc.loglik_evals": list(ps.loglik_evals),

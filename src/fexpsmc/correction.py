@@ -32,6 +32,7 @@ import numpy as np
 from .approx import approx_log_liks, prepare_dataset
 from .config import ConfigError, NumericalError
 from .exact import BLOCK_ROWS, NotPositiveDefiniteError, exact_log_margliks
+from .model import to_arrays
 
 __all__ = ["CorrectionConfig", "CorrectionResult", "correction_weights"]
 
@@ -121,7 +122,7 @@ def correction_weights(thetas, x, prior, cfg=None):
     for i in indices:
         unique.setdefault(thetas[i].key(), thetas[i])
     distinct = list(unique.values())
-    approx = approx_log_liks(distinct, prepare_dataset(x), prior)
+    approx = approx_log_liks(*to_arrays(distinct), prepare_dataset(x), prior)
 
     if cfg.threads > 1:
         size = min(BLOCK_ROWS, -(-len(distinct) // cfg.threads))

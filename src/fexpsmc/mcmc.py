@@ -18,31 +18,42 @@ cycle applies, in order,
        r = [rho(k* -> k) p(k*) p~(x|theta*)^gamma]
            / [rho(k -> k*) p(k) p~(x|theta)^gamma].
 
-All acceptance tests run in log space, so extreme likelihood ratios never
-overflow.  Uniforms come from ``Generator.random()``, which returns the same
-doubles as ``Generator.uniform()`` on [0, 1) at a quarter of the call cost,
-and an RW proposal adds its step to t and xi directly.  Kernels are pure
-functions of (state, rng): they mutate nothing and return the new state
-together with its cached log-prior/log-likelihood.
-Each kernel moves a whole population (``rw_metropolis_steps``,
-``birth_death_steps``) with one likelihood call for all its proposals;
-:func:`run_mcmc` moves a population of one, set by a :class:`McmcConfig`.
-``MoveStats`` also counts the proposals scored and those scored -inf.
+The kernels move a whole :class:`Population` -- arrays k, t, xi (zero-padded
+to the population's width, which a birth grows), log prior ``lp`` and log
+likelihood ``ll`` -- in one half-step: every particle draws its proposal
+from its own generator, every proposal inside the prior support (finite
+coordinates, order at most k_max) is scored by one likelihood call on
+arrays, and each scored particle makes its accept test with one more
+uniform from its generator.  Per particle, Python only draws -- an RW
+proposal is one ``standard_normal(k + 1)`` (times the order's Cholesky
+factor, in one stacked product per order), a birth/death choice one
+``random()``, a birth's new coordinate one ``standard_normal()``, an
+accept test one ``random()`` -- and calls ``math`` for d, log p(t) and the
+accept test's exp, whose last bit numpy's ``exp`` does not always match.
+The prior sums, tempering, acceptance ratios and updates are array
+operations.  All acceptance tests run in log space, so extreme likelihood
+ratios never overflow.  Kernels mutate nothing and return the new
+population.  :func:`run_mcmc` moves a population of one, set by a
+:class:`McmcConfig`.  ``MoveStats`` also counts the proposals scored and
+those scored -inf.
 """
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
 from .config import NumericalError
-from .model import ThetaParams, log_prior, sample_prior
+from .model import (PriorConfig, log_prior, memory_d, rows_by_order, sample_population,
+                    to_thetas)
 
 __all__ = [
     "InvalidStateError",
     "KernelConfig",
     "McmcConfig",
     "MoveStats",
+    "Population",
     "rw_metropolis_steps",
     "birth_death_steps",
     "calibrate_scales",
@@ -119,89 +130,111 @@ class MoveStats:
         return acc / tot if tot else math.nan
 
 
+@dataclass
+class Population:
+    """N particles as arrays: orders ``k`` (N,) int, ``t`` (N,), coefficients
+    ``xi`` (N, w) -- row i holds its k[i] coefficients first and zeros after
+    them, w being at least the largest order -- and the cached log priors
+    ``lp`` and log likelihoods ``ll`` (N,).  The kernels treat the arrays as
+    immutable and share unchanged ones between populations."""
+
+    k: np.ndarray
+    t: np.ndarray
+    xi: np.ndarray
+    lp: np.ndarray
+    ll: np.ndarray
+
+    def take(self, idx):
+        """The particles at positions ``idx``, in that order."""
+        return Population(self.k[idx], self.t[idx], self.xi[idx], self.lp[idx], self.ll[idx])
+
+    def thetas(self):
+        """The particles as ThetaParams."""
+        return to_thetas(self.k, self.t, self.xi)
+
+
 def _tempered(lp, ll, gamma):
-    if lp == -math.inf:
-        return -math.inf
-    if gamma == 0.0:
-        return lp  # 0 * (-inf) guard: flat likelihood contributes nothing
-    return lp + gamma * ll
+    # at gamma = 0 a flat likelihood contributes nothing, -inf included
+    return lp if gamma == 0.0 else lp + gamma * ll
 
 
-def _accept(log_r, rng):
-    """Log-space Metropolis test; one uniform is drawn per call."""
-    u = rng.random()
-    if log_r >= 0.0:
-        return True
-    return u < math.exp(log_r)
-
-
-def _current(lps, lls, gamma):
+def _current(pop, gamma):
     """Tempered log targets of a population; every one must be > -inf."""
-    cur = [_tempered(lp, ll, gamma) for lp, ll in zip(lps, lls)]
-    if -math.inf in cur:
+    cur = _tempered(pop.lp, pop.ll, gamma)
+    if np.count_nonzero(np.fmin(pop.lp, cur) == -math.inf):
         raise InvalidStateError("current state has zero target density")
     return cur
 
 
-def _score(props, lls, logliks_fn, gamma, stats):
-    """Log likelihoods of the proposals, all from one ``logliks_fn`` call;
-    at gamma = 0 none is evaluated and each keeps its particle's ``lls``."""
+def _accepts(log_r, idx, rngs):
+    """Log-space Metropolis tests of the particles at positions ``idx``: one
+    uniform u from each one's generator, accepted when u < exp(min(log r, 0)),
+    so always at log r >= 0 and never at NaN.  exp is ``math.exp``, whose
+    last bit numpy's does not always match."""
+    return np.array([rngs[j].random() < math.exp(min(r, 0.0))
+                     for j, r in zip(idx, log_r.tolist())], dtype=bool)
+
+
+def _score(k, t, xi, ll, logliks_fn, gamma, stats):
+    """Log likelihoods of the proposals (k, t, xi), all from one ``logliks_fn``
+    call; at gamma = 0 none is evaluated and each keeps its particle's ``ll``."""
     if gamma == 0.0:
-        return list(lls)
-    if not props:
-        return []
-    scores = np.asarray(logliks_fn(props), dtype=float).tolist()
-    stats.loglik_evals += len(scores)
-    stats.loglik_minus_inf += scores.count(-math.inf)
+        return ll
+    if not k.size:
+        return np.empty(0)
+    scores = np.asarray(logliks_fn(k, t, xi), dtype=float)
+    stats.loglik_evals += scores.size
+    stats.loglik_minus_inf += int(np.count_nonzero(scores == -math.inf))
     return scores
 
 
-def rw_metropolis_steps(thetas, lps, lls, logliks_fn, prior, cfg, rngs, stats):
+def rw_metropolis_steps(pop, logliks_fn, prior, cfg, rngs, stats):
     """One random-walk Metropolis update of the (t, xi) block of every particle.
 
-    The update runs in three passes over the population: each particle j
-    draws its proposal from ``rngs[j]``; every proposal inside the prior
-    support is scored by a single ``logliks_fn`` call; each such particle
-    then makes its accept test with one more uniform from ``rngs[j]``.
-    So a stream sees the same draws in the same order in any population.
+    Particle j draws its step from ``rngs[j]``; every proposal inside the
+    prior support is scored by a single ``logliks_fn`` call; each such
+    particle then makes its accept test with one more uniform from
+    ``rngs[j]``.  So a stream sees the same draws in the same order in any
+    population.  A proposal with a non-finite coordinate is outside the
+    support: it is neither scored nor accepted.
 
     Parameters
     ----------
-    thetas : sequence of ThetaParams
-    lps, lls : sequences of float
-        Cached log priors and log likelihoods (an ll may be any finite value
-        when gamma = 0).
-    logliks_fn : callable list of ThetaParams -> sequence of float
+    pop : Population
+        The current particles (an ll may be any finite value when gamma = 0).
+    logliks_fn : callable (k, t, xi) -> sequence of float
     prior : PriorConfig
     cfg : KernelConfig
     rngs : sequence of numpy Generators, one per particle
     stats : MoveStats
 
-    Returns ``(thetas, lps, lls, accepted)`` as a new list, two float arrays
-    and a bool array.
+    Returns ``(population, accepted)`` with a bool array ``accepted``.
     """
-    cur = _current(lps, lls, cfg.gamma)
-    out = list(thetas)
-    lp_out = np.array(lps, dtype=float)
-    ll_out = np.array(lls, dtype=float)
-    accepted = np.zeros(len(out), dtype=bool)
-    moves = []
-    for j, th in enumerate(thetas):
-        stats.rw_proposed += 1
-        z = rngs[j].standard_normal(th.k + 1)
-        L = cfg.scales.get(th.k)
-        step = z if L is None else L @ z
-        prop = ThetaParams(th.k, th.t + float(step[0]), th.xi + step[1:])
-        lp_new = log_prior(prop, prior)
-        if lp_new != -math.inf:
-            moves.append((j, prop, lp_new))
-    scores = _score([m[1] for m in moves], [lls[m[0]] for m in moves], logliks_fn,
-                    cfg.gamma, stats)
-    for (j, prop, lp_new), ll_new in zip(moves, scores):
-        if _accept(_tempered(lp_new, ll_new, cfg.gamma) - cur[j], rngs[j]):
-            stats.rw_accepted += 1
-            out[j], lp_out[j], ll_out[j], accepted[j] = prop, lp_new, ll_new, True
-    return out, lp_out, ll_out, accepted
+    cur = _current(pop, cfg.gamma)
+    n, w = pop.xi.shape
+    step = np.zeros((n, 1 + w))
+    for kk, rows in rows_by_order(pop.k).items():
+        z = np.empty((len(rows), kk + 1))
+        for zj, j in zip(z, rows):
+            rngs[j].standard_normal(out=zj)
+        # the order's steps L z as one stacked product: per vector the same
+        # BLAS call as L @ z
+        L = cfg.scales.get(kk)
+        step[rows, :kk + 1] = z if L is None else np.matmul(L, z[:, :, None])[:, :, 0]
+    stats.rw_proposed += n
+    t = pop.t + step[:, 0]
+    xi = pop.xi + step[:, 1:]
+    lp = log_prior(pop.k, t, xi, prior)
+    live = (lp != -math.inf).nonzero()[0]
+    sub = slice(None) if live.size == n else live
+    ll = pop.ll.copy()
+    ll[sub] = _score(pop.k[sub], t[sub], xi[sub], ll[sub], logliks_fn, cfg.gamma, stats)
+    log_r = _tempered(lp, ll, cfg.gamma) - cur
+    accepted = np.zeros(n, dtype=bool)
+    accepted[sub] = _accepts(log_r[sub], live.tolist(), rngs)
+    stats.rw_accepted += int(np.count_nonzero(accepted))
+    return Population(pop.k, np.where(accepted, t, pop.t), np.where(accepted[:, None], xi, pop.xi),
+                      np.where(accepted, lp, pop.lp), np.where(accepted, ll, pop.ll)), accepted
 
 
 def _rho_up(k, k_max):
@@ -213,7 +246,26 @@ def _rho_up(k, k_max):
     return 0.5
 
 
-def birth_death_steps(thetas, lps, lls, logliks_fn, prior, cfg, rngs, stats):
+@lru_cache(maxsize=256)
+def _birth_death_tables(k_max, geom_p, xi_var0, beta, w):
+    """Per order k = 0..w: the birth probability rho(k -> k+1), the prior sd
+    of a born coordinate xi_{k+1}, and the log ratio constants of a birth
+    and of a death from k (nan where that move is never proposed)."""
+    prior = PriorConfig(geom_p=geom_p, xi_var0=xi_var0, beta=beta, k_max=k_max)
+    log_pk_ratio = math.log1p(-geom_p)  # log p(k+1) - log p(k)
+    rows = []
+    for k in range(w + 1):
+        up = _rho_up(k, k_max)
+        # the reverse of a birth is a death chosen with probability 1 - rho_up(k+1)
+        birth = (math.log1p(-_rho_up(k + 1, k_max)) - math.log(up) + log_pk_ratio
+                 if k < k_max else math.nan)
+        death = (math.log(_rho_up(k - 1, k_max)) - math.log1p(-up) - log_pk_ratio
+                 if 0 < k <= k_max else math.nan)
+        rows.append((up, math.sqrt(prior.xi_var(k + 1)), birth, death))
+    return tuple(rows)
+
+
+def birth_death_steps(pop, logliks_fn, prior, cfg, rngs, stats):
     """One birth/death move on the model order of every particle.
 
     Birth draws xi_{k+1} from its conditional prior, so the prior density
@@ -222,52 +274,49 @@ def birth_death_steps(thetas, lps, lls, logliks_fn, prior, cfg, rngs, stats):
         log r = log rho(k* -> k) - log rho(k -> k*)
                 + log p(k*) - log p(k) + gamma (ll* - ll).
 
-    Propose, score and accept run in three passes over the population as in
-    :func:`rw_metropolis_steps`, with the same arguments and return values.
+    Every particle proposes a birth or a death (one uniform from its
+    generator, plus one normal for a birth's new coordinate); all proposals
+    are scored by one call and each particle then makes its accept test, as
+    in :func:`rw_metropolis_steps`, with the same arguments and return
+    values.  A birth at the population's width grows xi by one column.
     """
-    _current(lps, lls, cfg.gamma)
-    out = list(thetas)
-    lp_out = np.array(lps, dtype=float)
-    ll_out = np.array(lls, dtype=float)
-    accepted = np.zeros(len(out), dtype=bool)
+    _current(pop, cfg.gamma)
+    n, w = pop.xi.shape
     k_max = prior.k_max
     if k_max == 0:  # a single order: no move to propose
-        return out, lp_out, ll_out, accepted
-    log_pk_ratio = math.log1p(-prior.geom_p)  # log p(k+1) - log p(k)
+        return pop, np.zeros(n, dtype=bool)
+    table = _birth_death_tables(k_max, prior.geom_p, prior.xi_var0, prior.beta, w)
+    # per particle: the proposed order, the column it changes, that
+    # column's new value (a birth's coordinate, 0 for a death) and the
+    # constant part of the log ratio
     moves = []
-    for j, th in enumerate(thetas):
-        k = th.k
-        up = _rho_up(k, k_max)
-        if rngs[j].random() < up:
-            stats.birth_proposed += 1
-            if k >= k_max:
-                continue
-            xi_new = math.sqrt(prior.xi_var(k + 1)) * rngs[j].standard_normal()
-            prop = ThetaParams(k + 1, th.t, np.concatenate((th.xi, [xi_new])))
-            # reverse move is a death chosen with probability 1 - rho_up(k+1)
-            log_r = math.log1p(-_rho_up(k + 1, k_max)) - math.log(up) + log_pk_ratio
-            moves.append((j, prop, log_r, True))
+    for kj, rng in zip(pop.k.tolist(), rngs):
+        up, sd, birth_r, death_r = table[kj]
+        if rng.random() < up:
+            moves.append((kj + 1, kj, sd * rng.standard_normal(), birth_r))
         else:
-            stats.death_proposed += 1
-            if k == 0:  # rho_up(0) = 1, so death is never selected at k = 0
-                continue
-            prop = ThetaParams(k - 1, th.t, th.xi[:-1].copy())
-            log_r = math.log(_rho_up(k - 1, k_max)) - math.log1p(-up) - log_pk_ratio
-            moves.append((j, prop, log_r, False))
-    scores = _score([m[1] for m in moves], [lls[m[0]] for m in moves], logliks_fn,
-                    cfg.gamma, stats)
-    for (j, prop, log_r, birth), ll_new in zip(moves, scores):
-        if _accept(log_r + cfg.gamma * (ll_new - lls[j]), rngs[j]):
-            if birth:
-                stats.birth_accepted += 1
-            else:
-                stats.death_accepted += 1
-            out[j], lp_out[j], ll_out[j], accepted[j] = prop, log_prior(prop, prior), ll_new, True
-    return out, lp_out, ll_out, accepted
+            moves.append((kj - 1, kj - 1, 0.0, death_r))
+    k, col, born, log_r = zip(*moves)
+    xi = pop.xi if max(k) <= w else np.concatenate((pop.xi, np.zeros((n, 1))), axis=1)
+    k, col, born, rows = np.array(k), np.array(col), np.array(born), np.arange(n)
+    birth = k > pop.k
+    births = int(np.count_nonzero(birth))
+    stats.birth_proposed += births
+    stats.death_proposed += n - births
+    prop = xi.copy()
+    prop[rows, col] = born
+    lp = log_prior(k, pop.t, prop, prior)
+    ll = _score(k, pop.t, prop, pop.ll, logliks_fn, cfg.gamma, stats)
+    accepted = _accepts(np.array(log_r) + cfg.gamma * (ll - pop.ll), rows.tolist(), rngs)
+    born_kept = int(np.count_nonzero(accepted & birth))
+    stats.birth_accepted += born_kept
+    stats.death_accepted += int(np.count_nonzero(accepted)) - born_kept
+    return Population(np.where(accepted, k, pop.k), pop.t, np.where(accepted[:, None], prop, xi),
+                      np.where(accepted, lp, pop.lp), np.where(accepted, ll, pop.ll)), accepted
 
 
-def calibrate_scales(thetas):
-    """Per-order proposal covariances from an equally-weighted population.
+def calibrate_scales(k, t, xi):
+    """Per-order proposal covariances from an equally-weighted population (k, t, xi).
 
     For each order k with at least ``MIN_FACTOR * (k + 2)`` particles the
     proposal covariance is (2.38^2 / (k+1)) (S_k + eps I) with S_k the
@@ -275,19 +324,18 @@ def calibrate_scales(thetas):
     eps = 1e-8 tr(S_k)/(k+1); orders with fewer particles use the
     identity.  Returns {k: lower Cholesky factor}.
     """
-    groups = {}
-    for th in thetas:
-        groups.setdefault(th.k, []).append(th.as_vector())
+    orders, counts = np.unique(k, return_counts=True)
     scales = {}
-    for k, vecs in groups.items():
-        if len(vecs) < MIN_FACTOR * (k + 2):
+    for kk, count in zip(orders.tolist(), counts.tolist()):
+        if count < MIN_FACTOR * (kk + 2):
             continue
-        arr = np.asarray(vecs)
-        S = np.cov(arr, rowvar=False).reshape(k + 1, k + 1)
-        eps = 1e-8 * float(np.trace(S)) / (k + 1)
-        cov = (RW_SCALE2 / (k + 1)) * (S + eps * np.eye(k + 1))
+        rows = k == kk
+        arr = np.column_stack((t[rows], xi[rows, :kk]))
+        S = np.cov(arr, rowvar=False).reshape(kk + 1, kk + 1)
+        eps = 1e-8 * float(np.trace(S)) / (kk + 1)
+        cov = (RW_SCALE2 / (kk + 1)) * (S + eps * np.eye(kk + 1))
         try:
-            scales[k] = np.linalg.cholesky(cov)
+            scales[kk] = np.linalg.cholesky(cov)
         except np.linalg.LinAlgError:
             pass  # degenerate sample: keep the identity fallback
     return scales
@@ -299,38 +347,35 @@ def run_mcmc(loglik_fn, prior, cfg, seed, scales=None):
     Repeats ``cfg.steps`` cycles of one RW move followed by one birth/death
     move (none with ``cfg.fix_k`` set) at the fixed inverse temperature
     ``cfg.gamma``.  The chain starts from a prior draw seeded by ``seed`` and
-    visits orders 0..prior.k_max.  The proposal covariance is cfg.tau * I
-    for every order unless an explicit ``scales`` map is supplied.  Returns
-    a dict with the traces of k, d, t thinned by ``cfg.thin``, and the move
-    statistics.
+    visits orders 0..prior.k_max.  ``loglik_fn`` maps a ThetaParams to a
+    float and is called once per scored proposal.  The proposal covariance
+    is cfg.tau * I for every order unless an explicit ``scales`` map is
+    supplied.  Returns a dict with the traces of k, d, t thinned by
+    ``cfg.thin``, the move statistics and the final state as a ThetaParams.
     """
     rng = np.random.default_rng(seed)
     if scales is None:
         scales = {k: math.sqrt(cfg.tau) * np.eye(k + 1) for k in range(prior.k_max + 1)}
     kcfg = KernelConfig(gamma=cfg.gamma, scales=scales)
-    theta = sample_prior(prior, rng, fix_k=cfg.fix_k)
-    thetas, rngs = [theta], [rng]
-    lps = [log_prior(theta, prior)]
-    lls = [loglik_fn(theta) if cfg.gamma != 0.0 else 0.0]
-    logliks_fn = lambda ths: [loglik_fn(th) for th in ths]
+    logliks_fn = lambda k, t, xi: [loglik_fn(th) for th in to_thetas(k, t, xi)]
+    k, t, xi = sample_population(prior, [rng], fix_k=cfg.fix_k)
+    ll = np.asarray(logliks_fn(k, t, xi), dtype=float) if cfg.gamma != 0.0 else np.zeros(1)
+    pop = Population(k, t, xi, log_prior(k, t, xi, prior), ll)
+    rngs = [rng]
     stats = MoveStats()
-    ks, ds, ts = [], [], []
+    ks, ts = [], []
     for step in range(cfg.steps):
-        thetas, lps, lls, _ = rw_metropolis_steps(
-            thetas, lps, lls, logliks_fn, prior, kcfg, rngs, stats
-        )
+        pop, _ = rw_metropolis_steps(pop, logliks_fn, prior, kcfg, rngs, stats)
         if cfg.fix_k is None:
-            thetas, lps, lls, _ = birth_death_steps(
-                thetas, lps, lls, logliks_fn, prior, kcfg, rngs, stats
-            )
+            pop, _ = birth_death_steps(pop, logliks_fn, prior, kcfg, rngs, stats)
         if step % cfg.thin == 0:
-            ks.append(thetas[0].k)
-            ds.append(thetas[0].d)
-            ts.append(thetas[0].t)
+            ks.append(int(pop.k[0]))
+            ts.append(float(pop.t[0]))
+    t_trace = np.array(ts)
     return {
         "k": np.array(ks, dtype=int),
-        "d": np.array(ds),
-        "t": np.array(ts),
+        "d": memory_d(t_trace),
+        "t": t_trace,
         "stats": stats,
-        "final": thetas[0],
+        "final": pop.thetas()[0],
     }

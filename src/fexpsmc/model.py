@@ -16,11 +16,17 @@ Prior:
     d      ~ Uniform[0, 1/2]   => p(t) = sigmoid(t) (1 - sigmoid(t))
     xi_j   ~ Normal(0, xi_var0 * j^(-2 beta)),  j = 1..k, independent.
 
-The move kernels call :func:`log_prior` once per proposal, so its
-theta-free constants (log p(k), the variances Var(xi_j) and the Gaussian
-normalisers) are computed once per prior and order and cached on the
-values of the prior fields they depend on; a PriorConfig changed in place
-gets fresh constants.  :func:`sample_prior` draws d with
+A population of thetas is also carried as arrays: orders ``k`` (N,),
+``t`` (N,) and ``xi`` (N, w), row i holding its k[i] coefficients in its
+first columns and zeros after them, with w at least the largest order
+(:func:`to_arrays`, :func:`to_thetas`).  :func:`log_prior` scores such a
+population row by row.  Its theta-free constants (log p(k), the variances
+Var(xi_j) and the Gaussian normalisers) are tables computed once per prior
+and width, and cached on the values of the prior fields they depend on; a
+PriorConfig changed in place gets fresh tables.  d and log sigmoid(t) are
+per-element ``math`` calls: numpy's ``exp`` and ``log1p`` differ from
+``math``'s in the last bit for some doubles, and a ThetaParams must get the
+same d in a population as alone.  :func:`sample_prior` draws d with
 ``Generator.random()``, the same double ``uniform()`` would return.
 """
 
@@ -38,9 +44,22 @@ __all__ = [
     "fexp_sdf",
     "arfima_sdf",
     "eval_fbar",
+    "memory_d",
+    "to_arrays",
+    "to_thetas",
+    "rows_by_order",
     "log_prior",
     "sample_prior",
+    "sample_population",
 ]
+
+
+def _d_of_t(t):
+    # d = sigmoid(t)/2, stable for large |t|
+    if t >= 0.0:
+        return 0.5 / (1.0 + math.exp(-t))
+    e = math.exp(t)
+    return 0.5 * e / (1.0 + e)
 
 
 @dataclass
@@ -60,14 +79,7 @@ class ThetaParams:
 
     @property
     def d(self):
-        if self.t >= 0.0:
-            return 0.5 / (1.0 + math.exp(-self.t))
-        e = math.exp(self.t)
-        return 0.5 * e / (1.0 + e)
-
-    def as_vector(self):
-        """Concatenated (t, xi_1..xi_k) block used by the move kernels."""
-        return np.concatenate(([self.t], self.xi))
+        return _d_of_t(self.t)
 
     def copy(self):
         return ThetaParams(self.k, self.t, self.xi.copy())
@@ -142,50 +154,95 @@ def eval_fbar(theta, lam):
     return fexp_sdf(theta.d, theta.xi, lam)
 
 
-def _log_sigmoid(t):
-    # log sigmoid(t), stable for large |t|
-    if t >= 0:
-        return -math.log1p(math.exp(-t))
-    return t - math.log1p(math.exp(t))
+def memory_d(t):
+    """d = sigmoid(t)/2 of each element of a 1-D array, as ThetaParams.d gives it."""
+    return np.fromiter(map(_d_of_t, t.tolist()), float, t.size)
 
 
-@lru_cache(maxsize=1024)
-def _order_terms(geom_p, xi_var0, beta, k):
-    """The theta-free parts of the log prior at order k: log p(k) and, for
-    j = 1..k, the pairs (-log(2 pi v_j)/2, v_j) with v_j = Var(xi_j).
+def _stack(ks, ts, xis):
+    """Arrays (k, t, xi) of a population from per-particle orders, t values
+    and coefficient vectors; xi is zero-padded to the largest order."""
+    k = np.array(ks, dtype=np.int64)
+    xi = np.zeros((k.size, int(k.max(initial=0))))
+    for row, kj, x in zip(xi, ks, xis):
+        row[:kj] = x
+    return k, np.array(ts, dtype=float), xi
+
+
+def rows_by_order(k):
+    """{order: the positions of the rows of that order, ascending} of an
+    order array ``k``, orders in order of first appearance."""
+    rows = {}
+    for j, kj in enumerate(k.tolist()):
+        rows.setdefault(kj, []).append(j)
+    return rows
+
+
+def to_arrays(thetas):
+    """A sequence of ThetaParams as population arrays (k, t, xi)."""
+    return _stack([th.k for th in thetas], [th.t for th in thetas], [th.xi for th in thetas])
+
+
+def to_thetas(k, t, xi):
+    """Population arrays (k, t, xi) as a list of ThetaParams, each owning its xi."""
+    return [ThetaParams(kj, tj, row[:kj].copy())
+            for kj, tj, row in zip(k.tolist(), t.tolist(), xi)]
+
+
+def _log_p_t(t):
+    # log sigmoid(t) + log sigmoid(-t), stable for large |t|, with the one
+    # exp and log1p the two terms share
+    if t >= 0.0:
+        l = math.log1p(math.exp(-t))
+        return -l + (-t - l)
+    l = math.log1p(math.exp(t))
+    return (t - l) + -l
+
+
+@lru_cache(maxsize=256)
+def _prior_tables(geom_p, xi_var0, beta, k_max, w):
+    """The theta-free parts of the log prior for orders up to w, each the
+    double the per-term formula gives: a (w+1, w+1) table whose row k is
+    log p(k) (-inf beyond k_max) followed by the normalisers
+    -log(2 pi v_j)/2 for j = 1..k and zeros, and the variances
+    v_j = Var(xi_j) for j = 1..w.
 
     Keyed on the prior fields they depend on, so a PriorConfig changed in
-    place gets fresh terms.
+    place gets fresh tables; the cached arrays are read-only.
     """
     prior = PriorConfig(geom_p=geom_p, xi_var0=xi_var0, beta=beta)
-    log_pk = math.log(geom_p) + k * math.log1p(-geom_p)
-    terms = []
-    for j in range(1, k + 1):
-        v = prior.xi_var(j)
-        terms.append((-0.5 * math.log(2.0 * math.pi * v), v))
-    return log_pk, tuple(terms)
+    v = [prior.xi_var(j) for j in range(1, w + 1)]
+    norm = [-0.5 * math.log(2.0 * math.pi * vj) for vj in v]
+    table = np.zeros((w + 1, w + 1))
+    for k in range(w + 1):
+        table[k, 0] = math.log(geom_p) + k * math.log1p(-geom_p) if k <= k_max else -math.inf
+        table[k, 1:k + 1] = norm[:k]
+    v = np.array(v, dtype=float)
+    table.flags.writeable = v.flags.writeable = False
+    return table, v
 
 
-def log_prior(theta, prior):
-    """Log prior density of theta = (k, t, xi) under ``prior``.
+def log_prior(k, t, xi, prior):
+    """Log prior density of each row of the population (k, t, xi) under ``prior``.
 
     p(k) = geom_p (1-geom_p)^k;  p(t) = sigmoid(t)(1-sigmoid(t)) is the
     Uniform[0, 1/2] prior on d pushed through t = logit(2d) (Jacobian
-    included);  xi_j ~ N(0, xi_var0 j^(-2 beta)).  The per-order constants
-    are computed once per prior and order (``_order_terms``); the sum is
-    the same Python-float arithmetic, term by term.
+    included);  xi_j ~ N(0, xi_var0 j^(-2 beta)).  A row is outside the
+    support (-inf) when its order exceeds ``prior.k_max`` or a coordinate is
+    not finite (its sum is then -inf or NaN).  Each row sums
+    log p(k) + log p(t) and then its k Gaussian terms in order of j, by one
+    row-wise cumulative sum whose padding terms are exact zeros, so a row
+    gets the same bits in any population.
     """
-    if theta.k > prior.k_max:
-        return -math.inf
-    lp, terms = _order_terms(prior.geom_p, prior.xi_var0, prior.beta, theta.k)
-    lp += _log_sigmoid(theta.t) + _log_sigmoid(-theta.t)
-    for (norm, v), x in zip(terms, theta.xi.tolist()):
-        lp += norm - 0.5 * x * x / v
-    return lp
+    table, v = _prior_tables(prior.geom_p, prior.xi_var0, prior.beta, prior.k_max, xi.shape[1])
+    terms = table[k]
+    terms[:, 0] += np.fromiter(map(_log_p_t, t.tolist()), float, t.size)
+    terms[:, 1:] -= 0.5 * xi * xi / v
+    return np.fmax(terms.cumsum(axis=1)[:, -1], -math.inf)  # NaN -> -inf
 
 
-def sample_prior(prior, rng, fix_k=None):
-    """Draw theta from the prior (k optionally frozen at ``fix_k``)."""
+def _draw(prior, rng, fix_k):
+    """One prior draw as (k, t, xi)."""
     if fix_k is None:
         k = int(rng.geometric(prior.geom_p) - 1)  # numpy geometric lives on {1, 2, ...}
         if k > prior.k_max:
@@ -204,4 +261,15 @@ def sample_prior(prior, rng, fix_k=None):
     u = max(2.0 * d, 5e-324)
     t = math.log(u) - math.log1p(-u)
     xi = np.array([math.sqrt(prior.xi_var(j)) * rng.standard_normal() for j in range(1, k + 1)])
-    return ThetaParams(k=k, t=t, xi=xi)
+    return k, t, xi
+
+
+def sample_prior(prior, rng, fix_k=None):
+    """Draw theta from the prior (k optionally frozen at ``fix_k``)."""
+    return ThetaParams(*_draw(prior, rng, fix_k))
+
+
+def sample_population(prior, rngs, fix_k=None):
+    """One prior draw per generator, as population arrays (k, t, xi); the
+    draw from ``rngs[j]`` is row j and equals ``sample_prior(prior, rngs[j], fix_k)``."""
+    return _stack(*zip(*(_draw(prior, rng, fix_k) for rng in rngs)))

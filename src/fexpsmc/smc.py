@@ -18,11 +18,17 @@ kernels at the new temperature, with per-order proposal covariances
 calibrated from the freshly resampled population.  The model orders the
 particles may visit are those of the prior, 0..``prior.k_max``.
 
-Lockstep mutation: the M cycles run cycle-outer, particle-inner, and each
-half-step (RW, then birth/death) first draws every particle's proposal,
-then scores all proposals with one batched approximate-likelihood call
-(:func:`fexpsmc.approx.approx_log_liks`), then runs each particle's accept
-test.  A user ``loglik_fn`` is called once per proposal instead.
+Mutation on arrays: the population is carried through the run as a
+:class:`fexpsmc.mcmc.Population` -- orders k, t, zero-padded coefficients
+xi, cached log priors and log likelihoods -- and resampling is fancy
+indexing.  Each of the M cycles runs two half-steps (RW, then
+birth/death) over the whole population: every particle draws its proposal
+from its own stream, all proposals are scored with one batched
+approximate-likelihood call on the arrays
+(:func:`fexpsmc.approx.approx_log_liks`), then every particle runs its
+accept test, and the prior, the accept ratios and the updates are array
+operations.  ThetaParams are built only for the final population and, with
+a user ``loglik_fn``, once per scored proposal.
 
 Reproducibility: one master seed spawns N + 1 independent generator
 streams -- stream j drives the initialisation and all moves of particle
@@ -39,9 +45,9 @@ import numpy as np
 
 from .approx import approx_log_liks, prepare_dataset
 from .config import NumericalError
-from .mcmc import (KernelConfig, MoveStats, birth_death_steps, calibrate_scales,
+from .mcmc import (KernelConfig, MoveStats, Population, birth_death_steps, calibrate_scales,
                    rw_metropolis_steps)
-from .model import log_prior, sample_prior
+from .model import log_prior, sample_population, to_thetas
 
 __all__ = [
     "SmcConfig",
@@ -92,6 +98,7 @@ class ParticleSystem:
     bd_rates: list = field(default_factory=list)
     loglik_evals: list = field(default_factory=list)      # proposals scored
     loglik_minus_inf: list = field(default_factory=list)  # of those, scored -inf
+    distinct_after_resample: list = field(default_factory=list)  # distinct ancestors
     # log of the normalising constant of p~(x | theta) under the law of the
     # initial draws, the prior truncated to orders 0..k_max; log_prior keeps
     # the untruncated log p(k), but that constant cancels in every accept
@@ -240,21 +247,21 @@ def run_smc(x, prior, cfg, loglik_fn=None):
         if x is None:
             raise ValueError("either data or loglik_fn is required")
         ctx = prepare_dataset(x)
-        logliks_fn = lambda ths: approx_log_liks(ths, ctx, prior)
+        logliks_fn = lambda k, t, xi: approx_log_liks(k, t, xi, ctx, prior)
     else:
-        logliks_fn = lambda ths: [loglik_fn(th) for th in ths]
+        logliks_fn = lambda k, t, xi: [loglik_fn(th) for th in to_thetas(k, t, xi)]
 
     streams = [np.random.default_rng(s) for s in np.random.SeedSequence(cfg.seed).spawn(cfg.N + 1)]
     particle_rngs, resample_rng = streams[:cfg.N], streams[cfg.N]
 
-    thetas = [sample_prior(prior, rng) for rng in particle_rngs]
-    lp = np.array([log_prior(th, prior) for th in thetas])
-    ll = np.asarray(logliks_fn(thetas), dtype=float)
+    k, t, xi = sample_population(prior, particle_rngs)
+    pop = Population(k, t, xi, log_prior(k, t, xi, prior),
+                     np.asarray(logliks_fn(k, t, xi), dtype=float))
 
     system = ParticleSystem(
-        thetas=thetas,
+        thetas=[],
         log_weights=np.full(cfg.N, -math.log(cfg.N)),
-        cached_loglik=ll,
+        cached_loglik=pop.ll,
     )
 
     gamma = 0.0
@@ -264,6 +271,7 @@ def run_smc(x, prior, cfg, loglik_fn=None):
         if iteration > MAX_ITERS:
             raise NumericalError(f"tempering schedule did not reach gamma = 1 in "
                                  f"{MAX_ITERS} iterations (gamma = {gamma:.6g})")
+        ll = pop.ll
         gamma_new = solve_next_gamma(ll, gamma, cfg.c)
         alpha = gamma_new - gamma
         inc = alpha * ll
@@ -276,19 +284,14 @@ def run_smc(x, prior, cfg, loglik_fn=None):
         system.gamma_schedule.append(gamma_new)
 
         ancestors = multinomial_resample(weights, cfg.N, resample_rng)
-        thetas = [thetas[i].copy() for i in ancestors]
-        lp = lp[ancestors].copy()
-        ll = ll[ancestors].copy()
+        system.distinct_after_resample.append(len(np.unique(ancestors)))
+        pop = pop.take(ancestors)
 
-        kcfg = KernelConfig(gamma=gamma_new, scales=calibrate_scales(thetas))
+        kcfg = KernelConfig(gamma=gamma_new, scales=calibrate_scales(pop.k, pop.t, pop.xi))
         stats = MoveStats()
         for _ in range(cfg.M):
-            thetas, lp, ll, _ = rw_metropolis_steps(
-                thetas, lp, ll, logliks_fn, prior, kcfg, particle_rngs, stats
-            )
-            thetas, lp, ll, _ = birth_death_steps(
-                thetas, lp, ll, logliks_fn, prior, kcfg, particle_rngs, stats
-            )
+            pop, _ = rw_metropolis_steps(pop, logliks_fn, prior, kcfg, particle_rngs, stats)
+            pop, _ = birth_death_steps(pop, logliks_fn, prior, kcfg, particle_rngs, stats)
 
         system.rw_rates.append(stats.rw_rate())
         system.bd_rates.append(stats.bd_rate())
@@ -296,7 +299,7 @@ def run_smc(x, prior, cfg, loglik_fn=None):
         system.loglik_minus_inf.append(stats.loglik_minus_inf)
         gamma = gamma_new
 
-    system.thetas = thetas
-    system.cached_loglik = ll
+    system.thetas = pop.thetas()
+    system.cached_loglik = pop.ll
     system.log_weights = np.full(cfg.N, -math.log(cfg.N))
     return system

@@ -14,7 +14,7 @@ from fexpsmc._accel import cosine_series
 from fexpsmc.approx import (approx_log_lik, approx_log_liks, log_barnes_g,
                             log_det_approx, prepare_dataset, quadform_whittle)
 from fexpsmc.exact import fbar_autocov
-from fexpsmc.model import PriorConfig, ThetaParams
+from fexpsmc.model import PriorConfig, ThetaParams, to_arrays
 from fexpsmc.simulate import SimConfig, simulate_series
 
 TWO_PI = 2.0 * math.pi
@@ -404,7 +404,7 @@ def test_approx_log_liks_matches_scalar_path_across_blocks(monkeypatch):
     # exp(800 cos lam) overflows near lam = 0: this particle scores -inf
     thetas.insert(4, ThetaParams(k=1, t=0.0, xi=np.array([-800.0])))
     monkeypatch.setattr(approx, "BLOCK_ROWS", 4)  # blocks of 4, 4 and 1
-    got = approx_log_liks(thetas, ctx, prior)
+    got = approx_log_liks(*to_arrays(thetas), ctx, prior)
     assert got.shape == (len(thetas),)
     assert got[4] == -math.inf
     alone = [approx_log_lik(th, ctx, prior) for th in thetas]
@@ -424,7 +424,7 @@ def test_approx_side_at_d_one_half_is_minus_inf():
     prior = PriorConfig()
     thetas = [ThetaParams(k=0, t=0.2, xi=np.empty(0)), pole,
               ThetaParams(k=2, t=-1.0, xi=np.array([0.5, -0.2]))]
-    got = approx_log_liks(thetas, ctx, prior)
+    got = approx_log_liks(*to_arrays(thetas), ctx, prior)
     assert got[1] == -math.inf
     assert approx_log_lik(pole, ctx, prior) == -math.inf
     assert log_det_approx(pole, 64) == math.inf

@@ -260,7 +260,7 @@ def test_fit_diagnostics_document(workspace):
     assert list(diag) == [
         "run.command", "run.seed", "run.n_observations",
         "smc.N", "smc.M", "smc.iterations", "smc.gamma_schedule", "smc.ess_trace",
-        "smc.rw_accept_rates", "smc.bd_accept_rates", "smc.loglik_evals",
+        "smc.distinct_after_resample", "smc.rw_accept_rates", "smc.bd_accept_rates", "smc.loglik_evals",
         "smc.loglik_minus_inf", "smc.log_evidence",
         "correction.enabled", "correction.n_weighted", "correction.n_unique",
         "correction.n_failed", "correction.ess_fraction",
@@ -281,6 +281,11 @@ def test_fit_diagnostics_document(workspace):
     assert len(evals) == len(minus_inf) == len(sched)
     assert all(e >= m >= 0 for e, m in zip(evals, minus_inf))
     assert sum(evals) > 0
+    # per iteration: the distinct ancestors the resample kept
+    distinct = diag["smc.distinct_after_resample"]
+    distinct = distinct if isinstance(distinct, list) else [distinct]
+    assert len(distinct) == len(sched)
+    assert all(1 <= v <= diag["smc.N"] for v in distinct)
 
 
 def test_fit_summary_masses_and_moments(workspace):
@@ -504,7 +509,7 @@ def test_exit_4_degenerate_weights(tmp_path, capsys):
 def test_exit_4_nan_log_likelihood(workspace, tmp_path, monkeypatch, capsys):
     from fexpsmc import smc
     monkeypatch.setattr(smc, "approx_log_liks",
-                        lambda thetas, ctx, prior: np.full(len(thetas), np.nan))
+                        lambda k, t, xi, ctx, prior: np.full(k.size, np.nan))
     code = main(["fit", "--config", str(workspace / "fit.cfg"),
                  "--output", str(tmp_path)])
     assert code == 4

@@ -12,7 +12,7 @@ from fexpsmc.correction import CorrectionConfig, correction_weights
 from fexpsmc import exact as exact_module
 from fexpsmc.approx import approx_log_lik, prepare_dataset
 from fexpsmc.exact import NotPositiveDefiniteError, exact_log_marglik
-from fexpsmc.model import PriorConfig, ThetaParams, sample_prior
+from fexpsmc.model import PriorConfig, ThetaParams, sample_prior, to_thetas
 from fexpsmc.simulate import SimConfig, simulate_series
 from fexpsmc.smc import SmcConfig, run_smc
 
@@ -32,7 +32,7 @@ def _fake(monkeypatch, exact, approx):
     ``approx(thetas)`` an array as approx_log_liks does."""
     monkeypatch.setattr(correction, "exact_log_margliks", lambda ths, x, prior: exact(ths))
     monkeypatch.setattr(correction, "approx_log_liks",
-                        lambda ths, ctx, prior: approx(ths))
+                        lambda k, t, xi, ctx, prior: approx(to_thetas(k, t, xi)))
 
 
 def _valid(values):

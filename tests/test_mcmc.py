@@ -8,17 +8,23 @@ from scipy.stats import kstest
 
 from fexpsmc.config import NumericalError
 from fexpsmc.mcmc import (InvalidStateError, KernelConfig, McmcConfig, MoveStats,
-                          RW_SCALE2, birth_death_steps, calibrate_scales,
+                          Population, RW_SCALE2, birth_death_steps, calibrate_scales,
                           rw_metropolis_steps, run_mcmc)
-from fexpsmc.model import PriorConfig, ThetaParams, log_prior, sample_prior
+from fexpsmc.model import PriorConfig, ThetaParams, log_prior, sample_prior, to_arrays
 
 FLAT = lambda th: 0.0
-FLATS = lambda thetas: [0.0] * len(thetas)
+FLATS = lambda k, t, xi: np.zeros(k.size)
+
+
+def _population(prior, thetas, lls):
+    """The thetas as a Population, with their log priors and log likelihoods ``lls``."""
+    k, t, xi = to_arrays(thetas)
+    return Population(k, t, xi, log_prior(k, t, xi, prior), np.asarray(lls, dtype=float))
 
 
 def _state(prior, theta):
-    """A population of one: ([theta], [log prior], [log likelihood 0])."""
-    return [theta], [log_prior(theta, prior)], [0.0]
+    """A population of one, with log likelihood 0."""
+    return _population(prior, [theta], [0.0])
 
 
 # ---------------------------------------------------------------------------
@@ -30,10 +36,10 @@ def test_rw_vanishing_proposal_always_accepts():
     cfg = KernelConfig(gamma=0.0, scales={1: 1e-12 * np.eye(2)})
     rng = np.random.default_rng(0)
     stats = MoveStats()
-    ths, lps, lls = _state(prior, ThetaParams(k=1, t=0.3, xi=np.array([0.5])))
+    pop = _state(prior, ThetaParams(k=1, t=0.3, xi=np.array([0.5])))
     accepted = 0
     for _ in range(300):
-        ths, lps, lls, acc = rw_metropolis_steps(ths, lps, lls, FLATS, prior, cfg, [rng], stats)
+        pop, acc = rw_metropolis_steps(pop, FLATS, prior, cfg, [rng], stats)
         accepted += acc[0]
     assert accepted >= 299  # log_r is rounding-level noise
     assert stats.rw_proposed == 300
@@ -44,8 +50,10 @@ def test_rw_rejects_from_invalid_state():
     cfg = KernelConfig()
     rng = np.random.default_rng(1)
     th = ThetaParams(k=3, t=0.0, xi=np.zeros(3))  # beyond k_max: prior = 0
+    pop = _state(prior, th)
+    assert pop.lp[0] == -math.inf
     with pytest.raises(InvalidStateError):
-        rw_metropolis_steps([th], [-math.inf], [0.0], FLATS, prior, cfg, [rng], MoveStats())
+        rw_metropolis_steps(pop, FLATS, prior, cfg, [rng], MoveStats())
     assert issubclass(InvalidStateError, NumericalError)  # a CLI exit 4, not a traceback
 
 
@@ -55,14 +63,13 @@ def test_rw_never_evaluates_likelihood_at_gamma_zero():
     rng = np.random.default_rng(2)
     calls = []
 
-    def logliks(thetas):
+    def logliks(k, t, xi):
         calls.append(1)
-        return [0.0] * len(thetas)
+        return np.zeros(k.size)
 
-    ths, lps, lls = _state(prior, ThetaParams(k=0, t=0.0, xi=np.empty(0)))
+    pop = _state(prior, ThetaParams(k=0, t=0.0, xi=np.empty(0)))
     for _ in range(50):
-        ths, lps, lls, _ = rw_metropolis_steps(ths, lps, lls, logliks, prior, cfg, [rng],
-                                               MoveStats())
+        pop, _ = rw_metropolis_steps(pop, logliks, prior, cfg, [rng], MoveStats())
     assert not calls
 
 
@@ -74,12 +81,12 @@ def test_rw_prior_chain_matches_logistic_marginal():
     cfg = KernelConfig(gamma=0.0, scales={0: np.array([[scale]])})
     rng = np.random.default_rng(3)
     stats = MoveStats()
-    ths, lps, lls = _state(prior, ThetaParams(k=0, t=0.0, xi=np.empty(0)))
+    pop = _state(prior, ThetaParams(k=0, t=0.0, xi=np.empty(0)))
     ds = []
     for step in range(50_000):
-        ths, lps, lls, _ = rw_metropolis_steps(ths, lps, lls, FLATS, prior, cfg, [rng], stats)
+        pop, _ = rw_metropolis_steps(pop, FLATS, prior, cfg, [rng], stats)
         if step % 5 == 0:
-            ds.append(ths[0].d)
+            ds.append(pop.thetas()[0].d)
     stat, _ = kstest(np.array(ds), "uniform", args=(0.0, 0.5))
     assert stat < 0.03, f"KS = {stat}"
     assert 0.25 < stats.rw_rate() < 0.65
@@ -89,13 +96,13 @@ def test_rw_moves_all_coordinates():
     prior = PriorConfig()
     cfg = KernelConfig(gamma=0.0, scales={2: 0.5 * np.eye(3)})
     rng = np.random.default_rng(4)
-    ths, lps, lls = _state(prior, ThetaParams(k=2, t=0.0, xi=np.zeros(2)))
-    start = ths[0].as_vector().copy()
+    pop = _state(prior, ThetaParams(k=2, t=0.0, xi=np.zeros(2)))
+    block = lambda pop: np.concatenate((pop.t, pop.xi[0]))  # (t, xi_1, xi_2)
+    start = block(pop)
     for _ in range(200):
-        ths, lps, lls, _ = rw_metropolis_steps(ths, lps, lls, FLATS, prior, cfg, [rng],
-                                               MoveStats())
-    assert np.all(np.abs(ths[0].as_vector() - start) > 0.0)
-    assert ths[0].k == 2  # RW never changes the order
+        pop, _ = rw_metropolis_steps(pop, FLATS, prior, cfg, [rng], MoveStats())
+    assert np.all(np.abs(block(pop) - start) > 0.0)
+    assert pop.k[0] == 2  # RW never changes the order
 
 
 # ---------------------------------------------------------------------------
@@ -110,9 +117,9 @@ def test_birth_from_k0_accepts_at_known_rate():
     rng = np.random.default_rng(5)
     trials, hits = 20_000, 0
     for _ in range(trials):
-        ths, lps, lls = _state(prior, ThetaParams(k=0, t=0.0, xi=np.empty(0)))
+        pop = _state(prior, ThetaParams(k=0, t=0.0, xi=np.empty(0)))
         stats = MoveStats()
-        _, _, _, acc = birth_death_steps(ths, lps, lls, FLATS, prior, cfg, [rng], stats)
+        _, acc = birth_death_steps(pop, FLATS, prior, cfg, [rng], stats)
         assert stats.birth_proposed == 1 and stats.death_proposed == 0
         hits += acc[0]
     rate = hits / trials
@@ -128,13 +135,13 @@ def test_death_from_k1_always_accepted_when_proposed():
     rng = np.random.default_rng(6)
     deaths = accepted = 0
     for _ in range(4000):
-        ths, lps, lls = _state(prior, ThetaParams(k=1, t=0.0, xi=np.array([1.0])))
+        pop = _state(prior, ThetaParams(k=1, t=0.0, xi=np.array([1.0])))
         stats = MoveStats()
-        out, _, _, acc = birth_death_steps(ths, lps, lls, FLATS, prior, cfg, [rng], stats)
+        out, acc = birth_death_steps(pop, FLATS, prior, cfg, [rng], stats)
         if stats.death_proposed:
             deaths += 1
             accepted += acc[0]
-            assert out[0].k == 0
+            assert out.k[0] == 0
     assert deaths > 1500  # proposed about half the time
     assert accepted == deaths
 
@@ -144,11 +151,11 @@ def test_birth_preserves_lower_block_and_death_undoes_it():
     cfg = KernelConfig(gamma=0.0)
     rng = np.random.default_rng(7)
     th0 = ThetaParams(k=2, t=0.4, xi=np.array([0.3, -0.2]))
-    lp0 = log_prior(th0, prior)
+    pop0 = _state(prior, th0)
     # force a birth by looping until one is proposed and accepted
     for _ in range(500):
-        th1, lp1, _, acc = birth_death_steps([th0], [lp0], [0.0], FLATS, prior, cfg,
-                                             [rng], MoveStats())
+        pop1, acc = birth_death_steps(pop0, FLATS, prior, cfg, [rng], MoveStats())
+        th1 = pop1.thetas()
         if acc[0] and th1[0].k == 3:
             break
     else:
@@ -157,8 +164,8 @@ def test_birth_preserves_lower_block_and_death_undoes_it():
     assert np.array_equal(th1[0].xi[:2], th0.xi)
     # a death from th1 restores the original block exactly
     for _ in range(500):
-        th2, _, _, acc = birth_death_steps(th1, lp1, [0.0], FLATS, prior, cfg,
-                                           [rng], MoveStats())
+        pop2, acc = birth_death_steps(pop1, FLATS, prior, cfg, [rng], MoveStats())
+        th2 = pop2.thetas()
         if acc[0] and th2[0].k == 2:
             break
     else:
@@ -171,10 +178,10 @@ def test_birth_blocked_at_k_max():
     prior = PriorConfig(k_max=2)
     cfg = KernelConfig(gamma=0.0)
     rng = np.random.default_rng(8)
-    ths, lps, lls = _state(prior, ThetaParams(k=2, t=0.0, xi=np.zeros(2)))
+    pop = _state(prior, ThetaParams(k=2, t=0.0, xi=np.zeros(2)))
     for _ in range(200):
-        out, _, _, _ = birth_death_steps(ths, lps, lls, FLATS, prior, cfg, [rng], MoveStats())
-        assert out[0].k <= 2
+        out, _ = birth_death_steps(pop, FLATS, prior, cfg, [rng], MoveStats())
+        assert out.k[0] <= 2
 
 
 def test_no_birth_death_move_at_k_max_zero():
@@ -182,11 +189,10 @@ def test_no_birth_death_move_at_k_max_zero():
     prior = PriorConfig(k_max=0)
     rng = np.random.default_rng(8)
     before = rng.bit_generator.state
-    ths, lps, lls = _state(prior, ThetaParams(k=0, t=0.3, xi=np.empty(0)))
+    pop = _state(prior, ThetaParams(k=0, t=0.3, xi=np.empty(0)))
     stats = MoveStats()
-    out, _, _, acc = birth_death_steps(ths, lps, lls, FLATS, prior, KernelConfig(gamma=1.0),
-                                       [rng], stats)
-    assert out[0] is ths[0] and not acc[0]
+    out, acc = birth_death_steps(pop, FLATS, prior, KernelConfig(gamma=1.0), [rng], stats)
+    assert out is pop and not acc[0]
     assert rng.bit_generator.state == before
     assert stats == MoveStats() and math.isnan(stats.bd_rate())
 
@@ -195,15 +201,13 @@ def test_extreme_likelihood_ratios_do_not_overflow():
     prior = PriorConfig()
     cfg = KernelConfig(gamma=1.0)
     rng = np.random.default_rng(9)
-    wild = lambda thetas: [1e6 * (th.k - 1.0) - 1e6 * th.t**2 for th in thetas]
-    ths = [ThetaParams(k=1, t=0.1, xi=np.array([0.2]))]
-    lps, lls = [log_prior(ths[0], prior)], wild(ths)
+    wild = lambda k, t, xi: 1e6 * (k - 1.0) - 1e6 * t**2
+    pop = _state(prior, ThetaParams(k=1, t=0.1, xi=np.array([0.2])))
+    pop = _population(prior, pop.thetas(), wild(pop.k, pop.t, pop.xi))
     for _ in range(200):
-        ths, lps, lls, _ = rw_metropolis_steps(ths, lps, lls, wild, prior, cfg, [rng],
-                                               MoveStats())
-        ths, lps, lls, _ = birth_death_steps(ths, lps, lls, wild, prior, cfg, [rng],
-                                             MoveStats())
-        assert math.isfinite(lps[0]) and math.isfinite(lls[0])
+        pop, _ = rw_metropolis_steps(pop, wild, prior, cfg, [rng], MoveStats())
+        pop, _ = birth_death_steps(pop, wild, prior, cfg, [rng], MoveStats())
+        assert math.isfinite(pop.lp[0]) and math.isfinite(pop.ll[0])
 
 
 def test_move_stats_counters_are_consistent():
@@ -211,10 +215,10 @@ def test_move_stats_counters_are_consistent():
     cfg = KernelConfig(gamma=0.0)
     rng = np.random.default_rng(10)
     stats = MoveStats()
-    ths, lps, lls = _state(prior, sample_prior(prior, np.random.default_rng(0)))
+    pop = _state(prior, sample_prior(prior, np.random.default_rng(0)))
     for _ in range(500):
-        ths, lps, lls, _ = rw_metropolis_steps(ths, lps, lls, FLATS, prior, cfg, [rng], stats)
-        ths, lps, lls, _ = birth_death_steps(ths, lps, lls, FLATS, prior, cfg, [rng], stats)
+        pop, _ = rw_metropolis_steps(pop, FLATS, prior, cfg, [rng], stats)
+        pop, _ = birth_death_steps(pop, FLATS, prior, cfg, [rng], stats)
     assert stats.rw_proposed == 500
     assert stats.birth_proposed + stats.death_proposed == 500
     assert 0 <= stats.rw_accepted <= stats.rw_proposed
@@ -229,24 +233,21 @@ def test_move_stats_count_scored_proposals_and_minus_inf():
     prior = PriorConfig()
     seen = []
 
-    def logliks(thetas):
-        seen.extend(thetas)
-        return [-math.inf if th.t > 0.0 else 0.0 for th in thetas]
+    def logliks(k, t, xi):
+        seen.extend(t.tolist())
+        return np.where(t > 0.0, -math.inf, 0.0)
 
     rngs = [np.random.default_rng(40 + j) for j in range(8)]
-    thetas = [sample_prior(prior, rng) for rng in rngs]
-    lps, lls = [log_prior(th, prior) for th in thetas], [0.0] * 8
+    pop = _population(prior, [sample_prior(prior, rng) for rng in rngs], [0.0] * 8)
     for gamma in (0.0, 0.5):
         stats = MoveStats()
         cfg = KernelConfig(gamma=gamma)
         seen.clear()
         for _ in range(20):
-            thetas, lps, lls, _ = rw_metropolis_steps(thetas, lps, lls, logliks, prior,
-                                                      cfg, rngs, stats)
-            thetas, lps, lls, _ = birth_death_steps(thetas, lps, lls, logliks, prior,
-                                                    cfg, rngs, stats)
+            pop, _ = rw_metropolis_steps(pop, logliks, prior, cfg, rngs, stats)
+            pop, _ = birth_death_steps(pop, logliks, prior, cfg, rngs, stats)
         assert stats.loglik_evals == len(seen)
-        assert stats.loglik_minus_inf == sum(th.t > 0.0 for th in seen)
+        assert stats.loglik_minus_inf == sum(t > 0.0 for t in seen)
         assert (stats.loglik_evals > stats.loglik_minus_inf > 0) == (gamma > 0.0)
 
 
@@ -283,7 +284,7 @@ def test_calibrate_scales_recovers_population_covariance():
     sd = 2.0
     thetas = [ThetaParams(k=0, t=float(rng.normal(scale=sd)), xi=np.empty(0))
               for _ in range(4000)]
-    scales = calibrate_scales(thetas)
+    scales = calibrate_scales(*to_arrays(thetas))
     L = scales[0]
     want = math.sqrt(RW_SCALE2) * sd  # 2.38 * sd for the 1-d block
     assert abs(L[0, 0] - want) / want < 0.06
@@ -295,14 +296,14 @@ def test_calibrate_scales_skips_sparse_orders():
               for _ in range(50)]
     thetas += [ThetaParams(k=3, t=0.1, xi=rng.normal(size=3))
                for _ in range(5)]  # fewer than 2 * (3 + 2) = 10
-    scales = calibrate_scales(thetas)
+    scales = calibrate_scales(*to_arrays(thetas))
     assert 0 in scales
     assert 3 not in scales
 
 
 def test_calibrate_scales_handles_degenerate_population():
     thetas = [ThetaParams(k=0, t=1.0, xi=np.empty(0)) for _ in range(20)]
-    scales = calibrate_scales(thetas)  # zero variance: either absent or finite
+    scales = calibrate_scales(*to_arrays(thetas))  # zero variance: either absent or finite
     if 0 in scales:
         assert np.all(np.isfinite(scales[0]))
 
@@ -333,3 +334,29 @@ def test_run_mcmc_is_deterministic_in_the_seed():
     a = run_mcmc(FLAT, prior, cfg, seed=42)
     b = run_mcmc(FLAT, prior, cfg, seed=42)
     assert np.array_equal(a["t"], b["t"]) and np.array_equal(a["k"], b["k"])
+
+
+@pytest.mark.parametrize("L", [
+    np.array([[math.inf, 0.0], [0.0, 1.0]]),
+    np.array([[1.0, 0.0], [0.0, math.inf]]),
+    np.array([[1.0, 0.0], [math.nan, 1.0]]),
+], ids=["inf_t", "inf_xi", "nan_xi"])
+def test_rw_proposal_with_a_non_finite_coordinate_is_rejected_unscored(L):
+    # a non-finite coordinate is outside the support: log prior -inf, so the
+    # proposal is neither scored nor given an accept uniform
+    prior = PriorConfig()
+    rng, twin = np.random.default_rng(14), np.random.default_rng(14)
+    pop = _state(prior, ThetaParams(k=1, t=0.3, xi=np.array([0.5])))
+    calls, stats = [], MoveStats()
+
+    def logliks(k, t, xi):
+        calls.append(1)
+        return np.zeros(k.size)
+
+    out, acc = rw_metropolis_steps(pop, logliks, prior, KernelConfig(gamma=1.0, scales={1: L}),
+                                   [rng], stats)
+    assert not acc[0] and not calls
+    assert stats.rw_proposed == 1 and stats.loglik_evals == 0
+    assert out.thetas()[0].key() == pop.thetas()[0].key() and out.lp[0] == pop.lp[0]
+    twin.standard_normal(2)  # the step's draw, and nothing after it
+    assert rng.bit_generator.state == twin.bit_generator.state

@@ -10,9 +10,15 @@ from scipy import stats
 from scipy.integrate import quad
 
 from fexpsmc.model import (PriorConfig, ThetaParams, arfima_sdf, eval_fbar,
-                           fexp_sdf, log_prior, sample_prior)
+                           fexp_sdf, log_prior, sample_prior, to_arrays)
+from particle_reference import log_prior as _direct_log_prior
 
 TWO_PI = 2.0 * math.pi
+
+
+def _log_prior(theta, prior):
+    """log_prior of a population of one."""
+    return float(log_prior(*to_arrays([theta]), prior)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -112,7 +118,7 @@ def test_log_prior_hand_value_at_origin():
     prior = PriorConfig()
     th = ThetaParams(k=0, t=0.0, xi=np.empty(0))
     want = math.log(0.2) + math.log(0.25)  # P(k=0) and p(t=0) = 1/4
-    assert abs(log_prior(th, prior) - want) < 1e-14
+    assert abs(_log_prior(th, prior) - want) < 1e-14
 
 
 def test_log_prior_k_one_includes_gaussian_term():
@@ -123,29 +129,13 @@ def test_log_prior_k_one_includes_gaussian_term():
     want = (math.log(0.2) + math.log(0.8)
             + math.log(s * (1.0 - s))
             - 0.5 * math.log(TWO_PI * 100.0) - 0.5 * x * x / 100.0)
-    assert abs(log_prior(th, prior) - want) < 1e-13
+    assert abs(_log_prior(th, prior) - want) < 1e-13
 
 
 def test_log_prior_beyond_k_max_is_minus_inf():
     prior = PriorConfig(k_max=3)
     th = ThetaParams(k=4, t=0.0, xi=np.zeros(4))
-    assert log_prior(th, prior) == -math.inf
-
-
-def _direct_log_prior(theta, prior):
-    """The prior density term by term, every constant recomputed per call."""
-    def log_sigmoid(u):
-        return -math.log1p(math.exp(-u)) if u >= 0 else u - math.log1p(math.exp(u))
-
-    if theta.k > prior.k_max:
-        return -math.inf
-    lp = math.log(prior.geom_p) + theta.k * math.log1p(-prior.geom_p)
-    lp += log_sigmoid(theta.t) + log_sigmoid(-theta.t)
-    for j in range(1, theta.k + 1):
-        v = prior.xi_var0 * float(j) ** (-2.0 * prior.beta)
-        x = float(theta.xi[j - 1])
-        lp += -0.5 * math.log(2.0 * math.pi * v) - 0.5 * x * x / v
-    return lp
+    assert _log_prior(th, prior) == -math.inf
 
 
 @given(k=st.integers(0, 8), t=st.floats(-40.0, 40.0),
@@ -156,17 +146,17 @@ def test_log_prior_is_bitwise_the_direct_formula(k, t, xi, geom_p, xi_var0, beta
     # at k = k_max, beyond it, and after the prior is changed in place
     prior = PriorConfig(k_max=6)
     th = ThetaParams(k=k, t=t, xi=np.array(xi[:k]))
-    assert log_prior(th, prior) == _direct_log_prior(th, prior)
+    assert _log_prior(th, prior) == _direct_log_prior(th, prior)
     prior.geom_p, prior.xi_var0, prior.beta = geom_p, xi_var0, beta
-    assert log_prior(th, prior) == _direct_log_prior(th, prior)
+    assert _log_prior(th, prior) == _direct_log_prior(th, prior)
     prior.k_max = 8
-    assert log_prior(th, prior) == _direct_log_prior(th, prior)
+    assert _log_prior(th, prior) == _direct_log_prior(th, prior)
 
 
 def test_prior_t_density_integrates_to_one():
     prior = PriorConfig()
     th = lambda t: ThetaParams(k=0, t=t, xi=np.empty(0))
-    dens = lambda t: math.exp(log_prior(th(t), prior)) / 0.2  # strip P(k=0)
+    dens = lambda t: math.exp(_log_prior(th(t), prior)) / 0.2  # strip P(k=0)
     val, err = quad(dens, -40.0, 40.0, limit=200)
     assert abs(val - 1.0) < 1e-9
 
@@ -186,7 +176,7 @@ def test_birth_density_is_the_marginal_prior_factor():
     val = 0.37
     th0 = ThetaParams(k=1, t=0.2, xi=np.array([1.0]))
     th1 = ThetaParams(k=2, t=0.2, xi=np.array([1.0, val]))
-    diff = log_prior(th1, prior) - log_prior(th0, prior)
+    diff = _log_prior(th1, prior) - _log_prior(th0, prior)
     v = prior.xi_var0 * 2.0 ** (-2.0 * prior.beta)
     birth = -0.5 * math.log(2.0 * math.pi * v) - 0.5 * val * val / v
     assert abs(diff - (birth + math.log1p(-prior.geom_p))) < 1e-13
@@ -308,4 +298,4 @@ def test_sampled_draws_have_finite_positive_prior_density():
     rng = np.random.default_rng(5)
     for _ in range(500):
         th = sample_prior(prior, rng)
-        assert math.isfinite(log_prior(th, prior))
+        assert math.isfinite(_log_prior(th, prior))
