@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .approx import approx_log_lik, prepare_dataset
+from .approx import approx_log_liks, prepare_dataset
 from .config import (ConfigError, DataError, NumericalError, RunConfig,
                      dump_document, load_config)
 from .correction import correction_weights
@@ -258,12 +258,11 @@ def _cmd_mcmc_baseline(args):
     cfg = _load_run_config(args)
     prior, mcmc_cfg = cfg.section("prior"), cfg.section("mcmc")
     if mcmc_cfg.gamma > 0.0:
-        x = _read_data(cfg)
-        ctx = prepare_dataset(x)
-        loglik = lambda th: approx_log_lik(th, ctx, prior)
+        ctx = prepare_dataset(_read_data(cfg))
+        logliks = lambda k, t, xi: approx_log_liks(k, t, xi, ctx, prior)
     else:
-        loglik = lambda th: 0.0  # chain targets the prior alone
-    res = run_mcmc(loglik, prior, mcmc_cfg, cfg["smc.seed"])
+        logliks = lambda k, t, xi: np.zeros(k.size)  # chain targets the prior alone
+    res = run_mcmc(logliks, prior, mcmc_cfg, cfg["smc.seed"])
     out = _out_dir(args)
     steps = np.arange(res["k"].size) * mcmc_cfg.thin
     with open(out / "trace.csv", "w", newline="") as fh:

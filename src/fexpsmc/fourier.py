@@ -29,6 +29,8 @@ import math
 
 import numpy as np
 
+from .config import NumericalError
+
 __all__ = [
     "fourier_coeffs_bounded",
     "fracdiff_acf",
@@ -63,7 +65,7 @@ def fourier_coeffs_bounded(g, n, M=None):
     The assembled coefficients are complex only through rounding (for even
     g) or genuine asymmetry of g; the real part is returned and the
     imaginary residue is required to stay below ``IMAG_TOL`` relative to
-    the coefficient scale.
+    the coefficient scale.  A non-finite g on the grid raises NumericalError.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -76,7 +78,7 @@ def fourier_coeffs_bounded(g, n, M=None):
     if gv.shape != lam.shape:
         raise ValueError("g must return one value per grid node")
     if not np.all(np.isfinite(gv)):
-        raise ValueError("g produced non-finite values on the grid")
+        raise NumericalError("g produced non-finite values on the grid")
     # periodic trapezoid: fold the two half-weighted endpoints, one FFT
     s = gv[:M].astype(complex)
     s[0] = 0.5 * (gv[0] + gv[M])

@@ -22,14 +22,14 @@ The kernels move a whole :class:`Population` -- arrays k, t, xi (zero-padded
 to the population's width, which a birth grows), log prior ``lp`` and log
 likelihood ``ll`` -- in one half-step: every particle draws its proposal
 from its own generator, every proposal inside the prior support (finite
-coordinates, order at most k_max) is scored by one likelihood call on
-arrays, and each scored particle makes its accept test with one more
-uniform from its generator.  Per particle, Python only draws -- an RW
-proposal is one ``standard_normal(k + 1)`` (times the order's Cholesky
-factor, in one stacked product per order), a birth/death choice one
-``random()``, a birth's new coordinate one ``standard_normal()``, an
-accept test one ``random()`` -- and calls ``math`` for d, log p(t) and the
-accept test's exp, whose last bit numpy's ``exp`` does not always match.
+coordinates, order at most k_max) is scored by one ``logliks_fn(k, t, xi)``
+call, one value per row, and each scored particle makes its accept test
+with one more uniform from its generator.  Per particle, Python only draws
+-- an RW proposal is one ``standard_normal(k + 1)`` (times the order's
+Cholesky factor, in one stacked product per order), a birth/death choice
+one ``random()``, a birth's new coordinate one ``standard_normal()``, an
+accept test one ``random()`` -- and calls ``math`` for d, log p(t) and
+the accept test's exp, whose last bit numpy's ``exp`` does not always match.
 The prior sums, tempering, acceptance ratios and updates are array
 operations.  All acceptance tests run in log space, so extreme likelihood
 ratios never overflow.  Kernels mutate nothing and return the new
@@ -175,6 +175,14 @@ def _accepts(log_r, idx, rngs):
                      for j, r in zip(idx, log_r.tolist())], dtype=bool)
 
 
+def _log_liks(logliks_fn, k, t, xi):
+    """``logliks_fn(k, t, xi)`` as floats, one per row; a scalar must not broadcast."""
+    ll = np.asarray(logliks_fn(k, t, xi), dtype=float)
+    if ll.shape != k.shape:
+        raise ValueError(f"logliks_fn returned shape {ll.shape}, not one value per row {k.shape}")
+    return ll
+
+
 def _score(k, t, xi, ll, logliks_fn, gamma, stats):
     """Log likelihoods of the proposals (k, t, xi), all from one ``logliks_fn``
     call; at gamma = 0 none is evaluated and each keeps its particle's ``ll``."""
@@ -182,7 +190,7 @@ def _score(k, t, xi, ll, logliks_fn, gamma, stats):
         return ll
     if not k.size:
         return np.empty(0)
-    scores = np.asarray(logliks_fn(k, t, xi), dtype=float)
+    scores = _log_liks(logliks_fn, k, t, xi)
     stats.loglik_evals += scores.size
     stats.loglik_minus_inf += int(np.count_nonzero(scores == -math.inf))
     return scores
@@ -202,7 +210,7 @@ def rw_metropolis_steps(pop, logliks_fn, prior, cfg, rngs, stats):
     ----------
     pop : Population
         The current particles (an ll may be any finite value when gamma = 0).
-    logliks_fn : callable (k, t, xi) -> sequence of float
+    logliks_fn : callable (k, t, xi) -> array of one float per row
     prior : PriorConfig
     cfg : KernelConfig
     rngs : sequence of numpy Generators, one per particle
@@ -324,12 +332,10 @@ def calibrate_scales(k, t, xi):
     eps = 1e-8 tr(S_k)/(k+1); orders with fewer particles use the
     identity.  Returns {k: lower Cholesky factor}.
     """
-    orders, counts = np.unique(k, return_counts=True)
     scales = {}
-    for kk, count in zip(orders.tolist(), counts.tolist()):
-        if count < MIN_FACTOR * (kk + 2):
+    for kk, rows in rows_by_order(k).items():
+        if len(rows) < MIN_FACTOR * (kk + 2):
             continue
-        rows = k == kk
         arr = np.column_stack((t[rows], xi[rows, :kk]))
         S = np.cov(arr, rowvar=False).reshape(kk + 1, kk + 1)
         eps = 1e-8 * float(np.trace(S)) / (kk + 1)
@@ -341,14 +347,14 @@ def calibrate_scales(k, t, xi):
     return scales
 
 
-def run_mcmc(loglik_fn, prior, cfg, seed, scales=None):
+def run_mcmc(logliks_fn, prior, cfg, seed, scales=None):
     """Plain (non-tempered-sequence) MCMC baseline driver.
 
     Repeats ``cfg.steps`` cycles of one RW move followed by one birth/death
     move (none with ``cfg.fix_k`` set) at the fixed inverse temperature
     ``cfg.gamma``.  The chain starts from a prior draw seeded by ``seed`` and
-    visits orders 0..prior.k_max.  ``loglik_fn`` maps a ThetaParams to a
-    float and is called once per scored proposal.  The proposal covariance
+    visits orders 0..prior.k_max.  ``logliks_fn(k, t, xi)`` scores arrays of
+    one row, as in the kernels (never at gamma = 0).  The proposal covariance
     is cfg.tau * I for every order unless an explicit ``scales`` map is
     supplied.  Returns a dict with the traces of k, d, t thinned by
     ``cfg.thin``, the move statistics and the final state as a ThetaParams.
@@ -357,9 +363,8 @@ def run_mcmc(loglik_fn, prior, cfg, seed, scales=None):
     if scales is None:
         scales = {k: math.sqrt(cfg.tau) * np.eye(k + 1) for k in range(prior.k_max + 1)}
     kcfg = KernelConfig(gamma=cfg.gamma, scales=scales)
-    logliks_fn = lambda k, t, xi: [loglik_fn(th) for th in to_thetas(k, t, xi)]
     k, t, xi = sample_population(prior, [rng], fix_k=cfg.fix_k)
-    ll = np.asarray(logliks_fn(k, t, xi), dtype=float) if cfg.gamma != 0.0 else np.zeros(1)
+    ll = _log_liks(logliks_fn, k, t, xi) if cfg.gamma != 0.0 else np.zeros(1)
     pop = Population(k, t, xi, log_prior(k, t, xi, prior), ll)
     rngs = [rng]
     stats = MoveStats()

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _accel
+from .config import NumericalError
 from .exact import NotPositiveDefiniteError
 from .fourier import fourier_coeffs_longmemory
 from .model import arfima_sdf, fexp_sdf
@@ -62,8 +63,12 @@ def _smooth_factor(cfg):
 
 
 def model_autocov(cfg, n, M=None):
-    """Autocovariances gamma(0..n-1) of the configured model."""
-    return fourier_coeffs_longmemory(cfg.d, _smooth_factor(cfg), n, M=M)
+    """Autocovariances gamma(0..n-1) of the configured model; NumericalError if f is not finite."""
+    try:
+        return fourier_coeffs_longmemory(cfg.d, _smooth_factor(cfg), n, M=M)
+    except NumericalError:
+        raise NumericalError(f"model.kind = {cfg.kind}: the spectral density is not finite "
+                             "on the quadrature grid") from None
 
 
 def simulate_series(cfg, rng):

@@ -24,11 +24,10 @@ xi, cached log priors and log likelihoods -- and resampling is fancy
 indexing.  Each of the M cycles runs two half-steps (RW, then
 birth/death) over the whole population: every particle draws its proposal
 from its own stream, all proposals are scored with one batched
-approximate-likelihood call on the arrays
-(:func:`fexpsmc.approx.approx_log_liks`), then every particle runs its
-accept test, and the prior, the accept ratios and the updates are array
-operations.  ThetaParams are built only for the final population and, with
-a user ``loglik_fn``, once per scored proposal.
+likelihood call on the arrays (:func:`fexpsmc.approx.approx_log_liks`, or
+a user ``logliks_fn`` of its form), then every particle runs its accept
+test, and the prior, the accept ratios and the updates are array
+operations.  ThetaParams are built only for the final population.
 
 Reproducibility: one master seed spawns N + 1 independent generator
 streams -- stream j drives the initialisation and all moves of particle
@@ -45,9 +44,9 @@ import numpy as np
 
 from .approx import approx_log_liks, prepare_dataset
 from .config import NumericalError
-from .mcmc import (KernelConfig, MoveStats, Population, birth_death_steps, calibrate_scales,
-                   rw_metropolis_steps)
-from .model import log_prior, sample_population, to_thetas
+from .mcmc import (KernelConfig, MoveStats, Population, _log_liks, birth_death_steps,
+                   calibrate_scales, rw_metropolis_steps)
+from .model import log_prior, sample_population
 
 __all__ = [
     "SmcConfig",
@@ -219,19 +218,18 @@ def multinomial_resample(weights, N, rng):
     return np.sort(idx)
 
 
-def run_smc(x, prior, cfg, loglik_fn=None):
+def run_smc(x, prior, cfg, logliks_fn=None):
     """Run the adaptive-tempering SMC sampler.
 
     Parameters
     ----------
     x : array or None
-        Data series; may be None when an explicit ``loglik_fn`` is given.
+        Data series; may be None when an explicit ``logliks_fn`` is given.
     prior : PriorConfig
     cfg : SmcConfig
-    loglik_fn : callable theta -> float, optional
-        Replaces the default approximate likelihood built from ``x``
-        (used by tests with analytic pseudo-likelihoods); it is called once
-        per theta.
+    logliks_fn : callable (k, t, xi) -> array, optional
+        Replaces the default approximate likelihood built from ``x``; like
+        ``approx_log_liks``, it returns one log likelihood per row.
 
     Returns a :class:`ParticleSystem`.  The final population is equally
     weighted because every iteration -- including the last one at
@@ -243,26 +241,20 @@ def run_smc(x, prior, cfg, loglik_fn=None):
     a bias.  A schedule that has not reached gamma = 1 after MAX_ITERS
     iterations raises :class:`~fexpsmc.config.NumericalError`.
     """
-    if loglik_fn is None:
+    if logliks_fn is None:
         if x is None:
-            raise ValueError("either data or loglik_fn is required")
+            raise ValueError("either data or logliks_fn is required")
         ctx = prepare_dataset(x)
         logliks_fn = lambda k, t, xi: approx_log_liks(k, t, xi, ctx, prior)
-    else:
-        logliks_fn = lambda k, t, xi: [loglik_fn(th) for th in to_thetas(k, t, xi)]
 
     streams = [np.random.default_rng(s) for s in np.random.SeedSequence(cfg.seed).spawn(cfg.N + 1)]
     particle_rngs, resample_rng = streams[:cfg.N], streams[cfg.N]
 
     k, t, xi = sample_population(prior, particle_rngs)
-    pop = Population(k, t, xi, log_prior(k, t, xi, prior),
-                     np.asarray(logliks_fn(k, t, xi), dtype=float))
+    pop = Population(k, t, xi, log_prior(k, t, xi, prior), _log_liks(logliks_fn, k, t, xi))
 
-    system = ParticleSystem(
-        thetas=[],
-        log_weights=np.full(cfg.N, -math.log(cfg.N)),
-        cached_loglik=pop.ll,
-    )
+    system = ParticleSystem(thetas=[], log_weights=np.full(cfg.N, -math.log(cfg.N)),
+                            cached_loglik=pop.ll)
 
     gamma = 0.0
     iteration = 0
@@ -271,10 +263,8 @@ def run_smc(x, prior, cfg, loglik_fn=None):
         if iteration > MAX_ITERS:
             raise NumericalError(f"tempering schedule did not reach gamma = 1 in "
                                  f"{MAX_ITERS} iterations (gamma = {gamma:.6g})")
-        ll = pop.ll
-        gamma_new = solve_next_gamma(ll, gamma, cfg.c)
-        alpha = gamma_new - gamma
-        inc = alpha * ll
+        gamma_new = solve_next_gamma(pop.ll, gamma, cfg.c)
+        inc = (gamma_new - gamma) * pop.ll
         m = np.max(inc[np.isfinite(inc)])
         w = np.exp(inc - m, where=np.isfinite(inc), out=np.zeros_like(inc))
         wsum = w.sum()
@@ -299,7 +289,5 @@ def run_smc(x, prior, cfg, loglik_fn=None):
         system.loglik_minus_inf.append(stats.loglik_minus_inf)
         gamma = gamma_new
 
-    system.thetas = pop.thetas()
-    system.cached_loglik = pop.ll
-    system.log_weights = np.full(cfg.N, -math.log(cfg.N))
+    system.thetas, system.cached_loglik = pop.thetas(), pop.ll
     return system

@@ -6,7 +6,9 @@ summed term by term in Python floats, each accept test is a scalar
 log-space comparison and scale calibration groups the particles in a dict.
 :func:`run_smc` and :func:`run_mcmc` drive them exactly as the package's
 samplers drive the array kernels, so the package must reproduce their
-particles, likelihoods, schedules and rates bit for bit.
+particles, likelihoods, schedules and rates bit for bit.  The drivers
+take a per-theta ``loglik_fn``; :func:`per_row` gives the package's
+samplers the same function in their population form.
 """
 
 import math
@@ -16,8 +18,14 @@ import numpy as np
 from fexpsmc.approx import approx_log_liks, prepare_dataset
 from fexpsmc.config import NumericalError
 from fexpsmc.mcmc import MIN_FACTOR, RW_SCALE2, InvalidStateError, KernelConfig, MoveStats
-from fexpsmc.model import ThetaParams, sample_prior, to_arrays
+from fexpsmc.model import ThetaParams, sample_prior, to_arrays, to_thetas
 from fexpsmc.smc import MAX_ITERS, ParticleSystem, ess, multinomial_resample, solve_next_gamma
+
+
+def per_row(loglik_fn):
+    """A per-theta log likelihood as ``logliks_fn(k, t, xi)``: one
+    ``loglik_fn`` call per row of the population arrays."""
+    return lambda k, t, xi: np.array([loglik_fn(th) for th in to_thetas(k, t, xi)])
 
 
 def log_prior(theta, prior):

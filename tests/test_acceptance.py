@@ -200,8 +200,8 @@ def test_06_prior_chain_reproduces_marginals():
     for k in range(PRIOR.k_max + 1):
         var = [math.pi ** 2 / 3] + [PRIOR.xi_var(j) for j in range(1, k + 1)]
         scales[k] = np.linalg.cholesky((RW_SCALE2 / (k + 1)) * np.diag(var))
-    res = run_mcmc(lambda th: 0.0, PRIOR, McmcConfig(steps=250_000, gamma=0.0), seed=3,
-                   scales=scales)
+    res = run_mcmc(lambda k, t, xi: np.zeros(k.size), PRIOR,
+                   McmcConfig(steps=250_000, gamma=0.0), seed=3, scales=scales)
 
     ks_stat = sps.kstest(res["d"], sps.uniform(loc=0, scale=0.5).cdf).statistic
 

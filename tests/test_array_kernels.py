@@ -58,7 +58,8 @@ def test_run_smc_reproduces_the_per_particle_reference(N, k_max, M, seed, loglik
     prior = PriorConfig(k_max=k_max)
     cfg = SmcConfig(N=N, M=M, seed=seed)
     fn = None if loglik == "approx" else _pseudo_loglik
-    got = _fingerprint(run_smc(X, prior, cfg, loglik_fn=fn))
+    logliks_fn = None if fn is None else ref.per_row(fn)
+    got = _fingerprint(run_smc(X, prior, cfg, logliks_fn=logliks_fn))
     want = _fingerprint(ref.run_smc(X, prior, cfg, loglik_fn=fn))
     assert got == want
     assert max(k for k, _, _ in got["keys"]) <= k_max
@@ -69,7 +70,7 @@ def test_run_smc_reproduces_the_per_particle_reference(N, k_max, M, seed, loglik
 def test_run_mcmc_reproduces_the_per_particle_reference(gamma, fix_k, k_max):
     prior = PriorConfig(k_max=k_max)
     cfg = McmcConfig(steps=400, gamma=gamma, fix_k=fix_k, thin=3)
-    got = run_mcmc(_pseudo_loglik, prior, cfg, seed=9)
+    got = run_mcmc(ref.per_row(_pseudo_loglik), prior, cfg, seed=9)
     want = ref.run_mcmc(_pseudo_loglik, prior, cfg, seed=9)
     for key in ("k", "d", "t"):
         assert got[key].tolist() == want[key].tolist()
@@ -77,9 +78,8 @@ def test_run_mcmc_reproduces_the_per_particle_reference(gamma, fix_k, k_max):
     assert got["final"].key() == want["final"].key()
 
 
-def test_run_smc_builds_one_theta_per_final_particle(monkeypatch):
-    # with the default likelihood the mutation never builds a ThetaParams:
-    # only the N particles of the final population are
+def _count_thetas(monkeypatch):
+    """A list that grows by one per ThetaParams built from now on."""
     built = []
     post_init = model.ThetaParams.__post_init__
 
@@ -88,10 +88,27 @@ def test_run_smc_builds_one_theta_per_final_particle(monkeypatch):
         post_init(self)
 
     monkeypatch.setattr(model.ThetaParams, "__post_init__", counting)
+    return built
+
+
+@pytest.mark.parametrize("logliks_fn", [None, lambda k, t, xi: -2.0 * (t - 1.0) ** 2 - 0.3 * k],
+                         ids=["approx", "user"])
+def test_run_smc_builds_one_theta_per_final_particle(monkeypatch, logliks_fn):
+    # the mutation never builds a ThetaParams, with the default likelihood
+    # or a user one: only the N particles of the final population are
+    built = _count_thetas(monkeypatch)
     cfg = SmcConfig(N=24, M=3, seed=6)
-    ps = run_smc(X, PriorConfig(), cfg)
+    ps = run_smc(X, PriorConfig(), cfg, logliks_fn=logliks_fn)
     assert len(built) == cfg.N == len(ps.thetas)
     assert sum(ps.loglik_evals) > 10 * cfg.N  # the mutation did run
+
+
+def test_run_mcmc_builds_one_theta_for_the_final_state(monkeypatch):
+    built = _count_thetas(monkeypatch)
+    res = run_mcmc(lambda k, t, xi: -2.0 * (t - 1.0) ** 2, PriorConfig(),
+                   McmcConfig(steps=200, gamma=1.0), seed=4)
+    assert len(built) == 1
+    assert res["stats"].loglik_evals >= 200  # the chain did score its proposals
 
 
 def test_log_prior_rows_are_the_scalar_reference():

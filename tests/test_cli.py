@@ -562,6 +562,21 @@ def test_exit_4_mcmc_baseline_from_a_zero_density_start(wide_prior_series, tmp_p
     assert "zero target density" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kind, model", [
+    ("arfima", "model.phi = 1.0\n"),   # an AR unit root: f(0) divides by zero
+    ("fexp", "model.xi = 800.0\n"),    # exp(800 cos lam) overflows
+], ids=["arfima_unit_root", "fexp_overflow"])
+def test_exit_4_simulate_density_not_finite_on_the_grid(tmp_path, capsys, kind, model):
+    sim = tmp_path / "sim.cfg"
+    sim.write_text(f"model.kind = {kind}\nmodel.n = 64\n" + model)
+    with np.errstate(divide="ignore", over="ignore"):
+        code = main(["simulate", "--config", str(sim), "--output", str(tmp_path)])
+    assert code == 4
+    err = capsys.readouterr().err
+    assert f"numerical error: model.kind = {kind}:" in err and "not finite" in err
+    assert not (tmp_path / "series.csv").exists()
+
+
 def test_missing_subcommand_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main([])

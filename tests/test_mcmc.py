@@ -12,7 +12,6 @@ from fexpsmc.mcmc import (InvalidStateError, KernelConfig, McmcConfig, MoveStats
                           rw_metropolis_steps, run_mcmc)
 from fexpsmc.model import PriorConfig, ThetaParams, log_prior, sample_prior, to_arrays
 
-FLAT = lambda th: 0.0
 FLATS = lambda k, t, xi: np.zeros(k.size)
 
 
@@ -260,8 +259,8 @@ def test_chain_occupancy_matches_k_only_posterior():
     # proportional to geom(k) * exp(c_k), computable exactly
     prior = PriorConfig(k_max=30)
     c = -0.4
-    loglik = lambda th: c * th.k
-    res = run_mcmc(loglik, prior, McmcConfig(steps=60_000, gamma=1.0, thin=10), seed=11,
+    logliks = lambda k, t, xi: c * k
+    res = run_mcmc(logliks, prior, McmcConfig(steps=60_000, gamma=1.0, thin=10), seed=11,
                    scales={k: np.eye(k + 1) for k in range(31)})
     ks = res["k"]
     logmass = np.array([k * math.log(0.8) + c * k for k in range(31)])
@@ -312,9 +311,21 @@ def test_calibrate_scales_handles_degenerate_population():
 # Driver
 # ---------------------------------------------------------------------------
 
+@pytest.mark.parametrize("bad", [lambda k, t, xi: 0.0, lambda k, t, xi: np.zeros((k.size, 1))],
+                         ids=["scalar", "column"])
+def test_a_likelihood_without_one_value_per_row_is_rejected(bad):
+    prior = PriorConfig()
+    with pytest.raises(ValueError, match="not one value per row"):
+        run_mcmc(bad, prior, McmcConfig(steps=1), seed=0)
+    rngs = [np.random.default_rng(j) for j in range(3)]
+    pop = _population(prior, [sample_prior(prior, rng) for rng in rngs], [0.0] * 3)
+    with pytest.raises(ValueError, match="not one value per row"):
+        rw_metropolis_steps(pop, bad, prior, KernelConfig(), rngs, MoveStats())
+
+
 def test_run_mcmc_thinning_and_shapes():
     prior = PriorConfig()
-    res = run_mcmc(FLAT, prior, McmcConfig(steps=10, gamma=0.0, thin=3), seed=0)
+    res = run_mcmc(FLATS, prior, McmcConfig(steps=10, gamma=0.0, thin=3), seed=0)
     assert res["k"].size == 4  # stored at steps 0, 3, 6, 9
     assert res["d"].size == 4 and res["t"].size == 4
     assert np.all((res["d"] >= 0.0) & (res["d"] <= 0.5))
@@ -322,7 +333,7 @@ def test_run_mcmc_thinning_and_shapes():
 
 def test_run_mcmc_fix_k_freezes_order():
     prior = PriorConfig()
-    res = run_mcmc(FLAT, prior, McmcConfig(steps=300, gamma=0.0, fix_k=2), seed=1)
+    res = run_mcmc(FLATS, prior, McmcConfig(steps=300, gamma=0.0, fix_k=2), seed=1)
     assert np.all(res["k"] == 2)
     assert res["stats"].birth_proposed == 0
     assert res["stats"].death_proposed == 0
@@ -331,8 +342,8 @@ def test_run_mcmc_fix_k_freezes_order():
 def test_run_mcmc_is_deterministic_in_the_seed():
     prior = PriorConfig()
     cfg = McmcConfig(steps=200, gamma=0.0)
-    a = run_mcmc(FLAT, prior, cfg, seed=42)
-    b = run_mcmc(FLAT, prior, cfg, seed=42)
+    a = run_mcmc(FLATS, prior, cfg, seed=42)
+    b = run_mcmc(FLATS, prior, cfg, seed=42)
     assert np.array_equal(a["t"], b["t"]) and np.array_equal(a["k"], b["k"])
 
 

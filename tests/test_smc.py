@@ -11,11 +11,12 @@ from scipy.optimize import brentq
 
 from fexpsmc.approx import approx_log_lik, prepare_dataset
 from fexpsmc.config import NumericalError
-from fexpsmc.model import PriorConfig, sample_prior
+from fexpsmc.model import PriorConfig, sample_prior, to_arrays
 from fexpsmc.simulate import SimConfig, simulate_series
 from fexpsmc import smc
 from fexpsmc.smc import (BRENT_TOL, ParticleSystem, SmcConfig, ess, multinomial_resample,
                          run_smc, solve_next_gamma)
+from particle_reference import per_row
 
 
 # ---------------------------------------------------------------------------
@@ -211,9 +212,9 @@ def test_smc_matches_quadrature_posterior_mean():
     # cap k at 0 and weight by a Gaussian bump in t: the target is
     # logistic(t) * exp(-2 (t - 1)^2), integrable by quadrature
     prior = PriorConfig(k_max=0)
-    loglik = lambda th: -2.0 * (th.t - 1.0) ** 2
+    logliks = lambda k, t, xi: -2.0 * (t - 1.0) ** 2
     cfg = SmcConfig(N=3000, M=8, seed=6)
-    ps = run_smc(None, prior, cfg, loglik_fn=loglik)
+    ps = run_smc(None, prior, cfg, logliks_fn=logliks)
 
     dens = lambda t: _logistic_density(t) * math.exp(-2.0 * (t - 1.0) ** 2)
     z, _ = quad(dens, -30, 30)
@@ -234,14 +235,14 @@ def test_smc_evidence_unbiased_on_tractable_target():
     # in the linear domain, so the replicate mean of Z_hat/Z should sit
     # within a few standard errors of 1
     prior = PriorConfig(k_max=0)
-    loglik = lambda th: -0.5 * (th.t + 0.5) ** 2
+    logliks = lambda k, t, xi: -0.5 * (t + 0.5) ** 2
     dens = lambda t: _logistic_density(t) * math.exp(-0.5 * (t + 0.5) ** 2)
     z_true, _ = quad(dens, -30, 30)
 
     ratios = []
     for seed in range(40):
         cfg = SmcConfig(N=400, M=3, seed=seed)
-        ps = run_smc(None, prior, cfg, loglik_fn=loglik)
+        ps = run_smc(None, prior, cfg, logliks_fn=logliks)
         ratios.append(math.exp(ps.log_evidence) / z_true)
     ratios = np.array(ratios)
     se = ratios.std(ddof=1) / math.sqrt(ratios.size)
@@ -251,9 +252,9 @@ def test_smc_evidence_unbiased_on_tractable_target():
 
 def test_smc_trace_bookkeeping():
     prior = PriorConfig()
-    loglik = lambda th: -1.0 * (th.t - 0.3) ** 2 - 0.2 * th.k
+    logliks = lambda k, t, xi: -1.0 * (t - 0.3) ** 2 - 0.2 * k
     cfg = SmcConfig(N=200, M=2, seed=7)
-    ps = run_smc(None, prior, cfg, loglik_fn=loglik)
+    ps = run_smc(None, prior, cfg, logliks_fn=logliks)
     iters = len(ps.gamma_schedule)
     assert iters >= 1
     assert ps.gamma_schedule[-1] == 1.0
@@ -271,7 +272,7 @@ def test_smc_trace_bookkeeping():
 def test_smc_reports_no_birth_death_rate_at_k_max_zero():
     # a single model order has no birth/death move, so no rate to report
     ps = run_smc(None, PriorConfig(k_max=0), SmcConfig(N=50, M=2, seed=1),
-                 loglik_fn=lambda th: -(th.t - 1.0) ** 2)
+                 logliks_fn=lambda k, t, xi: -(t - 1.0) ** 2)
     assert ps.bd_rates and all(math.isnan(r) for r in ps.bd_rates)
     assert all(0.0 <= r <= 1.0 for r in ps.rw_rates)
 
@@ -282,15 +283,15 @@ def test_smc_stuck_tempering_schedule_is_a_numerical_error(monkeypatch):
     monkeypatch.setattr(smc, "MAX_ITERS", 1)
     with pytest.raises(NumericalError, match="did not reach gamma = 1 in 1 iterations"):
         run_smc(None, PriorConfig(k_max=0), SmcConfig(N=50, M=0, seed=1),
-                loglik_fn=lambda th: -50.0 * (th.t - 1.0) ** 2)
+                logliks_fn=lambda k, t, xi: -50.0 * (t - 1.0) ** 2)
 
 
 def test_smc_is_deterministic_in_the_seed():
     prior = PriorConfig()
-    loglik = lambda th: -0.5 * th.t**2
-    a = run_smc(None, prior, SmcConfig(N=100, M=2, seed=11), loglik_fn=loglik)
-    b = run_smc(None, prior, SmcConfig(N=100, M=2, seed=11), loglik_fn=loglik)
-    c = run_smc(None, prior, SmcConfig(N=100, M=2, seed=12), loglik_fn=loglik)
+    logliks = lambda k, t, xi: -0.5 * t**2
+    a = run_smc(None, prior, SmcConfig(N=100, M=2, seed=11), logliks_fn=logliks)
+    b = run_smc(None, prior, SmcConfig(N=100, M=2, seed=11), logliks_fn=logliks)
+    c = run_smc(None, prior, SmcConfig(N=100, M=2, seed=12), logliks_fn=logliks)
     assert a.log_evidence == b.log_evidence
     assert all(x.key() == y.key() for x, y in zip(a.thetas, b.thetas))
     assert a.log_evidence != c.log_evidence
@@ -300,14 +301,14 @@ def test_smc_with_m_zero_matches_mirror_implementation():
     # with no move steps the sampler is exactly reweight/resample on prior
     # draws; replicate it line by line with the same stream layout
     prior = PriorConfig()
-    loglik = lambda th: 0.3 * th.k
+    logliks = lambda k, t, xi: 0.3 * k
     N, c, seed = 150, 0.5, 13
-    ps = run_smc(None, prior, SmcConfig(N=N, M=0, c=c, seed=seed), loglik_fn=loglik)
+    ps = run_smc(None, prior, SmcConfig(N=N, M=0, c=c, seed=seed), logliks_fn=logliks)
 
     streams = [np.random.default_rng(s)
                for s in np.random.SeedSequence(seed).spawn(N + 1)]
     thetas = [sample_prior(prior, streams[j]) for j in range(N)]
-    ll = np.array([loglik(th) for th in thetas])
+    ll = logliks(*to_arrays(thetas))
     gamma, log_z = 0.0, 0.0
     while gamma < 1.0:
         gamma_new = solve_next_gamma(ll, gamma, c)
@@ -337,7 +338,7 @@ def test_batched_likelihood_matches_scalar_likelihood(N, k_max):
     cfg = SmcConfig(N=N, M=3, seed=20 + N)
     batched = run_smc(x, prior, cfg)
     scalar = run_smc(None, prior, cfg,
-                     loglik_fn=lambda th: approx_log_lik(th, ctx, prior))
+                     logliks_fn=per_row(lambda th: approx_log_lik(th, ctx, prior)))
     assert [th.key() for th in batched.thetas] == [th.key() for th in scalar.thetas]
     assert batched.gamma_schedule == scalar.gamma_schedule
     assert np.allclose(batched.cached_loglik, scalar.cached_loglik, rtol=1e-12, atol=0.0)
@@ -361,6 +362,12 @@ def test_prior_k_max_caps_every_particle_on_data():
 def test_smc_requires_data_or_likelihood():
     with pytest.raises(ValueError):
         run_smc(None, PriorConfig(), SmcConfig(N=10))
+
+
+def test_smc_rejects_a_likelihood_without_one_value_per_row():
+    # a scalar would otherwise broadcast into every particle's log likelihood
+    with pytest.raises(ValueError, match="not one value per row"):
+        run_smc(None, PriorConfig(), SmcConfig(N=10), logliks_fn=lambda k, t, xi: -1.0)
 
 
 def test_smc_config_validation():
