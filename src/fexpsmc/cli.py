@@ -232,6 +232,7 @@ def _cmd_fit(args):
         diag["correction.n_weighted"] = int(corr.indices.size)
         diag["correction.n_unique"] = int(corr.n_unique)
         diag["correction.n_failed"] = int(corr.n_failed)
+        diag["correction.n_ill_conditioned"] = int(corr.n_ill_conditioned)
         diag["correction.ess_fraction"] = float(corr.ess_fraction)
     (out / "diagnostics.txt").write_text(dump_document(diag))
 

@@ -7,19 +7,20 @@ Particles theta_j targeting the approximate posterior are reweighted by
 
 then self-normalised.  Both evaluators drop the same kind of theta-free
 constants, so the weights are correct up to a single global factor that
-normalisation removes.  The exact evaluation costs one O(n^2)
-Durbin-Levinson sweep per distinct particle, so weights are memoised
+normalisation removes.  The exact evaluation costs one O(n log^2 n) Schur
+solve per distinct particle, or an O(n^2) Durbin-Levinson sweep for a
+particle too ill-conditioned for it (counted), so weights are memoised
 across duplicated particles (resampled populations contain many copies)
 and the step can be subsampled.  The settings are a
 :class:`CorrectionConfig`, the only owner of the ``correction.*`` keys'
 defaults and checks, and of the exact-likelihood length guard that the CLI
 also applies before it samples.  Both sides of all distinct particles are
-batched evaluations: the exact side whitens blocks of thetas in one sweep
-each (:func:`fexpsmc.exact.exact_log_margliks`).  With ``threads > 1`` the
+batched evaluations: the exact side solves blocks of thetas at once
+(:func:`fexpsmc.exact.exact_log_margliks`).  With ``threads > 1`` the
 distinct particles are cut into one block per thread and the blocks run on
-a thread pool.  The Durbin-Levinson sweep is a per-step Python loop that
-holds the GIL for most of its time, so the blocks barely overlap; every
-particle gets the same bits for any thread count.
+a thread pool.  Both exact kernels are per-step Python loops that hold the
+GIL for most of their time, so the blocks barely overlap; every particle
+gets the same bits for any thread count.
 """
 
 import logging
@@ -31,19 +32,19 @@ import numpy as np
 
 from .approx import approx_log_liks, prepare_dataset
 from .config import ConfigError, NumericalError
-from .exact import BLOCK_ROWS, NotPositiveDefiniteError, exact_log_margliks
+from .exact import BLOCK_ROWS, NotPositiveDefiniteError, _exact_log_margliks
 from .model import to_arrays
 
 __all__ = ["CorrectionConfig", "CorrectionResult", "correction_weights"]
 
 logger = logging.getLogger(__name__)
 
-#: refuse exact work above this length unless explicitly forced.  Memory is
-#: not the limit: at n = 20 000 a full block of exact.BLOCK_ROWS = 32 distinct
-#: particles raises the peak RSS by about 50 MB (one particle alone by about
-#: 8 MB).  Time is: that block takes 23 s, 0.73 s per distinct particle, on
-#: the numpy backend (one core of a 2-core x86 host; one particle alone
-#: 1.0-1.2 s), growing as n^2.
+#: refuse exact work above this length unless explicitly forced.  At
+#: n = 20 000 a full block of exact.BLOCK_ROWS = 32 distinct particles on the
+#: Schur path raises the peak RSS by about 51 MB (one particle alone by about
+#: 5 MB) and takes 3.9 s, 0.12 s per distinct particle (one particle alone
+#: 0.16 s; one core of a 2-core x86 host).  A particle handed to the
+#: Durbin-Levinson fallback still costs O(n^2): 0.73 s at n = 20 000.
 N_GUARD = 20_000
 
 
@@ -83,6 +84,7 @@ class CorrectionResult:
     ess_fraction: float       # ESS of the weights / number weighted
     n_failed: int = 0
     n_unique: int = 0         # exact evaluations: distinct particles weighted
+    n_ill_conditioned: int = 0  # of those, valued by the Durbin-Levinson fallback (exact.RESIDUAL_BOUND)
 
 
 def correction_weights(thetas, x, prior, cfg=None):
@@ -109,7 +111,7 @@ def correction_weights(thetas, x, prior, cfg=None):
         raise ValueError("no particles to weight")
     x = np.asarray(x, dtype=float)
     cfg.check_length(x.size)
-    exact_many = lambda ths: exact_log_margliks(ths, x, prior)
+    exact_many = lambda ths: _exact_log_margliks(ths, x, prior)
 
     if cfg.subsample is not None and cfg.subsample < n_particles:
         rng = np.random.default_rng(cfg.seed)
@@ -131,8 +133,9 @@ def correction_weights(thetas, x, prior, cfg=None):
             parts = list(pool.map(exact_many, blocks))
     else:
         parts = [exact_many(distinct)]
-    exact = np.concatenate([values for values, _ in parts])
-    info = np.concatenate([bad for _, bad in parts])
+    exact = np.concatenate([values for values, _, _ in parts])
+    info = np.concatenate([bad for _, bad, _ in parts])
+    ill = np.concatenate([flags for _, _, flags in parts])
     for th, idx in zip(distinct, info):
         if idx:
             logger.warning("correction weight zeroed (k=%d): %s", th.k,
@@ -154,4 +157,5 @@ def correction_weights(thetas, x, prior, cfg=None):
         ess_fraction=ess / indices.size,
         n_failed=int(np.sum(~finite)),
         n_unique=len(distinct),
+        n_ill_conditioned=int(np.sum(ill)),
     )

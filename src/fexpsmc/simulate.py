@@ -65,7 +65,10 @@ def _smooth_factor(cfg):
 def model_autocov(cfg, n, M=None):
     """Autocovariances gamma(0..n-1) of the configured model; NumericalError if f is not finite."""
     try:
-        return fourier_coeffs_longmemory(cfg.d, _smooth_factor(cfg), n, M=M)
+        # a density that divides by zero or overflows is reported by the
+        # non-finite check alone, not also by numpy's RuntimeWarnings
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            return fourier_coeffs_longmemory(cfg.d, _smooth_factor(cfg), n, M=M)
     except NumericalError:
         raise NumericalError(f"model.kind = {cfg.kind}: the spectral density is not finite "
                              "on the quadrature grid") from None

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -263,13 +264,14 @@ def test_fit_diagnostics_document(workspace):
         "smc.distinct_after_resample", "smc.rw_accept_rates", "smc.bd_accept_rates", "smc.loglik_evals",
         "smc.loglik_minus_inf", "smc.log_evidence",
         "correction.enabled", "correction.n_weighted", "correction.n_unique",
-        "correction.n_failed", "correction.ess_fraction",
+        "correction.n_failed", "correction.n_ill_conditioned", "correction.ess_fraction",
     ]
     assert diag["run.command"] == "fit"
     assert diag["smc.N"] == 40
     assert diag["correction.enabled"] is True
     assert diag["correction.n_weighted"] == 40
     assert 1 <= diag["correction.n_unique"] <= diag["correction.n_weighted"]
+    assert 0 <= diag["correction.n_ill_conditioned"] <= diag["correction.n_unique"]
     assert 0.0 < diag["correction.ess_fraction"] <= 1.0
     sched = diag["smc.gamma_schedule"]
     sched = sched if isinstance(sched, list) else [sched]
@@ -562,10 +564,13 @@ def test_exit_4_mcmc_baseline_from_a_zero_density_start(wide_prior_series, tmp_p
     assert "zero target density" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("kind, model", [
+_DENSITY_NOT_FINITE = pytest.mark.parametrize("kind, model", [
     ("arfima", "model.phi = 1.0\n"),   # an AR unit root: f(0) divides by zero
     ("fexp", "model.xi = 800.0\n"),    # exp(800 cos lam) overflows
 ], ids=["arfima_unit_root", "fexp_overflow"])
+
+
+@_DENSITY_NOT_FINITE
 def test_exit_4_simulate_density_not_finite_on_the_grid(tmp_path, capsys, kind, model):
     sim = tmp_path / "sim.cfg"
     sim.write_text(f"model.kind = {kind}\nmodel.n = 64\n" + model)
@@ -575,6 +580,20 @@ def test_exit_4_simulate_density_not_finite_on_the_grid(tmp_path, capsys, kind, 
     err = capsys.readouterr().err
     assert f"numerical error: model.kind = {kind}:" in err and "not finite" in err
     assert not (tmp_path / "series.csv").exists()
+
+
+@_DENSITY_NOT_FINITE
+def test_simulate_density_not_finite_warns_nothing(tmp_path, capsys, kind, model):
+    # the non-finite check alone reports the density: no RuntimeWarning
+    # precedes the typed line on stderr
+    sim = tmp_path / "sim.cfg"
+    sim.write_text(f"model.kind = {kind}\nmodel.n = 64\n" + model)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["simulate", "--config", str(sim), "--output", str(tmp_path)])
+    assert code == 4
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"numerical error: model.kind = {kind}:")
 
 
 def test_missing_subcommand_exits_2(capsys):

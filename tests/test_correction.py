@@ -28,9 +28,11 @@ def _population(n, seed=0):
 
 def _fake(monkeypatch, exact, approx):
     """Replace the correction's evaluators by fakes in their batched forms:
-    ``exact(thetas)`` returns (values, info) as exact_log_margliks does, and
-    ``approx(thetas)`` an array as approx_log_liks does."""
-    monkeypatch.setattr(correction, "exact_log_margliks", lambda ths, x, prior: exact(ths))
+    ``exact(thetas)`` returns (values, info) as exact_log_margliks does (no
+    row ill-conditioned), and ``approx(thetas)`` an array as approx_log_liks
+    does."""
+    monkeypatch.setattr(correction, "_exact_log_margliks",
+                        lambda ths, x, prior: (*exact(ths), np.zeros(len(ths), dtype=bool)))
     monkeypatch.setattr(correction, "approx_log_liks",
                         lambda k, t, xi, ctx, prior: approx(to_thetas(k, t, xi)))
 
@@ -283,3 +285,44 @@ def test_particle_with_overflowing_short_memory_is_zeroed_and_counted():
     assert res.weights[3] == 0.0
     assert res.log_w_raw[3] == -math.inf
     assert np.array_equal(np.delete(res.log_w_raw, 3), clean.log_w_raw)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_final_population_of_a_long_fit_stays_on_the_schur_path(seed, monkeypatch):
+    # the benchmark's correct_exact shape: n = 3000 fractional noise, N = 6,
+    # M = 100, every particle weighted.  No distinct particle is handed to
+    # Durbin-Levinson, so none is counted ill-conditioned.
+    rows = []
+    real = exact_module._accel.durbin_levinson_whiten
+
+    def counted(acf, y):
+        rows.append(acf.shape[0])
+        return real(acf, y)
+
+    monkeypatch.setattr(exact_module._accel, "durbin_levinson_whiten", counted)
+    rng = np.random.default_rng(seed)
+    x = simulate_series(SimConfig(kind="fracnoise", n=3000, d=0.3), rng)
+    prior = PriorConfig()
+    ps = run_smc(x, prior, SmcConfig(N=6, M=100, seed=seed))
+    res = correction_weights(ps.thetas, x, prior)
+    assert rows == []
+    assert res.n_failed == res.n_ill_conditioned == 0
+    assert res.n_unique >= 2
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_particles_past_the_residual_bound_are_counted_ill_conditioned(threads, monkeypatch):
+    # a bound no residual meets hands every distinct particle to the
+    # Durbin-Levinson fallback: each positive definite one is counted, and
+    # the failed one (d = 1/2) is not
+    rng = np.random.default_rng(30)
+    x = simulate_series(SimConfig(kind="fracnoise", n=64, d=0.3), rng)
+    prior = PriorConfig()
+    thetas = [ThetaParams(k=1, t=0.2 * i - 0.5, xi=np.array([0.3])) for i in range(5)]
+    thetas += [ThetaParams(k=0, t=37.0, xi=np.empty(0)), thetas[0].copy()]
+    clean = correction_weights(thetas, x, prior, CorrectionConfig(threads=threads))
+    monkeypatch.setattr(exact_module, "RESIDUAL_BOUND", -1.0)
+    res = correction_weights(thetas, x, prior, CorrectionConfig(threads=threads))
+    assert clean.n_ill_conditioned == 0
+    assert (res.n_unique, res.n_failed, res.n_ill_conditioned) == (6, 1, 5)
+    assert np.allclose(res.log_w_raw, clean.log_w_raw, rtol=1e-10)

@@ -5,12 +5,13 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from fexpsmc import exact, simulate
+from fexpsmc import _accel, exact, simulate
 from dense_reference import build_toeplitz, cholesky_lower
 from fexpsmc.exact import NotPositiveDefiniteError, exact_log_marglik, fbar_autocov
 from fexpsmc.fourier import fracdiff_acf
-from fexpsmc.model import PriorConfig, ThetaParams
+from fexpsmc.model import PriorConfig, ThetaParams, sample_prior
 from fexpsmc.simulate import SimConfig, simulate_series
 
 TWO_PI = 2.0 * math.pi
@@ -289,3 +290,129 @@ def test_exact_side_with_overflowing_short_memory_is_a_failed_row():
     assert info.tolist() == [0, 1, 0, 0]
     assert math.isnan(values[1])
     assert values[[0, 2, 3]].tolist() == [exact_log_marglik(th, x, prior) for th in thetas]
+
+
+# ---------------------------------------------------------------------------
+# Schur solve and its Durbin-Levinson fallback
+# ---------------------------------------------------------------------------
+
+def _count_dl_rows(monkeypatch):
+    """Route _accel.durbin_levinson_whiten through a counter of the rows it
+    whitens; returns the list the counts are appended to."""
+    rows = []
+    real = _accel.durbin_levinson_whiten
+
+    def counted(acf, y):
+        rows.append(acf.shape[0])
+        return real(acf, y)
+
+    monkeypatch.setattr(_accel, "durbin_levinson_whiten", counted)
+    return rows
+
+
+@pytest.mark.parametrize("n", [2, 3, 48, 49, 50, 97, 512])
+def test_schur_solve_matches_dense_reference(n):
+    # leaf-only (n - 1 <= SCHUR_LEAF) and doubling sizes, d up to 0.497
+    thetas = _mixed_population()
+    acf = exact._autocovs(thetas, n)
+    y = np.column_stack([np.random.default_rng(n).standard_normal(n), np.ones(n)])
+    z, logdet, resid = _accel.schur_solve(acf, y)
+    for b in range(len(thetas)):
+        T = build_toeplitz(acf[b])
+        want = np.linalg.solve(T, y)
+        assert abs(logdet[b] - 2.0 * np.sum(np.log(np.diag(cholesky_lower(T))))) < 1e-10
+        assert np.max(np.abs(z[b].T - want)) < 1e-10 * np.max(np.abs(want))
+        assert resid[b] < 1e-10
+
+
+def test_exact_log_marglik_is_the_batch_of_one_above_the_leaf(monkeypatch):
+    # n = 700 runs several levels of the doubling recursion, every row on
+    # the Schur path, in blocks of 4, 4 and 1
+    monkeypatch.setattr(exact, "BLOCK_ROWS", 4)
+    dl_rows = _count_dl_rows(monkeypatch)
+    assert 700 > 4 * _accel.SCHUR_LEAF
+    prior = PriorConfig()
+    x = np.random.default_rng(15).standard_normal(700) * 1.4 + 0.3
+    thetas = _mixed_population()
+    values, info = exact.exact_log_margliks(thetas, x, prior)
+    assert np.array_equal(info, np.zeros(len(thetas)))
+    for th, got in zip(thetas, values):
+        assert got == exact_log_marglik(th, x, prior)
+    assert dl_rows == []
+
+
+def test_rows_past_the_residual_bound_get_durbin_levinson_values(monkeypatch):
+    # with a bound no residual meets, every row is whitened again by
+    # Durbin-Levinson: its value is the one the sweep gives, it is flagged
+    # ill-conditioned when positive definite, and a failed row keeps its index
+    prior = PriorConfig()
+    n = 64
+    x = np.random.default_rng(16).standard_normal(n)
+    thetas = _mixed_population()[:4] + [ThetaParams(k=0, t=37.0, xi=np.empty(0))]
+    fast, _ = exact.exact_log_margliks(thetas, x, prior)
+    monkeypatch.setattr(exact, "RESIDUAL_BOUND", -1.0)
+    values, info, ill = exact._exact_log_margliks(thetas, x, prior)
+    y = np.column_stack([x - prior.m_mu, np.ones(n)])
+    e, v, bad = _accel.durbin_levinson_whiten(exact._autocovs(thetas, n), y)
+    assert info.tolist() == bad.tolist() == [0, 0, 0, 0, 1]
+    assert ill.tolist() == [True, True, True, True, False]
+    for i in range(4):
+        assert values[i] == exact._log_marglik(e[i], v[i], n, prior)
+        assert abs(values[i] - fast[i]) < 1e-10 * abs(fast[i])
+    assert math.isnan(values[4])
+
+
+def _dense_log_marglik(acf, x, prior):
+    """The marginal from LAPACK's slogdet and solve of the dense Sigma."""
+    n = x.size
+    sigma = build_toeplitz(acf, ridge=1.0 / prior.g_mu)
+    u = x - prior.m_mu
+    q = float(u @ np.linalg.solve(sigma, u))
+    return -0.5 * np.linalg.slogdet(sigma)[1] - (prior.a + 0.5 * n) * math.log(prior.b + 0.5 * q)
+
+
+def test_prior_draws_are_no_further_from_dense_than_durbin_levinson():
+    # 32 prior draws at n = 1000 (xi_1 has prior sd 10): cond(T) spans
+    # 1e0..1e16 and some draws are not positive definite.  Whatever path a
+    # row takes, its value is within Durbin-Levinson's own error (+1e-6
+    # nats) of the dense slogdet/solve oracle.
+    prior = PriorConfig()
+    n = 1000
+    rng = np.random.default_rng(0)
+    thetas = [sample_prior(prior, rng) for _ in range(32)]
+    x = np.random.default_rng(100).standard_normal(n)
+    values, info = exact.exact_log_margliks(thetas, x, prior)
+    acf = exact._autocovs(thetas, n)
+    y = np.column_stack([x - prior.m_mu, np.ones(n)])
+    e, v, bad = _accel.durbin_levinson_whiten(acf, y)
+    assert np.array_equal(info, bad)
+    assert np.count_nonzero(info == 0) >= 24
+    for i in np.flatnonzero(info == 0):
+        dense = _dense_log_marglik(acf[i], x, prior)
+        dl = exact._log_marglik(e[i], v[i], n, prior)
+        assert abs(values[i] - dense) <= abs(dl - dense) + 1e-6, f"draw {i}"
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(2, 700), d=st.floats(0.001, 0.499),
+       xi=st.lists(st.floats(-10.0, 10.0), max_size=3), seed=st.integers(0, 2**16))
+def test_exact_log_margliks_rows_are_finite_or_failed(n, d, xi, seed):
+    # across the leaf size, d up to 0.499 and |xi| up to 10: a row is either
+    # info 0 with a finite value or info > 0 with nan, and a finite row of
+    # cond(T) < 1e10 matches the dense slogdet/solve oracle.  (The eigen
+    # oracle is itself off by 2e-8 relative at cond(T) = 7e9: n = 506,
+    # d = 0.0625, xi = (7, 7), where slogdet/solve and Durbin-Levinson agree
+    # to 3e-10.)
+    prior = PriorConfig()
+    th = ThetaParams(k=len(xi), t=math.log(2.0 * d / (1.0 - 2.0 * d)), xi=np.array(xi))
+    x = np.random.default_rng(seed).standard_normal(n) * 1.4 + 0.3
+    values, info = exact.exact_log_margliks([th], x, prior)
+    if info[0]:
+        assert info[0] > 0 and math.isnan(values[0])
+        return
+    assert math.isfinite(values[0])
+    acf = fbar_autocov(th, n)
+    evals = np.linalg.eigvalsh(build_toeplitz(acf))
+    if evals[0] > 0 and evals[-1] < 1e10 * evals[0]:
+        want = _dense_log_marglik(acf, x, prior)
+        assert abs(values[0] - want) < 1e-8 * abs(want)

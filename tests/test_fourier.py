@@ -122,6 +122,18 @@ def test_fracdiff_acf_recurrence_consistency_far_out():
         assert abs(acf[lag] - want) < 1e-13 * max(lag, 10) * abs(want)
 
 
+@pytest.mark.parametrize("d", [0.0, 0.1, 0.3, 0.4999])
+def test_fracdiff_acf_bits_match_the_numpy_scalar_recurrence(d):
+    # the recurrence as it ran on numpy scalars, written into an array
+    n = 3000
+    want = np.empty(n)
+    want[0] = np.exp(math.lgamma(1.0 - 2.0 * d) - 2.0 * math.lgamma(1.0 - d))
+    for l in range(n - 1):
+        want[l + 1] = want[l] * (l + d) / (l + 1.0 - d)
+    assert np.array_equal(fracdiff_acf(d, np.arange(n)), want)
+    assert np.array_equal(fracdiff_acf(np.float64(d), np.arange(n)), want)
+
+
 def test_fracdiff_acf_validates_inputs():
     with pytest.raises(ValueError):
         fracdiff_acf(0.5, 0)
