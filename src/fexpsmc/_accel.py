@@ -3,7 +3,9 @@
 Two Toeplitz kernels serve the exact likelihood and simulation.
 ``schur_solve`` solves a batch of autocovariance rows against one
 right-hand side in O(n log^2 n) per row: doubling Schur reflection
-coefficients and the Gohberg-Semencul inverse.  It reports each row's
+coefficients and the Gohberg-Semencul inverse.  Its temporaries grow with
+the batch, which the caller bounds: the exact likelihood passes blocks of
+at most ``exact.BLOCK_ELEMENTS // n`` rows.  It reports each row's
 residual, and the exact likelihood re-solves the rows it cannot vouch for
 with the O(n^2) Durbin-Levinson innovations kernel: whitening,
 ``durbin_levinson_whiten``.  The same kernel colours draws for
@@ -207,13 +209,6 @@ def durbin_levinson_sample(acf, z):
 #: interleaved runs; 2-core x86 host, one BLAS thread).
 SCHUR_LEAF = 48
 
-#: schur_solve takes at most max(1, SOLVE_ELEMENTS // n) rows per pass, which
-#: bounds its temporaries.  A block of 32 rows at n = 20 000 (6 rows per
-#: pass) raised the peak RSS by 26 MB and took 2.1 s; in one pass it raised
-#: it by 226 MB.  At n <= 4096 a block of 32 is one pass.
-SOLVE_ELEMENTS = 1 << 17
-
-
 def _fft_size(m):
     """Smallest 2^i 3^j 5^k >= m, a fast length for numpy's FFT (at n = 3000
     and B = 6 the solve ran 11 % faster than on powers of two)."""
@@ -320,12 +315,9 @@ def schur_solve(acf, y):
     """Solutions z[b] = T(acf[b])^{-1} y of the columns of y (shape (n, c))
     for every row of acf (shape (B, n)), with log|T(acf[b])| and the relative
     residual, as (z, logdet, resid) with shapes (B, c, n), (B,), (B,).
-    resid[b] is inf when T(acf[b]) failed to factor."""
+    resid[b] is inf when T(acf[b]) failed to factor.  The temporaries are
+    about a dozen B x n arrays; the caller bounds B."""
     B, n = acf.shape
-    rows = max(1, SOLVE_ELEMENTS // n)
-    if B > rows:
-        parts = [schur_solve(acf[lo:lo + rows], y) for lo in range(0, B, rows)]
-        return tuple(np.concatenate(part) for part in zip(*parts))
     yt = np.ascontiguousarray(y.T)
     with np.errstate(all="ignore"):
         # w = u but for w_0; _schur frees the array after its first half

@@ -53,7 +53,7 @@ import math
 import numpy as np
 
 from .config import DataError
-from .model import memory_d, rows_by_order, to_arrays
+from .model import cosine_sums, memory_d, to_arrays
 
 __all__ = [
     "DatasetContext",
@@ -133,20 +133,11 @@ def _whittle_quadforms(k, xi, d, ctx):
     """Whittle quadratic forms pgram . exp(d logweight - xi cos_basis) / n of
     the rows (k, xi) with memory parameters ``d``, on the folded grid.
 
-    Each row's cosine series is its own length-k vector-matrix product (the
-    rows of one order are one stacked product, the same BLAS call per row)
-    and einsum sums each row on its own, so a theta gets the same bits in
-    any batch: a padded BLAS matrix product rounds a row differently with
-    its padding and its neighbours.
+    The cosine series are :func:`fexpsmc.model.cosine_sums` and einsum sums
+    each row on its own, so a theta gets the same bits in any batch.
     """
-    orders = rows_by_order(k)
-    basis = ctx.cos_basis(max(orders))
-    series = np.zeros((d.size, basis.shape[1]))  # sum_j xi_j cos(j lam); 0 at k = 0
-    for kk, rows in orders.items():
-        if kk:
-            series[rows] = np.matmul(xi[rows, None, :kk], basis[:kk])[:, 0]
     s = np.multiply.outer(d, ctx.logweight)
-    s -= series
+    s -= cosine_sums(k, xi, ctx.cos_basis(int(k.max())))
     with np.errstate(over="ignore"):
         np.exp(s, out=s)
     return np.einsum("ij,j->i", s, ctx.pgram) / ctx.n

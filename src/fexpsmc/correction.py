@@ -15,12 +15,12 @@ and the step can be subsampled.  The settings are a
 :class:`CorrectionConfig`, the only owner of the ``correction.*`` keys'
 defaults and checks, and of the exact-likelihood length guard that the CLI
 also applies before it samples.  Both sides of all distinct particles are
-batched evaluations: the exact side solves blocks of thetas at once
-(:func:`fexpsmc.exact.exact_log_margliks`).  With ``threads > 1`` the
-distinct particles are cut into one block per thread and the blocks run on
-a thread pool.  Both exact kernels are per-step Python loops that hold the
-GIL for most of their time, so the blocks barely overlap; every particle
-gets the same bits for any thread count.
+batched evaluations of the population arrays: the exact side solves blocks
+of thetas at once (:func:`fexpsmc.exact.exact_log_margliks`).  With
+``threads > 1`` the distinct particles are cut into one slice per thread and
+the slices run on a thread pool; every particle gets the same bits for any
+thread count.  The pool does not pay: 8 distinct particles at n = 3000 took
+0.06 s on one thread and 0.15 s on two.
 """
 
 import logging
@@ -32,7 +32,7 @@ import numpy as np
 
 from .approx import approx_log_liks, prepare_dataset
 from .config import ConfigError, NumericalError
-from .exact import BLOCK_ROWS, NotPositiveDefiniteError, _exact_log_margliks
+from .exact import NotPositiveDefiniteError, exact_log_margliks
 from .model import to_arrays
 
 __all__ = ["CorrectionConfig", "CorrectionResult", "correction_weights"]
@@ -40,10 +40,11 @@ __all__ = ["CorrectionConfig", "CorrectionResult", "correction_weights"]
 logger = logging.getLogger(__name__)
 
 #: refuse exact work above this length unless explicitly forced.  At
-#: n = 20 000 a full block of exact.BLOCK_ROWS = 32 distinct particles on the
-#: Schur path raises the peak RSS by about 51 MB (one particle alone by about
-#: 5 MB) and takes 3.9 s, 0.12 s per distinct particle (one particle alone
-#: 0.16 s; one core of a 2-core x86 host).  A particle handed to the
+#: n = 20 000 the exact side solves blocks of 6 distinct particles
+#: (exact.BLOCK_ELEMENTS); 32 distinct particles on the Schur path raised the
+#: peak RSS by about 21 MB (one particle alone by about 9 MB) and took
+#: 2.2-2.6 s, 0.07-0.08 s per distinct particle (one particle alone
+#: 0.18-0.26 s; one core of a 2-core x86 host).  A particle handed to the
 #: Durbin-Levinson fallback still costs O(n^2): 0.73 s at n = 20 000.
 N_GUARD = 20_000
 
@@ -56,7 +57,7 @@ class CorrectionConfig:
 
     enabled: bool = True
     subsample: int = None        # weight a seeded draw of this many particles
-    threads: int = 1             # one block of distinct particles per thread
+    threads: int = 1             # one slice of distinct particles per thread
     seed: int = 0                # seed of the subsample draw
     force_large_n: bool = False  # allow series longer than N_GUARD
 
@@ -111,7 +112,6 @@ def correction_weights(thetas, x, prior, cfg=None):
         raise ValueError("no particles to weight")
     x = np.asarray(x, dtype=float)
     cfg.check_length(x.size)
-    exact_many = lambda ths: _exact_log_margliks(ths, x, prior)
 
     if cfg.subsample is not None and cfg.subsample < n_particles:
         rng = np.random.default_rng(cfg.seed)
@@ -124,18 +124,18 @@ def correction_weights(thetas, x, prior, cfg=None):
     for i in indices:
         unique.setdefault(thetas[i].key(), thetas[i])
     distinct = list(unique.values())
-    approx = approx_log_liks(*to_arrays(distinct), prepare_dataset(x), prior)
+    k, t, xi = to_arrays(distinct)
+    approx = approx_log_liks(k, t, xi, prepare_dataset(x), prior)
 
+    size = -(-len(distinct) // cfg.threads)
+    exact_block = lambda lo: exact_log_margliks(k[lo:lo + size], t[lo:lo + size],
+                                                xi[lo:lo + size], x, prior)
     if cfg.threads > 1:
-        size = min(BLOCK_ROWS, -(-len(distinct) // cfg.threads))
-        blocks = [distinct[lo:lo + size] for lo in range(0, len(distinct), size)]
         with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            parts = list(pool.map(exact_many, blocks))
+            parts = list(pool.map(exact_block, range(0, len(distinct), size)))
     else:
-        parts = [exact_many(distinct)]
-    exact = np.concatenate([values for values, _, _ in parts])
-    info = np.concatenate([bad for _, bad, _ in parts])
-    ill = np.concatenate([flags for _, _, flags in parts])
+        parts = [exact_block(0)]
+    exact, info, ill = (np.concatenate(part) for part in zip(*parts))
     for th, idx in zip(distinct, info):
         if idx:
             logger.warning("correction weight zeroed (k=%d): %s", th.k,

@@ -27,14 +27,17 @@ residual exceeds RESIDUAL_BOUND, or whose factorisation failed, is whitened
 again by the O(n^2) Durbin-Levinson sweep, which gives log|T| = sum log v_t
 and G from the prediction errors, or the failing leading minor.
 
-:func:`exact_log_margliks` scores a whole population: it stacks the
-autocovariances of a block of BLOCK_ROWS thetas and solves the block at
-once, which pays the kernels' per-step Python cost once per block instead
-of once per theta.  Blocking bounds the working set to a few BLOCK_ROWS x n
-arrays however many thetas are passed.  A theta whose T is not positive
-definite is reported by its failing index instead of raising, and its
-neighbours are unaffected; a theta gets the same bits in any batch, so
-:func:`exact_log_marglik`, the batch of one, agrees exactly.
+:func:`exact_log_margliks` scores a whole population, given as the arrays
+(k, t, xi) of :mod:`fexpsmc.model`, in blocks of at most BLOCK_ELEMENTS / n
+thetas, which bounds the working set to a few BLOCK_ELEMENTS doubles however
+many thetas are passed.  A block's autocovariances are one array quadrature
+(:func:`fexpsmc.fourier.longmemory_autocovs`) of exp(sum_j xi_j cos(j lam))
+sampled on the half grid for all its rows, and the block is solved at once,
+which pays the kernels' per-step Python cost once per block instead of once
+per theta.  A theta whose T is not positive definite is reported by its
+failing index instead of raising, and its neighbours are unaffected; a theta
+gets the same bits in any batch, so :func:`exact_log_marglik`, the batch of
+one, agrees exactly.
 """
 
 import math
@@ -42,8 +45,8 @@ import math
 import numpy as np
 
 from . import _accel
-from .fourier import fourier_coeffs_longmemory
-from .model import fexp_sdf
+from .fourier import default_grid_size, half_grid, longmemory_autocovs
+from .model import cosine_sums, memory_d, to_arrays
 
 __all__ = [
     "NotPositiveDefiniteError",
@@ -52,9 +55,12 @@ __all__ = [
     "exact_log_margliks",
 ]
 
-#: thetas per block of the batched evaluator, which bounds its working set to
-#: a few BLOCK_ROWS x n arrays whatever the population size
-BLOCK_ROWS = 32
+#: a block of the batched evaluator holds at most max(1, BLOCK_ELEMENTS // n)
+#: thetas, which bounds its working set to about a dozen arrays of
+#: BLOCK_ELEMENTS doubles whatever the population size: a block is 32 thetas
+#: at n = 4096 and 6 at n = 20 000.  A block of 32 thetas at n = 20 000 raised
+#: the peak RSS by 226 MB when the Schur solve took it in one pass.
+BLOCK_ELEMENTS = 1 << 17
 
 #: rows whose Schur solve leaves a relative residual above this are whitened
 #: again by Durbin-Levinson.  On 7 x 32 prior draws at n = 1000, cond(T) from
@@ -75,95 +81,94 @@ class NotPositiveDefiniteError(np.linalg.LinAlgError):
         super().__init__(f"matrix not positive definite: leading minor {self.index} failed")
 
 
-def fbar_autocov(theta, n, M=None):
-    """Autocovariances gamma(0..n-1) of the normalised FEXP density at theta.
+def _autocovs(k, t, xi, n):
+    """Autocovariances gamma(0..n-1) of the normalised FEXP density of each
+    row of the population (k, t, xi), as a (rows, n) array.
 
     gamma(l) = int fbar_theta(lam) e^{i l lam} dlam via the long-memory
     split; the bounded factor is the d = 0 density,
-    g(lam) = exp(sum xi_j cos(j lam))/(2 pi).
-    """
-    return fourier_coeffs_longmemory(theta.d, lambda lam: fexp_sdf(0.0, theta.xi, lam), n, M=M)
-
-
-def _autocovs(thetas, n):
-    """Autocovariances of each theta as the rows of a (len(thetas), n) array.
-
-    At d = 1/2 the variance gamma(0) diverges, and when exp(sum_j xi_j
-    cos(j lam)) overflows on the quadrature grid the autocovariances are not
+    g(lam) = exp(sum xi_j cos(j lam))/(2 pi), sampled on the half grid of
+    M = default_grid_size(n) points.  At d = 1/2 the variance gamma(0)
+    diverges, and when g overflows on the grid the autocovariances are not
     representable; either row is inf, which the recursion reports as a
     failed first leading minor.
     """
-    acf = np.empty((len(thetas), n))
-    for row, th in zip(acf, thetas):
-        try:
-            with np.errstate(over="raise"):
-                row[:] = fbar_autocov(th, n) if th.d < 0.5 else math.inf
-        except FloatingPointError:
-            row[:] = math.inf
+    lam = half_grid(default_grid_size(n))
+    basis = np.cos(np.outer(np.arange(1.0, k.max(initial=0) + 1.0), lam))
+    d = memory_d(t)
+    pole = d >= 0.5
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = np.exp(cosine_sums(k, xi, basis)) / (2.0 * np.pi)
+        acf = longmemory_autocovs(np.where(pole, 0.0, d), g, n)
+    acf[pole | ~np.all(np.isfinite(acf), axis=1)] = math.inf
     return acf
 
 
-def _log_marglik(e, v, n, prior):
-    """Log marginal likelihood from the whitened columns e = L^{-1}[u, 1]
-    and the innovation variances v of one theta."""
+def fbar_autocov(theta, n):
+    """Autocovariances gamma(0..n-1) of the normalised FEXP density at theta;
+    the batch of one of the exact side's autocovariances, inf where they are
+    not representable (d = 1/2 or an overflowing exp(sum xi_j cos(j lam)))."""
+    return _autocovs(*to_arrays([theta]), n)[0]
+
+
+def _gram(a, b):
+    """Gram matrices G[r, i, j] = a_i . b_j of the (rows, c, n) arrays a and
+    b, each row summed on its own."""
+    return (a[:, :, None] * b[:, None]).sum(axis=-1)
+
+
+def _log_margliks(G, logdet, n, prior):
+    """Log marginal likelihoods from the Gram matrices G (rows, 2, 2) of the
+    T^{-1} quadratic forms of [u, 1] and log|T| of each row."""
     # G = [[u'T^-1 u, u'T^-1 1], [1'T^-1 u, 1'T^-1 1]]
-    return _log_marglik_gram(e.T @ (e / v[:, None]), float(np.sum(np.log(v))), n, prior)
+    s = 1.0 + G[:, 1, 1] / prior.g_mu
+    q = G[:, 0, 0] - G[:, 0, 1] ** 2 / (prior.g_mu * s)
+    return -0.5 * (logdet + np.log(s)) - (prior.a + 0.5 * n) * np.log(prior.b + 0.5 * q)
 
 
-def _log_marglik_gram(G, logdet, n, prior):
-    """Log marginal likelihood from the Gram matrix G of the T^{-1} quadratic
-    forms of [u, 1] and log|T| of one theta."""
-    s = 1.0 + G[1, 1] / prior.g_mu
-    logdet = logdet + math.log(s)
-    q = G[0, 0] - G[0, 1] ** 2 / (prior.g_mu * s)
-    return -0.5 * logdet - (prior.a + 0.5 * n) * math.log(prior.b + 0.5 * q)
+def _whitened_log_margliks(e, v, n, prior):
+    """Log marginal likelihoods from Durbin-Levinson's whitened columns
+    e = L^{-1}[u, 1] (rows, n, 2) and innovation variances v (rows, n)."""
+    e = e.transpose(0, 2, 1)
+    return _log_margliks(_gram(e, e / v[:, None]), np.log(v).sum(axis=1), n, prior)
 
 
-def _exact_log_margliks(thetas, x, prior):
-    """:func:`exact_log_margliks` and a third array over thetas, true where T
-    was positive definite but too ill-conditioned for the Schur solve, so
-    that the value is Durbin-Levinson's."""
+def exact_log_margliks(k, t, xi, x, prior):
+    """Exact log marginal likelihoods of the population (k, t, xi), without raising.
+
+    Returns (values, info, ill), three arrays over rows.  info[i] is 0 when
+    T(fbar) of row i is numerically positive definite, and values[i] is then
+    its log marginal likelihood (up to one theta-free constant); otherwise
+    info[i] is the 1-based index of the failing leading minor and values[i]
+    is nan.  ill[i] is true where T was positive definite but too
+    ill-conditioned for the Schur solve, so that the value is
+    Durbin-Levinson's.  O(n log^2 n) time per row, O(n^2) for a row the
+    Schur solve hands to Durbin-Levinson; the rows are solved in blocks of
+    at most BLOCK_ELEMENTS // n.
+    """
     x = np.asarray(x, dtype=float)
     n = x.size
     if n < 2:
         raise ValueError("need at least two observations")
-    thetas = list(thetas)
     y = np.column_stack([x - prior.m_mu, np.ones(n)])
-    values = np.full(len(thetas), math.nan)
-    info = np.zeros(len(thetas), dtype=int)
-    ill = np.zeros(len(thetas), dtype=bool)
-    for lo in range(0, len(thetas), BLOCK_ROWS):
-        acf = _autocovs(thetas[lo:lo + BLOCK_ROWS], n)
+    values = np.full(k.size, math.nan)
+    info = np.zeros(k.size, dtype=int)
+    ill = np.zeros(k.size, dtype=bool)
+    size = max(1, BLOCK_ELEMENTS // n)
+    for lo in range(0, k.size, size):
+        block = slice(lo, lo + size)
+        acf = _autocovs(k[block], t[block], xi[block], n)
         z, logdet, resid = _accel.schur_solve(acf, y)
-        fast = resid <= RESIDUAL_BOUND
-        # G[b, i, j] = y_i' z_j
-        G = (z[:, None] * y.T[None, :, None]).sum(axis=-1)
-        for i in np.flatnonzero(fast):
-            values[lo + i] = _log_marglik_gram(G[i], float(logdet[i]), n, prior)
-        slow = np.flatnonzero(~fast)
+        good = resid <= RESIDUAL_BOUND
+        fast, slow = np.flatnonzero(good), np.flatnonzero(~good)
+        values[lo + fast] = _log_margliks(_gram(y.T[None], z[fast]), logdet[fast], n, prior)
         if slow.size:
             e, v, bad = _accel.durbin_levinson_whiten(acf[slow], y)
             info[lo + slow] = bad
-            ill[lo + slow] = bad == 0
-            for i, row in enumerate(slow):
-                if not bad[i]:
-                    values[lo + row] = _log_marglik(e[i], v[i], n, prior)
+            ok = bad == 0
+            ill[lo + slow[ok]] = True
+            values[lo + slow[ok]] = _whitened_log_margliks(e[ok], v[ok], n, prior)
     return values, info, ill
-
-
-def exact_log_margliks(thetas, x, prior):
-    """Exact log marginal likelihoods of a population, without raising.
-
-    Returns (values, info), two arrays over thetas.  info[i] is 0 when
-    T(fbar) of thetas[i] is numerically positive definite, and values[i] is
-    then its log marginal likelihood (up to one theta-free constant);
-    otherwise info[i] is the 1-based index of the failing leading minor and
-    values[i] is nan.  O(n log^2 n) time per theta, O(n^2) for a theta the
-    Schur solve hands to Durbin-Levinson; the thetas are solved in blocks of
-    BLOCK_ROWS.
-    """
-    values, info, _ = _exact_log_margliks(thetas, x, prior)
-    return values, info
 
 
 def exact_log_marglik(theta, x, prior):
@@ -173,7 +178,7 @@ def exact_log_marglik(theta, x, prior):
     O(n log^2 n) time and O(n) memory.  Raises :class:`NotPositiveDefiniteError`
     when T(fbar_theta) is not numerically positive definite.
     """
-    values, info = exact_log_margliks([theta], x, prior)
+    values, info, _ = exact_log_margliks(*to_arrays([theta]), x, prior)
     if info[0]:
         raise NotPositiveDefiniteError(info[0])
     return float(values[0])

@@ -1,44 +1,40 @@
-"""Fourier coefficients of spectral densities.
+"""Autocovariances of long-memory spectral densities.
 
 Conventions
 -----------
 Autocovariance-style coefficients are defined without a 1/(2*pi) factor:
 
-    gamma_g(l) = integral_{-pi}^{pi} g(lam) e^{i l lam} d lam.
+    gamma(l) = integral_{-pi}^{pi} f(lam) e^{i l lam} d lam.
 
-Bounded integrands are handled on the uniform grid lam_j = -pi + j*Delta,
-j = 0..M, Delta = 2*pi/M, by a single FFT.  Because the integrand is
-2*pi-periodic, the trapezoid sum with the two half-weighted endpoints
-folded together is spectrally accurate (the error is the aliasing of the
-integrand's own Fourier coefficients), and it integrates trigonometric
-polynomials of degree < M exactly.
-
-Long-memory integrands |1 - e^{-i lam}|^{-2d} * g(lam) are split into a
-singular part with known closed-form coefficients (fractional-noise
-autocovariances) plus a bounded remainder:
+Every density here has the form f(lam) = |1 - e^{-i lam}|^{-2d} g(lam) with
+g bounded, smooth and even.  f is split into a singular part with known
+closed-form coefficients (fractional-noise autocovariances) plus a bounded
+remainder:
 
     |1-e^{-i lam}|^{-2d} g(lam)
         = g(0) |1-e^{-i lam}|^{-2d}
           + |1-e^{-i lam}|^{-2d} (g(lam) - g(0)),
 
 where the second term extends continuously by 0 at lam = 0 whenever g is
-smooth (it vanishes like lam^{2-2d}).
+smooth (it vanishes like lam^{2-2d}).  The remainder is integrated by the
+M-point trapezoid rule on lam_j = 2 pi j / M, which for a 2 pi-periodic
+integrand is spectrally accurate (the error is the aliasing of the
+integrand's own Fourier coefficients) and integrates trigonometric
+polynomials of degree < M exactly.  The integrand is even, so the rule is
+the real cosine transform of its values on the half grid j = 0..M/2: one
+inverse real FFT.
+
+Callers sample g on :func:`half_grid` themselves and pass the samples, a
+whole batch of densities at once: :func:`longmemory_autocovs` works along
+the last axis, and each row is computed on its own, so it gets the same
+bits in any batch.
 """
 
 import math
 
 import numpy as np
 
-from .config import NumericalError
-
-__all__ = [
-    "fourier_coeffs_bounded",
-    "fracdiff_acf",
-    "fourier_coeffs_longmemory",
-]
-
-#: default relative bound on the discarded imaginary residue
-IMAG_TOL = 1e-8
+__all__ = ["default_grid_size", "half_grid", "fracdiff_acf", "longmemory_autocovs"]
 
 
 def default_grid_size(n):
@@ -49,49 +45,9 @@ def default_grid_size(n):
     return M
 
 
-def fourier_coeffs_bounded(g, n, M=None):
-    """Coefficients gamma_g(l) = int_{-pi}^{pi} g(lam) e^{i l lam} dlam, l = 0..n-1.
-
-    Parameters
-    ----------
-    g : callable
-        Vectorised bounded integrand on [-pi, pi].
-    n : int
-        Number of coefficients (n >= 1).
-    M : int, optional
-        Grid resolution; must be a power of two >= 2. Defaults to the
-        smallest power of two >= 2 n.
-
-    The assembled coefficients are complex only through rounding (for even
-    g) or genuine asymmetry of g; the real part is returned and the
-    imaginary residue is required to stay below ``IMAG_TOL`` relative to
-    the coefficient scale.  A non-finite g on the grid raises NumericalError.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if M is None:
-        M = default_grid_size(n)
-    if M < 2 or M & (M - 1):
-        raise ValueError(f"M = {M} is not a power of two >= 2")
-    lam = -np.pi + 2.0 * np.pi * np.arange(M + 1) / M
-    gv = np.asarray(g(lam), dtype=float)
-    if gv.shape != lam.shape:
-        raise ValueError("g must return one value per grid node")
-    if not np.all(np.isfinite(gv)):
-        raise NumericalError("g produced non-finite values on the grid")
-    # periodic trapezoid: fold the two half-weighted endpoints, one FFT
-    s = gv[:M].astype(complex)
-    s[0] = 0.5 * (gv[0] + gv[M])
-    F = np.fft.ifft(s) * M
-    vals = (2.0 * np.pi / M) * (-1.0) ** np.arange(n) * F[:n]
-    scale = max(np.max(np.abs(vals.real)), 1e-300)
-    resid = np.max(np.abs(vals.imag))
-    if resid > IMAG_TOL * scale:
-        raise ValueError(
-            f"imaginary residue {resid:.3e} exceeds {IMAG_TOL:.0e} of the "
-            f"coefficient scale {scale:.3e}; integrand looks asymmetric"
-        )
-    return vals.real.copy()
+def half_grid(M):
+    """The half grid lam_j = 2 pi j / M, j = 0..M/2, of an even M."""
+    return 2.0 * np.pi * np.arange(M // 2 + 1) / M
 
 
 def fracdiff_acf(d, lags):
@@ -105,55 +61,60 @@ def fracdiff_acf(d, lags):
 
     The ratio recurrence follows from gamma*(l) proportional to
     Gamma(l+d)/Gamma(l+1-d) and holds from l = 0; the l = 0 value is
-    evaluated in log-Gamma space.  At d = 0 this degenerates cleanly to
-    (1, 0, 0, ...).
+    evaluated in log-Gamma space, and the later lags are one running product
+    (``np.multiply.accumulate``) of gamma*(0) and the ratios.  At d = 0 this
+    degenerates cleanly to (1, 0, 0, ...).
 
     Parameters
     ----------
-    d : float in [0, 0.5)
+    d : float in [0, 0.5), or an array of them
     lags : int or array of ints
         A scalar lag, or the lags 0..len-1 when an array is wanted; any
         nonnegative integer array is accepted.
+
+    The result has shape d.shape + lags.shape; each d is its own running
+    product, so it gets the same bits in any array.
     """
-    if not 0.0 <= d < 0.5:
+    d = np.asarray(d, dtype=float)
+    if not np.all((d >= 0.0) & (d < 0.5)):
         raise ValueError(f"d must lie in [0, 0.5), got {d}")
     scalar = np.isscalar(lags)
     lag_arr = np.atleast_1d(np.asarray(lags, dtype=np.int64))
     if lag_arr.size and lag_arr.min() < 0:
         raise ValueError("lags must be nonnegative")
     lmax = int(lag_arr.max()) if lag_arr.size else 0
-    # the recurrence on Python floats: the same IEEE operations as on numpy
-    # scalars, at about half the cost
-    d = float(d)
-    g = float(np.exp(math.lgamma(1.0 - 2.0 * d) - 2.0 * math.lgamma(1.0 - d)))
-    seq = [g]
-    for l in range(lmax):
-        g = g * (l + d) / (l + 1.0 - d)
-        seq.append(g)
-    out = np.array(seq)[lag_arr]
-    return float(out[0]) if scalar else out
+    dd = d[..., None]
+    l = np.arange(float(lmax))
+    acf = np.empty(d.shape + (lmax + 1,))
+    acf[..., 0] = np.exp([math.lgamma(1.0 - 2.0 * v) - 2.0 * math.lgamma(1.0 - v)
+                          for v in d.reshape(-1).tolist()]).reshape(d.shape)
+    np.divide(l + dd, l + 1.0 - dd, out=acf[..., 1:])
+    np.multiply.accumulate(acf, axis=-1, out=acf)
+    out = acf[..., lag_arr[0]] if scalar else acf[..., lag_arr]
+    return float(out) if out.ndim == 0 else out
 
 
-def fourier_coeffs_longmemory(d, g, n, M=None):
-    """Coefficients of f(lam) = |1 - e^{-i lam}|^{-2d} g(lam), l = 0..n-1.
+def longmemory_autocovs(d, g, n):
+    """Autocovariances gamma(0..n-1) of f(lam) = |1 - e^{-i lam}|^{-2d} g(lam).
 
-    g must be bounded, smooth and even with a finite value at 0; the
-    singular factor is integrated in closed form against g(0) and the
-    remainder |1-e^{-i lam}|^{-2d} (g(lam) - g(0)) -- continuous, equal to
-    0 at lam = 0 -- goes through :func:`fourier_coeffs_bounded`.
-
-    At d = 0 the split is exact and reduces to the bounded path alone.
+    g holds the bounded factor sampled on :func:`half_grid` (M) along its
+    last axis, M/2 + 1 values, and d the memory parameters in [0, 1/2), one
+    per row of g.  The singular factor is integrated in closed form against
+    g(0), and the remainder |1-e^{-i lam}|^{-2d} (g(lam) - g(0)), equal to 0
+    at lam = 0, by the M-point trapezoid rule as one inverse real FFT.
+    Returns shape d.shape + (n,).  At d = 0 the split is exact and the
+    result is the rule applied to g alone.  Finite g gives finite values
+    unless the sums overflow; the caller checks.
     """
-    if not 0.0 <= d < 0.5:
-        raise ValueError(f"d must lie in [0, 0.5), got {d}")
-    g0 = float(np.asarray(g(np.array([0.0])))[0])
-
-    def remainder(lam):
-        lam = np.asarray(lam, dtype=float)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            sing = (2.0 - 2.0 * np.cos(lam)) ** (-d)
-            vals = sing * (np.asarray(g(lam), dtype=float) - g0)
-        return np.where(np.abs(lam) < 1e-300, 0.0, vals)
-
-    bounded = fourier_coeffs_bounded(remainder, n, M=M)
-    return 2.0 * np.pi * g0 * fracdiff_acf(d, np.arange(n)) + bounded
+    d = np.asarray(d, dtype=float)
+    g = np.asarray(g, dtype=float)
+    M = 2 * (g.shape[-1] - 1)
+    if not 1 <= n <= M:
+        raise ValueError(f"need 1 <= n <= M, got n = {n} and M = {M}")
+    g0 = g[..., :1]
+    logw = np.log(2.0 - 2.0 * np.cos(half_grid(M)[1:]))
+    rem = np.zeros(g.shape)
+    np.exp(np.multiply.outer(-d, logw), out=rem[..., 1:])
+    rem[..., 1:] *= g[..., 1:] - g0
+    return (2.0 * np.pi * g0 * fracdiff_acf(d, np.arange(n))
+            + 2.0 * np.pi * np.fft.irfft(rem, M)[..., :n])

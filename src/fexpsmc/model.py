@@ -48,6 +48,7 @@ __all__ = [
     "to_arrays",
     "to_thetas",
     "rows_by_order",
+    "cosine_sums",
     "log_prior",
     "sample_prior",
     "sample_population",
@@ -176,6 +177,23 @@ def rows_by_order(k):
     for j, kj in enumerate(k.tolist()):
         rows.setdefault(kj, []).append(j)
     return rows
+
+
+def cosine_sums(k, xi, basis):
+    """sum_j xi_j cos(j lam) of each row (k, xi) on a grid, as a (rows, grid)
+    array, from ``basis``, whose row m - 1 is cos(m lam) for m = 1..max(k).
+
+    Each row's series is its own length-k vector-matrix product (the rows of
+    one order are one stacked product, the same BLAS call per row), so a
+    theta gets the same bits in any batch and at any padding: a padded BLAS
+    matrix product rounds a row differently with its padding and its
+    neighbours.
+    """
+    series = np.zeros((k.size, basis.shape[1]))  # 0 at k = 0
+    for kk, rows in rows_by_order(k).items():
+        if kk:
+            series[rows] = np.matmul(xi[rows, None, :kk], basis[:kk])[:, 0]
+    return series
 
 
 def to_arrays(thetas):

@@ -4,7 +4,11 @@ Draws x ~ N(mu * 1, T(f)) for a model spectral density f by the
 Durbin-Levinson innovations recursion: each x_t is drawn from its exact
 Gaussian conditional given x_0..x_{t-1}.  The map from the standard-normal
 draws z to x is the lower Cholesky factor of T(f), so a given z yields the
-dense Cholesky draw up to rounding, at O(n^2) time and O(n) memory.
+dense Cholesky draw up to rounding, at O(n^2) time and O(n) memory.  The
+autocovariances of T(f) are the array quadrature of :mod:`fexpsmc.fourier`:
+the model's density at d = 0 is sampled on the half grid of
+default_grid_size(n) points, and a density that is not finite there is a
+NumericalError naming the model.
 
 Supported model kinds: "fracnoise" (pure fractional noise), "fexp"
 (fractional noise times an exponential cosine series) and "arfima"
@@ -18,7 +22,7 @@ import numpy as np
 from . import _accel
 from .config import NumericalError
 from .exact import NotPositiveDefiniteError
-from .fourier import fourier_coeffs_longmemory
+from .fourier import default_grid_size, half_grid, longmemory_autocovs
 from .model import arfima_sdf, fexp_sdf
 
 __all__ = ["SimConfig", "model_autocov", "simulate_series", "write_series", "read_series"]
@@ -52,26 +56,28 @@ class SimConfig:
             raise ValueError("n must be >= 1")
 
 
-def _smooth_factor(cfg):
-    """The bounded factor g with f(lam) = |1-e^{-i lam}|^{-2d} g(lam): the
-    model's density at d = 0."""
+def _smooth_factor(cfg, lam):
+    """The bounded factor g with f(lam) = |1-e^{-i lam}|^{-2d} g(lam), the
+    model's density at d = 0, on the frequencies lam."""
     if cfg.kind == "fracnoise":
-        return lambda lam: np.full_like(np.asarray(lam, float), cfg.sigma2 / (2.0 * np.pi))
+        return np.full_like(lam, cfg.sigma2 / (2.0 * np.pi))
     if cfg.kind == "fexp":
-        return lambda lam: cfg.sigma2 * fexp_sdf(0.0, cfg.xi, lam)
-    return lambda lam: arfima_sdf(0.0, cfg.phi, cfg.theta_ma, cfg.sigma2, lam)
+        return cfg.sigma2 * fexp_sdf(0.0, cfg.xi, lam)
+    return arfima_sdf(0.0, cfg.phi, cfg.theta_ma, cfg.sigma2, lam)
 
 
-def model_autocov(cfg, n, M=None):
-    """Autocovariances gamma(0..n-1) of the configured model; NumericalError if f is not finite."""
-    try:
-        # a density that divides by zero or overflows is reported by the
-        # non-finite check alone, not also by numpy's RuntimeWarnings
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            return fourier_coeffs_longmemory(cfg.d, _smooth_factor(cfg), n, M=M)
-    except NumericalError:
+def model_autocov(cfg, n):
+    """Autocovariances gamma(0..n-1) of the configured model, by the array
+    quadrature of :mod:`fexpsmc.fourier` on the half grid of
+    default_grid_size(n) points; NumericalError if g is not finite there."""
+    # a density that divides by zero or overflows is reported by the
+    # non-finite check alone, not also by numpy's RuntimeWarnings
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        g = _smooth_factor(cfg, half_grid(default_grid_size(n)))
+    if not np.all(np.isfinite(g)):
         raise NumericalError(f"model.kind = {cfg.kind}: the spectral density is not finite "
-                             "on the quadrature grid") from None
+                             "on the quadrature grid")
+    return longmemory_autocovs(cfg.d, g, n)
 
 
 def simulate_series(cfg, rng):

@@ -11,7 +11,7 @@ from scipy.linalg.lapack import dpotrf
 
 from fexpsmc._accel import cosine_series
 from fexpsmc.exact import NotPositiveDefiniteError
-from fexpsmc.fourier import default_grid_size, fourier_coeffs_bounded
+from fexpsmc.fourier import default_grid_size, half_grid, longmemory_autocovs
 
 
 def build_toeplitz(acf, ridge=0.0):
@@ -68,26 +68,17 @@ def quadform_approx_toeplitz(theta, ctx, M=None):
     """T(h) form x~' T(h) x~ = sum_j c_j gamma_h(j) of the approximate
     quadratic form, h = 1/(4 pi^2 fbar), of the series of a DatasetContext.
 
-    h is bounded (h(0) = 0 for d > 0) so its coefficients come from the
-    bounded-path FFT rule; cost O(M log M) per theta.  Returns inf when
+    h is bounded (h(0) = 0 for d > 0), so its coefficients are the array
+    quadrature at d = 0 on the half grid of M points (default
+    default_grid_size(n)); cost O(M log M) per theta.  Returns inf when
     exp(-sum_j xi_j cos(j lam)) overflows on the grid, as the Whittle form
     does.
     """
-    d = theta.d
-    xi = np.asarray(theta.xi, dtype=float)
-
-    def h(lam):
-        lam = np.asarray(lam, dtype=float)
-        with np.errstate(over="raise"):
-            vals = (2.0 - 2.0 * np.cos(lam)) ** d * np.exp(
-                -cosine_series(xi, lam)
-            ) / (2.0 * np.pi)
-        if d > 0.0:
-            vals = np.where(np.abs(lam) < 1e-300, 0.0, vals)
-        return vals
-
+    lam = half_grid(default_grid_size(ctx.n) if M is None else M)
     try:
-        gamma_h = fourier_coeffs_bounded(h, ctx.n, M=M)
+        with np.errstate(over="raise"):
+            h = (2.0 - 2.0 * np.cos(lam)) ** theta.d * np.exp(
+                -cosine_series(np.asarray(theta.xi, dtype=float), lam)) / (2.0 * np.pi)
     except FloatingPointError:
         return math.inf
-    return float(lag_weight_sums(ctx.xtilde) @ gamma_h)
+    return float(lag_weight_sums(ctx.xtilde) @ longmemory_autocovs(0.0, h, ctx.n))

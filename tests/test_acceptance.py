@@ -21,7 +21,7 @@ from fexpsmc.approx import (approx_log_lik, log_barnes_g, log_det_approx,
                             prepare_dataset, quadform_whittle)
 from fexpsmc.correction import correction_weights
 from fexpsmc.exact import exact_log_marglik, fbar_autocov
-from fexpsmc.fourier import fourier_coeffs_longmemory
+from fexpsmc.fourier import half_grid, longmemory_autocovs
 from fexpsmc.mcmc import RW_SCALE2, McmcConfig, run_mcmc
 from fexpsmc.model import PriorConfig, ThetaParams, sample_prior
 from fexpsmc.simulate import SimConfig, simulate_series
@@ -56,7 +56,7 @@ def test_01_longmemory_fourier_coefficients_match_quadrature_oracle():
         lam = np.asarray(lam, dtype=float)
         return np.exp(xi[0] * np.cos(lam) + xi[1] * np.cos(2 * lam)) / (2 * np.pi)
 
-    got = fourier_coeffs_longmemory(d, g, 64, M=1024)
+    got = longmemory_autocovs(d, g(half_grid(1024)), 64)
 
     # oracle, part 1: the pole factor integrates in closed form through
     # plain log-Gamma ratios (no recurrence shared with the implementation)
@@ -371,4 +371,36 @@ def test_04_correction_ess_at_scale():
         ess >= 800.0 and elapsed < 900.0,
         f"ESS = {ess:.0f} of 1000 particles (>= 800), "
         f"{elapsed:.0f}s (budget 900s)",
+    )
+
+
+# ---------------------------------------------------------------------------
+# 11. The importance weights' variance vanishes with n on the sampler's output
+# ---------------------------------------------------------------------------
+
+def test_11_correction_weights_flatten_with_n_on_smc_output():
+    # the paper's claim that the variance of the importance weights vanishes
+    # as n grows, on what the SMC sampler produces rather than on draws
+    # placed near the truth (test 3): fractional noise, d = 0.3, N = 64,
+    # M = 10, seeds 0-2 per n; the medians over seeds must move monotonically
+    t0 = time.time()
+    ess, sd = [], []
+    for n in (250, 1000, 2000):
+        per_seed = []
+        for seed in range(3):
+            rng = np.random.default_rng(seed)
+            x = simulate_series(SimConfig(kind="fracnoise", n=n, d=0.3), rng)
+            ps = run_smc(x, PRIOR, SmcConfig(N=64, M=10, seed=seed))
+            corr = correction_weights(ps.thetas, x, PRIOR)
+            log_w = corr.log_w_raw[np.isfinite(corr.log_w_raw)]
+            per_seed.append((corr.ess_fraction, float(np.std(log_w))))
+        ess.append(float(np.median([e for e, _ in per_seed])))
+        sd.append(float(np.median([s for _, s in per_seed])))
+    elapsed = time.time() - t0
+    _check(
+        "correction weights flatten with n on SMC output",
+        ess[0] < ess[1] < ess[2] and sd[0] > sd[1] > sd[2] and elapsed < 60.0,
+        f"median ESS fraction {ess[0]:.3f} < {ess[1]:.3f} < {ess[2]:.3f} and "
+        f"median sd of log w {sd[0]:.3f} > {sd[1]:.3f} > {sd[2]:.3f} at "
+        f"n = 250, 1000, 2000, {elapsed:.0f}s (budget 60s)",
     )

@@ -200,15 +200,11 @@ def test_toeplitz_quadform_is_dense_quadratic_in_inverse_density():
     th = ThetaParams(k=1, t=0.1, xi=np.array([0.5]))
     got = quadform_approx_toeplitz(th, ctx, M=1024)
 
-    from fexpsmc.fourier import fourier_coeffs_bounded
+    from fexpsmc.fourier import half_grid, longmemory_autocovs
 
-    def h(lam):
-        lam = np.asarray(lam, dtype=float)
-        vals = (2.0 - 2.0 * np.cos(lam)) ** th.d * np.exp(
-            -cosine_series(th.xi, lam)) / TWO_PI
-        return np.where(np.abs(lam) < 1e-300, 0.0, vals)
-
-    gam = fourier_coeffs_bounded(h, 20, M=1024)
+    lam = half_grid(1024)
+    h = (2.0 - 2.0 * np.cos(lam)) ** th.d * np.exp(-cosine_series(th.xi, lam)) / TWO_PI
+    gam = longmemory_autocovs(0.0, h, 20)
     T = build_toeplitz(gam)
     want = float(ctx.xtilde @ T @ ctx.xtilde)
     assert abs(got - want) < 1e-9 * abs(want)

@@ -1,4 +1,5 @@
-"""Exact Gaussian marginal likelihood: hand-computed and eigen-based oracles."""
+"""Exact Gaussian marginal likelihood: hand-computed, eigen-based and dense
+slogdet/solve oracles."""
 
 import math
 import warnings
@@ -11,7 +12,7 @@ from fexpsmc import _accel, exact, simulate
 from dense_reference import build_toeplitz, cholesky_lower
 from fexpsmc.exact import NotPositiveDefiniteError, exact_log_marglik, fbar_autocov
 from fexpsmc.fourier import fracdiff_acf
-from fexpsmc.model import PriorConfig, ThetaParams, sample_prior
+from fexpsmc.model import PriorConfig, ThetaParams, sample_prior, to_arrays
 from fexpsmc.simulate import SimConfig, simulate_series
 
 TWO_PI = 2.0 * math.pi
@@ -74,7 +75,7 @@ def test_fbar_autocov_short_memory_only():
     from scipy.special import iv
     t_tiny = -800.0  # d = 0 numerically
     th = ThetaParams(k=1, t=t_tiny, xi=np.array([0.5]))
-    got = fbar_autocov(th, 8, M=256)
+    got = fbar_autocov(th, 128)[:8]  # the grid of M = 256 points
     want = iv(np.arange(8), 0.5)
     assert np.max(np.abs(got - want)) < 1e-12
 
@@ -153,25 +154,25 @@ def test_exact_log_marglik_needs_two_points():
 # Edge cases of the Durbin-Levinson path: d -> 1/2, large |xi|, non-PD acf
 # ---------------------------------------------------------------------------
 
-def _eigen_log_marglik(th, x, prior):
+def _dense_log_marglik(acf, x, prior):
+    """The marginal from LAPACK's slogdet and solve of the dense Sigma."""
     n = x.size
-    sigma = build_toeplitz(fbar_autocov(th, n)) + np.full((n, n), 1.0 / prior.g_mu)
-    evals, evecs = np.linalg.eigh(sigma)
-    assert evals.min() > 0
-    y = evecs.T @ (x - prior.m_mu)
-    q = float(np.sum(y * y / evals))
-    return -0.5 * float(np.sum(np.log(evals))) \
-        - (prior.a + 0.5 * n) * math.log(prior.b + 0.5 * q)
+    sigma = build_toeplitz(acf, ridge=1.0 / prior.g_mu)
+    u = x - prior.m_mu
+    q = float(u @ np.linalg.solve(sigma, u))
+    return -0.5 * np.linalg.slogdet(sigma)[1] - (prior.a + 0.5 * n) * math.log(prior.b + 0.5 * q)
 
 
 @pytest.mark.parametrize("n", [64, 512])
 @pytest.mark.parametrize("xi", [(), (3.0,), (-3.0, 1.5, -0.8)])
 @pytest.mark.parametrize("d", [0.45, 0.49, 0.499])
 def test_exact_log_marglik_edge_cases_match_eigen_oracle(d, xi, n):
+    # the oracle is dense slogdet/solve: an eigendecomposition of Sigma is
+    # itself 2e-8 relative off at cond(T) = 7e9
     prior = PriorConfig()
     x = np.random.default_rng(n).standard_normal(n) * 1.4 + 0.3
     th = ThetaParams(k=len(xi), t=math.log(2.0 * d / (1.0 - 2.0 * d)), xi=np.array(xi))
-    want = _eigen_log_marglik(th, x, prior)
+    want = _dense_log_marglik(fbar_autocov(th, n), x, prior)
     got = exact_log_marglik(th, x, prior)
     assert abs(got - want) < 1e-10 * abs(want)
 
@@ -184,8 +185,8 @@ def test_non_positive_definite_acf_raises_lapack_index(acf, monkeypatch):
     n = acf.size
     with pytest.raises(NotPositiveDefiniteError) as dense:
         cholesky_lower(build_toeplitz(acf))
-    monkeypatch.setattr(exact, "fbar_autocov", lambda th, n, M=None: acf)
-    monkeypatch.setattr(simulate, "model_autocov", lambda cfg, n, M=None: acf)
+    monkeypatch.setattr(exact, "_autocovs", lambda k, t, xi, n: np.tile(acf, (k.size, 1)))
+    monkeypatch.setattr(simulate, "model_autocov", lambda cfg, n: acf)
     with pytest.raises(NotPositiveDefiniteError) as lik:
         exact_log_marglik(ThetaParams(k=0, t=0.0, xi=np.empty(0)),
                           np.arange(n, dtype=float), PriorConfig())
@@ -197,7 +198,7 @@ def test_non_positive_definite_acf_raises_lapack_index(acf, monkeypatch):
 def test_non_finite_acf_raises_instead_of_nan(monkeypatch):
     # LAPACK's dpotrf passes a NaN through; the recursion stops at it
     acf = np.array([1.0, 0.5, math.nan, 0.0])
-    monkeypatch.setattr(exact, "fbar_autocov", lambda th, n, M=None: acf)
+    monkeypatch.setattr(exact, "_autocovs", lambda k, t, xi, n: np.tile(acf, (k.size, 1)))
     with pytest.raises(NotPositiveDefiniteError) as err:
         exact_log_marglik(ThetaParams(k=0, t=0.0, xi=np.empty(0)), np.ones(4),
                           PriorConfig())
@@ -216,16 +217,21 @@ def _mixed_population():
     return [ThetaParams(k=len(xi), t=t, xi=np.array(xi)) for t, xi in zip(ts, xis)]
 
 
+def _margliks(thetas, x, prior):
+    """(values, info, ill) of exact_log_margliks on a list of thetas."""
+    return exact.exact_log_margliks(*to_arrays(thetas), x, prior)
+
+
 def test_exact_log_margliks_match_single_calls_across_blocks(monkeypatch):
-    monkeypatch.setattr(exact, "BLOCK_ROWS", 4)
+    monkeypatch.setattr(exact, "BLOCK_ELEMENTS", 4 * 96)  # blocks of 4, 4 and 1
     prior = PriorConfig()
     x = np.random.default_rng(11).standard_normal(96) * 1.4 + 0.3
     thetas = _mixed_population()
-    values, info = exact.exact_log_margliks(thetas, x, prior)
+    values, info, _ = _margliks(thetas, x, prior)
     assert np.array_equal(info, np.zeros(len(thetas)))
     for th, got in zip(thetas, values):
         assert got == exact_log_marglik(th, x, prior)
-        want = _eigen_log_marglik(th, x, prior)
+        want = _dense_log_marglik(fbar_autocov(th, 96), x, prior)
         assert abs(got - want) < 1e-10 * abs(want)
 
 
@@ -236,18 +242,25 @@ def test_exact_log_margliks_report_failed_rows_and_leave_the_rest(monkeypatch):
     n = 40
     x = np.random.default_rng(12).standard_normal(n)
     thetas = _mixed_population()
-    clean, _ = exact.exact_log_margliks(thetas, x, prior)
+    clean, _, _ = _margliks(thetas, x, prior)
     not_pd = np.zeros(n)
     not_pd[:2] = [1.0, 2.0]
     with_nan = fbar_autocov(thetas[5], n)
     with_nan[7] = math.nan
-    bad = {id(thetas[2]): not_pd, id(thetas[5]): with_nan}
-    real = exact.fbar_autocov
-    monkeypatch.setattr(exact, "fbar_autocov",
-                        lambda th, n, M=None: bad[id(th)] if id(th) in bad else real(th, n, M))
-    values, info = exact.exact_log_margliks(thetas, x, prior)
+    bad = {thetas[2].t: not_pd, thetas[5].t: with_nan}  # the rows' t are distinct
+    real = exact._autocovs
+
+    def autocovs(k, t, xi, n):
+        acf = real(k, t, xi, n)
+        for row, tj in zip(acf, t.tolist()):
+            if tj in bad:
+                row[:] = bad[tj]
+        return acf
+
+    monkeypatch.setattr(exact, "_autocovs", autocovs)
+    values, info, _ = _margliks(thetas, x, prior)
     for i, th in enumerate(thetas):
-        if id(th) in bad:
+        if th.t in bad:
             with pytest.raises(NotPositiveDefiniteError) as err:
                 exact_log_marglik(th, x, prior)
             assert info[i] == err.value.index
@@ -268,7 +281,7 @@ def test_exact_side_at_d_one_half_is_a_failed_row():
         exact_log_marglik(pole, x, prior)
     assert err.value.index == 1
     thetas = _mixed_population()[:3]
-    values, info = exact.exact_log_margliks([thetas[0], pole, *thetas[1:]], x, prior)
+    values, info, _ = _margliks([thetas[0], pole, *thetas[1:]], x, prior)
     assert info.tolist() == [0, 1, 0, 0]
     assert values[[0, 2, 3]].tolist() == [exact_log_marglik(th, x, prior) for th in thetas]
 
@@ -285,7 +298,7 @@ def test_exact_side_with_overflowing_short_memory_is_a_failed_row():
         warnings.simplefilter("error")
         with pytest.raises(NotPositiveDefiniteError) as err:
             exact_log_marglik(blow_up, x, prior)
-        values, info = exact.exact_log_margliks([thetas[0], blow_up, *thetas[1:]], x, prior)
+        values, info, _ = _margliks([thetas[0], blow_up, *thetas[1:]], x, prior)
     assert err.value.index == 1
     assert info.tolist() == [0, 1, 0, 0]
     assert math.isnan(values[1])
@@ -314,7 +327,7 @@ def _count_dl_rows(monkeypatch):
 def test_schur_solve_matches_dense_reference(n):
     # leaf-only (n - 1 <= SCHUR_LEAF) and doubling sizes, d up to 0.497
     thetas = _mixed_population()
-    acf = exact._autocovs(thetas, n)
+    acf = exact._autocovs(*to_arrays(thetas), n)
     y = np.column_stack([np.random.default_rng(n).standard_normal(n), np.ones(n)])
     z, logdet, resid = _accel.schur_solve(acf, y)
     for b in range(len(thetas)):
@@ -328,13 +341,13 @@ def test_schur_solve_matches_dense_reference(n):
 def test_exact_log_marglik_is_the_batch_of_one_above_the_leaf(monkeypatch):
     # n = 700 runs several levels of the doubling recursion, every row on
     # the Schur path, in blocks of 4, 4 and 1
-    monkeypatch.setattr(exact, "BLOCK_ROWS", 4)
+    monkeypatch.setattr(exact, "BLOCK_ELEMENTS", 4 * 700)
     dl_rows = _count_dl_rows(monkeypatch)
     assert 700 > 4 * _accel.SCHUR_LEAF
     prior = PriorConfig()
     x = np.random.default_rng(15).standard_normal(700) * 1.4 + 0.3
     thetas = _mixed_population()
-    values, info = exact.exact_log_margliks(thetas, x, prior)
+    values, info, _ = _margliks(thetas, x, prior)
     assert np.array_equal(info, np.zeros(len(thetas)))
     for th, got in zip(thetas, values):
         assert got == exact_log_marglik(th, x, prior)
@@ -349,26 +362,18 @@ def test_rows_past_the_residual_bound_get_durbin_levinson_values(monkeypatch):
     n = 64
     x = np.random.default_rng(16).standard_normal(n)
     thetas = _mixed_population()[:4] + [ThetaParams(k=0, t=37.0, xi=np.empty(0))]
-    fast, _ = exact.exact_log_margliks(thetas, x, prior)
+    fast, _, _ = _margliks(thetas, x, prior)
     monkeypatch.setattr(exact, "RESIDUAL_BOUND", -1.0)
-    values, info, ill = exact._exact_log_margliks(thetas, x, prior)
+    values, info, ill = _margliks(thetas, x, prior)
     y = np.column_stack([x - prior.m_mu, np.ones(n)])
-    e, v, bad = _accel.durbin_levinson_whiten(exact._autocovs(thetas, n), y)
+    e, v, bad = _accel.durbin_levinson_whiten(exact._autocovs(*to_arrays(thetas), n), y)
     assert info.tolist() == bad.tolist() == [0, 0, 0, 0, 1]
     assert ill.tolist() == [True, True, True, True, False]
+    dl = exact._whitened_log_margliks(e[:4], v[:4], n, prior)
     for i in range(4):
-        assert values[i] == exact._log_marglik(e[i], v[i], n, prior)
+        assert values[i] == dl[i]
         assert abs(values[i] - fast[i]) < 1e-10 * abs(fast[i])
     assert math.isnan(values[4])
-
-
-def _dense_log_marglik(acf, x, prior):
-    """The marginal from LAPACK's slogdet and solve of the dense Sigma."""
-    n = x.size
-    sigma = build_toeplitz(acf, ridge=1.0 / prior.g_mu)
-    u = x - prior.m_mu
-    q = float(u @ np.linalg.solve(sigma, u))
-    return -0.5 * np.linalg.slogdet(sigma)[1] - (prior.a + 0.5 * n) * math.log(prior.b + 0.5 * q)
 
 
 def test_prior_draws_are_no_further_from_dense_than_durbin_levinson():
@@ -381,15 +386,16 @@ def test_prior_draws_are_no_further_from_dense_than_durbin_levinson():
     rng = np.random.default_rng(0)
     thetas = [sample_prior(prior, rng) for _ in range(32)]
     x = np.random.default_rng(100).standard_normal(n)
-    values, info = exact.exact_log_margliks(thetas, x, prior)
-    acf = exact._autocovs(thetas, n)
+    values, info, _ = _margliks(thetas, x, prior)
+    acf = exact._autocovs(*to_arrays(thetas), n)
     y = np.column_stack([x - prior.m_mu, np.ones(n)])
     e, v, bad = _accel.durbin_levinson_whiten(acf, y)
     assert np.array_equal(info, bad)
-    assert np.count_nonzero(info == 0) >= 24
-    for i in np.flatnonzero(info == 0):
+    ok = np.flatnonzero(info == 0)
+    assert ok.size >= 24
+    dls = exact._whitened_log_margliks(e[ok], v[ok], n, prior)
+    for i, dl in zip(ok, dls):
         dense = _dense_log_marglik(acf[i], x, prior)
-        dl = exact._log_marglik(e[i], v[i], n, prior)
         assert abs(values[i] - dense) <= abs(dl - dense) + 1e-6, f"draw {i}"
 
 
@@ -406,7 +412,7 @@ def test_exact_log_margliks_rows_are_finite_or_failed(n, d, xi, seed):
     prior = PriorConfig()
     th = ThetaParams(k=len(xi), t=math.log(2.0 * d / (1.0 - 2.0 * d)), xi=np.array(xi))
     x = np.random.default_rng(seed).standard_normal(n) * 1.4 + 0.3
-    values, info = exact.exact_log_margliks([th], x, prior)
+    values, info, _ = _margliks([th], x, prior)
     if info[0]:
         assert info[0] > 0 and math.isnan(values[0])
         return

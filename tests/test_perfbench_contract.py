@@ -3,16 +3,22 @@
 ``perfbench/worker.py`` times a ``fexpsmc fit`` by wrapping the two stage
 calls ``cli`` makes through its module globals, and reads fields of their
 arguments and results; ``perfbench/run.py`` writes ``correction.threads = 1``
-into every fit config.  A change to the package that drops one of these
-breaks the benchmark, not the package's own tests, so this test runs a tiny
-fit through the worker's own ``StageTimer`` and ``_distinct`` (imported
-read-only) and checks each of them.
+into every fit config.  ``run.py`` also times a set-up probe (its
+``SETUP_CODE``: import the package, read and prepare a series), and the
+draws worker calls ``simulate_series`` on each workload's generating model.
+A change to the package that drops one of these breaks the benchmark, not
+the package's own tests, so these tests run a tiny fit through the worker's
+own ``StageTimer`` and ``_distinct``, the probe as ``run.py`` runs it, and
+one ``draw_round`` on ``smc_short``'s ARFIMA model (all imported read-only),
+and check each of them.
 
 ROADMAP item 1's benchmark change deletes ``correction.threads`` and
 ``_accel.BACKEND`` from the harness; this test changes with it.
 """
 
 import math
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -33,6 +39,17 @@ def worker(monkeypatch):
     import worker
 
     return worker
+
+
+@pytest.fixture
+def perfbench(monkeypatch):
+    """The harness's own modules, imported read-only: (run, workloads)."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    import run
+    import workloads
+
+    return run, workloads
 
 
 def test_fit_exposes_what_the_benchmark_worker_reads(worker, tmp_path):
@@ -70,3 +87,29 @@ def test_fit_exposes_what_the_benchmark_worker_reads(worker, tmp_path):
     assert worker._weight_sum(tmp_path / "fit" / "particles.csv") == pytest.approx(1.0, abs=1e-9)
 
     assert fexpsmc._accel.BACKEND == "numpy"
+
+
+def test_setup_probe_reads_and_prepares_a_series(perfbench, tmp_path):
+    run, _ = perfbench
+    series = tmp_path / "series.csv"
+    write_series(series, simulate_series(SimConfig(n=64, d=0.25), np.random.default_rng(3)))
+    src = Path(fexpsmc.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run([sys.executable, "-c", run.SETUP_CODE, str(src), str(series)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert Path(proc.stdout.strip()).resolve() == Path(fexpsmc.__file__).resolve()
+
+
+def test_draw_round_on_the_smc_short_model(worker, perfbench):
+    _, workloads = perfbench
+    model = workloads.WORKLOADS["smc_short"].model.sim_config()
+    assert model["kind"] == "arfima" and len(model["theta_ma"]) == 2
+    plan = {"dense_n": 64, "innov_n": 256, "model": model, "draw_seed": [5]}
+    records = worker.draw_round(fexpsmc, plan, 0)
+    assert [rec["path"] for rec in records] == ["dense", "innov"]
+    for rec in records:
+        assert rec["fails"] == []
+        assert rec["draw_s"] > 0.0 and len(rec["sha256"]) == 64
+    again = worker.draw_round(fexpsmc, plan, 1)
+    assert [rec["sha256"] for rec in again] == [rec["sha256"] for rec in records]
