@@ -8,11 +8,13 @@ the batch, which the caller bounds: the exact likelihood passes blocks of
 at most ``exact.BLOCK_ELEMENTS // n`` rows.  It reports each row's
 residual, and the exact likelihood re-solves the rows it cannot vouch for
 with the O(n^2) Durbin-Levinson innovations kernel: whitening,
-``durbin_levinson_whiten``.  The same kernel colours draws for
-simulation (``durbin_levinson_sample``, the one-row case).  Both sweep all
-rows of a batch together.  The Whittle quadratic form has no kernel here:
-:mod:`fexpsmc.approx` evaluates it for a whole batch of thetas with numpy
-array operations.
+``durbin_levinson_whiten``.  Both sweep all rows of a batch together.
+Simulation draws by circulant embedding (``circulant_eigenvalues``,
+``circulant_sample``) at O(n log n); only a draw whose embedding has a
+negative eigenvalue is coloured by the Durbin-Levinson kernel
+(``durbin_levinson_sample``, the one-row case).  The Whittle quadratic
+form has no kernel here: :mod:`fexpsmc.approx` evaluates it for a whole
+batch of thetas with numpy array operations.
 """
 
 import math
@@ -157,6 +159,42 @@ def durbin_levinson_sample(acf, z):
     (x, info); x ~ N(0, T(acf)) when info is 0."""
     x, _, info = _durbin_levinson(acf.reshape(1, -1), z.reshape(-1, 1), True)
     return x[0, :, 0], int(info[0])
+
+
+# ---------------------------------------------------------------------------
+# Circulant embedding draws (Davies & Harte 1987, Biometrika 74:95-101;
+# Wood & Chan 1994, JCGS 3:409-432).
+#
+# The symmetric circulant C of first row c = (acf_0, .., acf_{n-1},
+# acf_{n-2}, .., acf_1), of size m = 2 (n - 1), holds T(acf) as its leading
+# n x n block.  C = F* diag(lam) F / m with lam = rfft(c) extended evenly,
+# and lam is real because c is even.  When every lam_k >= 0, a Hermitian
+# spectrum w with E|w_k|^2 = lam_k, independent but for w_{m-k} = conj(w_k),
+# gives sqrt(m) irfft(w, m) ~ N(0, C), so its first n values are an exact
+# N(0, T(acf)) draw, at the cost of two FFTs of length m.  A negative lam_k
+# means C is no covariance, although T(acf) may be one; the caller then
+# colours by Durbin-Levinson instead.
+# ---------------------------------------------------------------------------
+
+
+def circulant_eigenvalues(acf):
+    """Eigenvalues lam_0..lam_{n-1} of the even circulant embedding of T(acf)
+    (size m = 2 (n - 1), n >= 2); the other m - n are lam_{m-k} = lam_k."""
+    return np.fft.rfft(np.concatenate([acf, acf[-2:0:-1]])).real
+
+
+def circulant_sample(lam, z):
+    """Coloured draw x (length n) for m = 2 (n - 1) standard normals z, from
+    the embedding's eigenvalues lam (length n, all >= 0); x ~ N(0, T(acf))
+    for lam = circulant_eigenvalues(acf).  The map z -> x is linear, with
+    x = A z and A A' = T(acf)."""
+    n = lam.size
+    m = 2 * (n - 1)
+    w = np.empty(n, dtype=complex)
+    w[0] = math.sqrt(lam[0]) * z[0]
+    w[-1] = math.sqrt(lam[-1]) * z[1]
+    w[1:-1] = np.sqrt(0.5 * lam[1:-1]) * (z[2::2] + 1j * z[3::2])
+    return math.sqrt(m) * np.fft.irfft(w, m)[:n]
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,15 @@
 """Exact simulation of stationary Gaussian series and CSV data I/O.
 
-Draws x ~ N(mu * 1, T(f)) for a model spectral density f by the
-Durbin-Levinson innovations recursion: each x_t is drawn from its exact
-Gaussian conditional given x_0..x_{t-1}.  The map from the standard-normal
-draws z to x is the lower Cholesky factor of T(f), so a given z yields the
-dense Cholesky draw up to rounding, at O(n^2) time and O(n) memory.  The
+Draws x ~ N(mu * 1, T(f)) for a model spectral density f.  Whenever the
+circulant embedding of T(f) (size 2 (n - 1)) has no negative eigenvalue,
+the draw is the first n values of an exact draw of the embedding, made by
+FFTs at O(n log n) time (Davies & Harte 1987).  Otherwise, and at n = 1,
+it falls back to the Durbin-Levinson innovations recursion: each x_t is
+drawn from its exact Gaussian conditional given x_0..x_{t-1}, so the map
+from the standard-normal draws z to x is the lower Cholesky factor of T(f)
+and a given z yields the dense Cholesky draw up to rounding, at O(n^2) time
+and O(n) memory.  Only the fallback raises NotPositiveDefiniteError: a
+non-negative embedding makes T(f) positive semidefinite.  The
 autocovariances of T(f) are the array quadrature of :mod:`fexpsmc.fourier`:
 the model's density at d = 0 is sampled on the half grid of
 default_grid_size(n) points, and a density that is not finite there is a
@@ -15,6 +20,7 @@ Supported model kinds: "fracnoise" (pure fractional noise), "fexp"
 (fractional ARMA).  All share the memory parameter d in [0, 1/2).
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,8 +56,12 @@ class SimConfig:
             raise ValueError(f"kind must be fracnoise, fexp or arfima, got {self.kind!r}")
         if not 0.0 <= self.d < 0.5:
             raise ValueError("d must lie in [0, 0.5)")
-        if self.sigma2 <= 0.0:
-            raise ValueError("sigma2 must be positive")
+        if not (self.sigma2 > 0.0 and math.isfinite(self.sigma2)):
+            raise ValueError("sigma2 must be positive and finite")
+        if not math.isfinite(self.mu):
+            raise ValueError("mu must be finite")
+        if not isinstance(self.n, (int, np.integer)) or isinstance(self.n, bool):
+            raise ValueError(f"n must be an integer, got {self.n!r}")
         if self.n < 1:
             raise ValueError("n must be >= 1")
 
@@ -83,10 +93,17 @@ def model_autocov(cfg, n):
 def simulate_series(cfg, rng):
     """Draw one exact sample path x ~ N(mu, T(f)) of length cfg.n.
 
-    Raises :class:`NotPositiveDefiniteError` when T(f) is not numerically
-    positive definite.
+    When every eigenvalue of the circulant embedding of T(f) is >= 0, x is
+    coloured from 2 (n - 1) standard normals by FFTs.  Otherwise, and at
+    n = 1, it is coloured from n standard normals by Durbin-Levinson, the
+    lower Cholesky factor of T(f); only there is :class:`NotPositiveDefiniteError`
+    raised, when T(f) is not numerically positive definite.
     """
     acf = model_autocov(cfg, cfg.n)
+    if cfg.n > 1:  # at n = 1 the embedding is empty
+        lam = _accel.circulant_eigenvalues(acf)
+        if lam.min() >= 0.0:
+            return _accel.circulant_sample(lam, rng.standard_normal(2 * (cfg.n - 1))) + cfg.mu
     z = rng.standard_normal(cfg.n)
     x, info = _accel.durbin_levinson_sample(acf, z)
     if info:

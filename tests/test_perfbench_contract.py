@@ -9,8 +9,8 @@ draws worker calls ``simulate_series`` on each workload's generating model.
 A change to the package that drops one of these breaks the benchmark, not
 the package's own tests, so these tests run a tiny fit through the worker's
 own ``StageTimer`` and ``_distinct``, the probe as ``run.py`` runs it, and
-one ``draw_round`` on ``smc_short``'s ARFIMA model (all imported read-only),
-and check each of them.
+``draw_round`` twice at the benchmark's draw lengths on each workload's
+model (all imported read-only), and check each of them.
 
 ROADMAP item 1's benchmark change deletes ``correction.threads`` and
 ``_accel.BACKEND`` from the harness; this test changes with it.
@@ -101,15 +101,19 @@ def test_setup_probe_reads_and_prepares_a_series(perfbench, tmp_path):
     assert Path(proc.stdout.strip()).resolve() == Path(fexpsmc.__file__).resolve()
 
 
-def test_draw_round_on_the_smc_short_model(worker, perfbench):
+@pytest.mark.parametrize("name", ["smc_short", "correct_exact"])
+def test_draw_round_at_the_benchmark_lengths(name, worker, perfbench):
+    # the benchmark's own lengths and models: every draw passes the worker's
+    # checks, and a repeat reproduces its hashes, as _check_repeats requires
     _, workloads = perfbench
-    model = workloads.WORKLOADS["smc_short"].model.sim_config()
-    assert model["kind"] == "arfima" and len(model["theta_ma"]) == 2
-    plan = {"dense_n": 64, "innov_n": 256, "model": model, "draw_seed": [5]}
+    model = workloads.WORKLOADS[name].model.sim_config()
+    plan = {"dense_n": workloads.DENSE_N, "innov_n": workloads.INNOV_N, "model": model,
+            "draw_seed": [5]}
     records = worker.draw_round(fexpsmc, plan, 0)
     assert [rec["path"] for rec in records] == ["dense", "innov"]
     for rec in records:
         assert rec["fails"] == []
         assert rec["draw_s"] > 0.0 and len(rec["sha256"]) == 64
     again = worker.draw_round(fexpsmc, plan, 1)
-    assert [rec["sha256"] for rec in again] == [rec["sha256"] for rec in records]
+    worker._check_repeats(records + again)
+    assert [rec["fails"] for rec in records + again] == [[]] * 4

@@ -29,6 +29,14 @@ def test_sim_config_validation():
         SimConfig(sigma2=0.0)
     with pytest.raises(ValueError):
         SimConfig(n=0)
+    # non-finite mu and sigma2 drew all-NaN or all-inf series; a non-integer
+    # n raised a bare TypeError from inside the draw
+    for bad in (dict(mu=math.nan), dict(mu=math.inf), dict(mu=-math.inf),
+                dict(sigma2=math.nan), dict(sigma2=math.inf),
+                dict(n=2.5), dict(n=64.0), dict(n=True), dict(n="64")):
+        with pytest.raises(ValueError):
+            SimConfig(**bad)
+    assert SimConfig(n=np.int64(64)).n == 64
 
 
 def test_model_autocov_fracnoise_closed_form():
@@ -129,21 +137,84 @@ def test_durbin_levinson_rejects_invalid_acf():
     assert info == 2  # the leading 2x2 minor 1 - 4 < 0
 
 
-def test_long_series_uses_innovations_path():
+def _record_durbin_levinson(monkeypatch):
+    """The acf of every Durbin-Levinson colouring simulate_series makes."""
+    calls = []
+    sample = _accel.durbin_levinson_sample
+
+    def recorded(acf, z):
+        calls.append(acf)
+        return sample(acf, z)
+
+    monkeypatch.setattr(_accel, "durbin_levinson_sample", recorded)
+    return calls
+
+
+def test_long_series_uses_circulant_embedding(monkeypatch):
+    calls = _record_durbin_levinson(monkeypatch)
     rng = np.random.default_rng(4)
     cfg = SimConfig(kind="fracnoise", n=8200, d=0.1, sigma2=1.0)
     x = simulate_series(cfg, rng)
     assert x.size == 8200
     assert np.all(np.isfinite(x))
+    assert calls == []
 
 
 def test_innovations_draw_is_the_cholesky_draw():
-    # the innovations map z -> x is the lower Cholesky factor of T
-    cfg = SimConfig(kind="fexp", n=512, d=0.49, sigma2=1.0, mu=0.7, xi=np.array([3.0]))
+    # the fallback's map z -> x is the lower Cholesky factor of T; at n = 64
+    # this model's circulant embedding has a negative eigenvalue (-0.0208)
+    cfg = SimConfig(kind="fexp", n=64, d=0.49, sigma2=1.0, mu=0.7, xi=np.array([3.0]))
+    acf = model_autocov(cfg, 64)
+    assert _accel.circulant_eigenvalues(acf).min() < 0.0
     x = simulate_series(cfg, np.random.default_rng(6))
-    z = np.random.default_rng(6).standard_normal(512)
-    want = cholesky_lower(build_toeplitz(model_autocov(cfg, 512))) @ z + 0.7
+    z = np.random.default_rng(6).standard_normal(64)
+    want = cholesky_lower(build_toeplitz(acf)) @ z + 0.7
     assert np.max(np.abs(x - want)) < 1e-10 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("cfg", [
+    SimConfig(kind="fracnoise", n=2, d=0.3),
+    SimConfig(kind="fracnoise", n=64, d=0.3),
+    SimConfig(kind="fexp", n=128, d=0.25, xi=[0.6, -0.2]),
+    SimConfig(kind="fexp", n=512, d=0.49, xi=[3.0]),
+    SimConfig(kind="arfima", n=300, d=0.25, theta_ma=[-0.3, 0.2]),
+], ids=["fracnoise2", "fracnoise64", "fexp128", "fexp512", "arfima300"])
+def test_circulant_colouring_is_an_exact_factor(cfg):
+    # x = A z with A the colouring of the m unit vectors: A A' is T exactly
+    acf = model_autocov(cfg, cfg.n)
+    lam = _accel.circulant_eigenvalues(acf)
+    assert lam.min() >= 0.0
+    m = 2 * (cfg.n - 1)
+    A = np.stack([_accel.circulant_sample(lam, e) for e in np.eye(m)], axis=1)
+    assert A.shape == (cfg.n, m)
+    assert np.max(np.abs(A @ A.T - build_toeplitz(acf))) <= 1e-13 * acf[0]
+
+
+@pytest.mark.parametrize("n, fallback", [(3, True), (64, True), (512, False)])
+def test_draw_path_follows_the_sign_of_the_embedding(n, fallback, monkeypatch):
+    # fexp d = 0.49, xi = (3): the embedding is negative at n = 3 and 64 and
+    # non-negative at n = 512; a fallback draw is the Durbin-Levinson
+    # colouring of the first n normals, bit for bit
+    cfg = SimConfig(kind="fexp", n=n, d=0.49, mu=-0.4, xi=[3.0])
+    acf = model_autocov(cfg, n)
+    assert (_accel.circulant_eigenvalues(acf).min() < 0.0) == fallback
+    calls = _record_durbin_levinson(monkeypatch)
+    x = simulate_series(cfg, np.random.default_rng(8))
+    assert len(calls) == int(fallback)
+    if fallback:
+        want, info = _accel.durbin_levinson_sample(acf, np.random.default_rng(8).standard_normal(n))
+        assert info == 0
+        assert np.array_equal(x, want + cfg.mu)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_short_draws(n):
+    for kind in ("fracnoise", "fexp", "arfima"):
+        x0, x = (simulate_series(SimConfig(kind=kind, n=n, d=0.3, mu=mu, xi=[0.5], phi=[0.5]),
+                                 np.random.default_rng(n)) for mu in (0.0, 50.0))
+        assert x.shape == (n,)
+        assert np.all(np.isfinite(x))
+        assert np.max(np.abs(x - x0 - 50.0)) <= 1e-13
 
 
 @pytest.mark.parametrize("colour", [False, True])
