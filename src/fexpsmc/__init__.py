@@ -7,10 +7,10 @@ and optionally reweights the resulting particles by the exact
 Gaussian marginal likelihood.
 """
 
-from .approx import approx_log_lik, prepare_dataset
+from .approx import prepare_dataset
 from .config import ConfigError, DataError, NumericalError, RunConfig, load_config
 from .correction import CorrectionConfig, correction_weights
-from .exact import NotPositiveDefiniteError, exact_log_marglik
+from .exact import NotPositiveDefiniteError
 from .mcmc import McmcConfig, run_mcmc
 from .model import PriorConfig, ThetaParams
 from .report import spectral_bands, summarize
@@ -23,7 +23,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ConfigError", "CorrectionConfig", "DataError", "McmcConfig", "NumericalError",
     "NotPositiveDefiniteError", "PriorConfig", "RunConfig", "SimConfig", "SmcConfig",
-    "ThetaParams", "approx_log_lik", "correction_weights", "exact_log_marglik",
-    "load_config", "prepare_dataset", "read_series", "run_mcmc", "run_smc",
-    "simulate_series", "spectral_bands", "summarize", "write_series",
+    "ThetaParams", "correction_weights", "load_config", "prepare_dataset", "read_series",
+    "run_mcmc", "run_smc", "simulate_series", "spectral_bands", "summarize", "write_series",
 ]

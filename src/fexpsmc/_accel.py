@@ -26,18 +26,6 @@ BACKEND = "numpy"
 
 
 # ---------------------------------------------------------------------------
-# Cosine series evaluation: out_j = sum_m xi_m * cos((m+1) * lam_j)
-# ---------------------------------------------------------------------------
-
-
-def cosine_series(xi, lam):
-    if xi.shape[0] == 0:
-        return np.zeros_like(lam)
-    m = np.arange(1, xi.shape[0] + 1)
-    return np.cos(np.outer(m, lam)).T @ xi
-
-
-# ---------------------------------------------------------------------------
 # Durbin-Levinson innovations recursion, over B rows of autocovariances.
 #
 # T(acf) = L D L' with L unit lower triangular: row t of L^{-1} is

@@ -100,8 +100,9 @@ def _read_particles(path):
     """Load a particles.csv back into (thetas, weights).
 
     A row that does not make a particle (a missing or unparsable field, k
-    not matching the xi fields, a non-finite t or xi) or whose weight is
-    not a finite nonnegative number is a DataError naming the file and line.
+    not matching the xi fields, a non-empty xi field beyond k, a non-finite
+    t or xi) or whose weight is not a finite nonnegative number is a
+    DataError naming the file and line.
     """
     thetas, weights = [], []
     try:
@@ -119,7 +120,11 @@ def _read_particles(path):
                         raise ValueError("xi must be finite")
                     if not (np.isfinite(w) and w >= 0.0):
                         raise ValueError(f"weight {w!r} is not a finite nonnegative number")
-                    thetas.append(ThetaParams(k=k, t=float(row[3]), xi=xi))
+                    theta = ThetaParams(k=k, t=float(row[3]), xi=xi)
+                    beyond = [j for j, v in enumerate(row[6 + k:], start=k + 1) if v.strip()]
+                    if beyond:
+                        raise ValueError(f"k={k} but xi_{beyond[0]} is not empty")
+                    thetas.append(theta)
                 except (IndexError, ValueError) as err:
                     raise DataError(f"{path}: line {lineno}: malformed particle row ({err})") from None
                 weights.append(w)

@@ -28,6 +28,9 @@ per-element ``math`` calls: numpy's ``exp`` and ``log1p`` differ from
 ``math``'s in the last bit for some doubles, and a ThetaParams must get the
 same d in a population as alone.  :func:`sample_prior` draws d with
 ``Generator.random()``, the same double ``uniform()`` would return.
+:func:`fexp_sdf` gives a population's densities on a grid, from
+:func:`cosine_sums`, the one evaluator of sum_j xi_j cos(j lam), which the
+likelihood modules share.
 """
 
 import math
@@ -36,14 +39,11 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._accel import cosine_series
-
 __all__ = [
     "ThetaParams",
     "PriorConfig",
     "fexp_sdf",
     "arfima_sdf",
-    "eval_fbar",
     "memory_d",
     "to_arrays",
     "to_thetas",
@@ -118,17 +118,18 @@ class PriorConfig:
         return self.xi_var0 * float(j) ** (-2.0 * self.beta)
 
 
-def fexp_sdf(d, xi, lam):
-    """Normalised FEXP spectral density on an array of frequencies.
+def fexp_sdf(k, d, xi, lam):
+    """Normalised FEXP spectral density of each row (k, xi), with memory
+    parameter ``d`` (one per row), on the frequencies ``lam``, as a
+    (rows, grid) array; the series sum_j xi_j cos(j lam) is :func:`cosine_sums`.
 
     Diverges at lam = 0 for d > 0; the caller keeps grids away from 0.
     """
     lam = np.asarray(lam, dtype=float)
-    xi = np.asarray(xi, dtype=float)
-    s = cosine_series(xi, lam)
+    basis = np.cos(np.outer(np.arange(1, k.max(initial=0) + 1), lam))
     with np.errstate(divide="ignore"):
-        sing = (2.0 - 2.0 * np.cos(lam)) ** (-d)
-    return sing * np.exp(s) / (2.0 * np.pi)
+        sing = (2.0 - 2.0 * np.cos(lam)) ** -d[:, None]
+    return sing * np.exp(cosine_sums(k, xi, basis)) / (2.0 * np.pi)
 
 
 def arfima_sdf(d, phi, theta_ma, sigma2, lam):
@@ -148,11 +149,6 @@ def arfima_sdf(d, phi, theta_ma, sigma2, lam):
     with np.errstate(divide="ignore"):
         sing = (2.0 - 2.0 * np.cos(lam)) ** (-d)
     return sigma2 / (2.0 * np.pi) * sing * np.abs(ma) ** 2 / np.abs(ar) ** 2
-
-
-def eval_fbar(theta, lam):
-    """Normalised FEXP density at theta on the frequency array lam."""
-    return fexp_sdf(theta.d, theta.xi, lam)
 
 
 def memory_d(t):

@@ -4,13 +4,15 @@ All quantiles are inverses of the right-continuous weighted empirical CDF:
 quantile(q) is the smallest sample value v with  sum_{v_i <= v} W_i >= q.
 With a single particle every quantile equals its value; with two equal
 weights the 10/90% band is the pointwise min/max of the two curves.
+Spectral bands take the quantiles of every grid frequency at once, from
+the population's log densities as one (particles, grid) array.
 """
 
 import math
 
 import numpy as np
 
-from .model import eval_fbar
+from .model import fexp_sdf, memory_d, to_arrays
 
 __all__ = [
     "weighted_quantile",
@@ -26,27 +28,34 @@ BAND_QUANTILES = (0.1, 0.5, 0.9)
 
 
 def weighted_quantile(values, weights, q):
-    """Weighted quantile(s) via the inverse right-continuous weighted CDF."""
+    """Weighted quantile(s) via the inverse right-continuous weighted CDF.
+
+    ``values`` is 1-d, or (N, G) for the quantiles of each column along
+    axis 0, with one weight per row.  A scalar q gives a float (a (G,)
+    array for 2-d values); an array of levels adds a leading axis.
+    """
     values = np.asarray(values, dtype=float)
     weights = np.asarray(weights, dtype=float)
-    if values.shape != weights.shape or values.ndim != 1 or values.size == 0:
-        raise ValueError("values and weights must be equal-length 1-d arrays")
+    if values.ndim not in (1, 2) or weights.shape != values.shape[:1] or values.size == 0:
+        raise ValueError("values must be a nonempty 1-d or 2-d array with one weight per row")
     if np.any(weights < 0):
         raise ValueError("weights must be nonnegative")
     total = weights.sum()
     if total <= 0:
         raise ValueError("weights sum to zero")
-    order = np.argsort(values, kind="stable")
-    v = values[order]
-    cdf = np.cumsum(weights[order]) / total
+    order = np.argsort(values, axis=0, kind="stable")
+    cdf = np.cumsum(weights[order], axis=0) / total
     qs = np.atleast_1d(np.asarray(q, dtype=float))
-    if np.any((qs < 0) | (qs > 1)):
+    if not np.all((qs >= 0) & (qs <= 1)):
         raise ValueError("quantile levels must lie in [0, 1]")
-    # smallest index with cdf >= q (right-continuous inverse)
-    idx = np.searchsorted(cdf, qs, side="left")
-    idx = np.minimum(idx, v.size - 1)
-    out = v[idx]
-    return float(out[0]) if np.isscalar(q) else out
+    # smallest index with cdf >= q (right-continuous inverse): the count of
+    # cdf < q, which is searchsorted(side="left") on a nondecreasing cdf
+    idx = (cdf < qs.reshape((-1,) + (1,) * values.ndim)).sum(axis=1)
+    idx = np.minimum(idx, values.shape[0] - 1)
+    out = np.take_along_axis(values, np.take_along_axis(order, idx, axis=0), axis=0)
+    if np.isscalar(q):
+        out = out[0]
+    return float(out) if out.ndim == 0 else out
 
 
 def frequency_grid(n_points=200, lam_min=1e-3, lam_max=math.pi):
@@ -67,15 +76,9 @@ def spectral_bands(thetas, weights, grid=None, quantiles=BAND_QUANTILES):
     """
     if grid is None:
         grid = frequency_grid()
-    thetas = list(thetas)
-    weights = np.asarray(weights, dtype=float)
-    curves = np.empty((len(thetas), grid.size))
-    for i, th in enumerate(thetas):
-        curves[i] = np.log(eval_fbar(th, grid))
-    bands = np.empty((len(quantiles), grid.size))
-    for g in range(grid.size):
-        bands[:, g] = weighted_quantile(curves[:, g], weights, np.asarray(quantiles))
-    return grid, np.exp(bands)
+    k, t, xi = to_arrays(list(thetas))
+    curves = np.log(fexp_sdf(k, memory_d(t), xi, grid))
+    return grid, np.exp(weighted_quantile(curves, weights, np.asarray(quantiles)))
 
 
 def d_histogram(thetas, weights, bins=40):

@@ -16,7 +16,8 @@ default_grid_size(n) points, and a density that is not finite there is a
 NumericalError naming the model.
 
 Supported model kinds: "fracnoise" (pure fractional noise), "fexp"
-(fractional noise times an exponential cosine series) and "arfima"
+(fractional noise times an exponential cosine series, the density of
+:func:`fexpsmc.model.fexp_sdf` as a population of one) and "arfima"
 (fractional ARMA).  All share the memory parameter d in [0, 1/2).
 """
 
@@ -72,7 +73,7 @@ def _smooth_factor(cfg, lam):
     if cfg.kind == "fracnoise":
         return np.full_like(lam, cfg.sigma2 / (2.0 * np.pi))
     if cfg.kind == "fexp":
-        return cfg.sigma2 * fexp_sdf(0.0, cfg.xi, lam)
+        return cfg.sigma2 * fexp_sdf(np.array([cfg.xi.size]), np.zeros(1), cfg.xi[None], lam)[0]
     return arfima_sdf(0.0, cfg.phi, cfg.theta_ma, cfg.sigma2, lam)
 
 

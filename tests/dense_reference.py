@@ -1,7 +1,8 @@
 """Dense references for the tests: O(n^3) Toeplitz matrices and Cholesky
 factors for the covariances the package handles in O(n^2) by the
 Durbin-Levinson recursion, and the T(h) form of the approximate quadratic
-form, the oracle for the package's Whittle form."""
+form, the oracle for the package's Whittle form, on a cosine series of its
+own."""
 
 import math
 
@@ -9,9 +10,14 @@ import numpy as np
 from scipy.linalg import toeplitz as scipy_toeplitz
 from scipy.linalg.lapack import dpotrf
 
-from fexpsmc._accel import cosine_series
 from fexpsmc.exact import NotPositiveDefiniteError
 from fexpsmc.fourier import default_grid_size, half_grid, longmemory_autocovs
+
+
+def cosine_series(xi, lam):
+    """sum_j xi_j cos(j lam) of one coefficient vector on the frequencies
+    ``lam``, one matrix-vector product, apart from the package's cosine sums."""
+    return np.cos(np.outer(np.arange(1, xi.size + 1), lam)).T @ xi
 
 
 def build_toeplitz(acf, ridge=0.0):

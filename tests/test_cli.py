@@ -487,7 +487,8 @@ def test_exit_3_report_on_non_particle_file(tmp_path, capsys):
     ("1,0,0.25,inf,0.5,", "t must be finite"),
     ("1,0,0.25,0.0,-1.0,", "weight -1.0 is not a finite nonnegative number"),
     ("1,1,0.25,0.0,0.5,,nan", "xi must be finite"),
-], ids=["k_without_its_xi", "infinite_t", "negative_weight", "nan_xi"])
+    ("1,1,0.25,0.0,0.5,,0.5,0.7", "k=1 but xi_2 is not empty"),
+], ids=["k_without_its_xi", "infinite_t", "negative_weight", "nan_xi", "xi_beyond_k"])
 def test_exit_3_report_on_a_malformed_particle_row(row, message, tmp_path, capsys):
     pf = tmp_path / "particles.csv"
     pf.write_text("index,k,d,t,weight,log_w_corr,xi_1,xi_2\n"

@@ -1,6 +1,7 @@
 """The package needs numpy alone at run time; scipy is a test oracle only."""
 
 import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -40,3 +41,14 @@ def test_package_imports_only_stdlib_numpy_and_itself():
         bad += [f"{path.name}:{line} imports {name}"
                 for line, name in _imported_top_names(tree) if name not in ALLOWED]
     assert not bad, "\n".join(bad)
+
+
+def test_every_all_entry_resolves():
+    # a name deleted from a module but left in its __all__ fails here
+    missing = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        name = "fexpsmc" if path.stem == "__init__" else f"fexpsmc.{path.stem}"
+        module = importlib.import_module(name)
+        missing += [f"{name}.{entry}" for entry in getattr(module, "__all__", ())
+                    if not hasattr(module, entry)]
+    assert not missing, missing

@@ -9,8 +9,8 @@ from hypothesis import given, strategies as st
 from scipy import stats
 from scipy.integrate import quad
 
-from fexpsmc.model import (PriorConfig, ThetaParams, arfima_sdf, eval_fbar,
-                           fexp_sdf, log_prior, sample_prior, to_arrays)
+from fexpsmc.model import (PriorConfig, ThetaParams, arfima_sdf, fexp_sdf,
+                           log_prior, sample_prior, to_arrays)
 from particle_reference import log_prior as _direct_log_prior
 
 TWO_PI = 2.0 * math.pi
@@ -63,17 +63,23 @@ def test_theta_key_distinguishes_parameters():
 # Spectral densities
 # ---------------------------------------------------------------------------
 
+def _fexp_sdf(d, xi, lam):
+    """fexp_sdf of one row."""
+    xi = np.asarray(xi, dtype=float)
+    return fexp_sdf(np.array([xi.size]), np.array([d]), xi[None], lam)[0]
+
+
 def test_fexp_sdf_hand_value():
     # at lam = pi/2: |1-e^{-i lam}|^2 = 2, cos(lam) = 0, cos(2 lam) = -1
     d, xi = 0.25, np.array([0.5, -0.3])
-    got = fexp_sdf(d, xi, np.array([math.pi / 2]))[0]
+    got = _fexp_sdf(d, xi, np.array([math.pi / 2]))[0]
     want = 2.0 ** (-0.25) * math.exp(0.3) / TWO_PI
     assert abs(got - want) < 1e-14
 
 
 def test_fexp_sdf_without_short_memory_is_pure_pole():
     lam = np.linspace(0.1, 3.1, 25)
-    got = fexp_sdf(0.3, np.empty(0), lam)
+    got = _fexp_sdf(0.3, np.empty(0), lam)
     want = (2.0 - 2.0 * np.cos(lam)) ** (-0.3) / TWO_PI
     assert np.max(np.abs(got - want)) < 1e-14
 
@@ -82,7 +88,7 @@ def test_fexp_sdf_integrates_to_fracdiff_variance():
     # 2 int_0^pi fbar = gamma(0) of fractional noise when xi = 0
     from fexpsmc.fourier import fracdiff_acf
     d = 0.2
-    val, err = quad(lambda lam: fexp_sdf(d, np.empty(0), np.array([lam]))[0],
+    val, err = quad(lambda lam: _fexp_sdf(d, np.empty(0), np.array([lam]))[0],
                     0.0, math.pi, points=[0.0], limit=200)
     assert abs(2.0 * val - fracdiff_acf(d, 0)) < 1e-8
 
@@ -102,12 +108,6 @@ def test_arfima_sdf_reduces_to_white_noise():
     lam = np.linspace(0.1, 3.0, 5)
     got = arfima_sdf(0.0, np.empty(0), np.empty(0), 3.0, lam)
     assert np.allclose(got, 3.0 / TWO_PI, rtol=1e-14)
-
-
-def test_eval_fbar_consistent_with_fexp_sdf():
-    th = ThetaParams(k=2, t=0.4, xi=np.array([0.1, -0.2]))
-    lam = np.linspace(0.05, 3.0, 11)
-    assert np.array_equal(eval_fbar(th, lam), fexp_sdf(th.d, th.xi, lam))
 
 
 # ---------------------------------------------------------------------------

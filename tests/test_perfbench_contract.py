@@ -2,8 +2,10 @@
 
 ``perfbench/worker.py`` times a ``fexpsmc fit`` by wrapping the two stage
 calls ``cli`` makes through its module globals, and reads fields of their
-arguments and results; ``perfbench/run.py`` writes ``correction.threads = 1``
-into every fit config.  ``run.py`` also times a set-up probe (its
+arguments and results; ``perfbench/layers.py`` times the report layers by
+the names of ``spectral_bands`` and ``summarize``, which ``cli`` calls once
+each per fit through its globals; ``perfbench/run.py`` writes
+``correction.threads = 1`` into every fit config.  ``run.py`` also times a set-up probe (its
 ``SETUP_CODE``: import the package, read and prepare a series), and the
 draws worker calls ``simulate_series`` on each workload's generating model.
 A change to the package that drops one of these breaks the benchmark, not
@@ -16,6 +18,7 @@ ROADMAP item 1's benchmark change deletes ``correction.threads`` and
 ``_accel.BACKEND`` from the harness; this test changes with it.
 """
 
+import collections
 import math
 import os
 import subprocess
@@ -52,12 +55,22 @@ def perfbench(monkeypatch):
     return run, workloads
 
 
-def test_fit_exposes_what_the_benchmark_worker_reads(worker, tmp_path):
+def _counted(calls, name, fn):
+    def wrapper(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+    return wrapper
+
+
+def test_fit_exposes_what_the_benchmark_worker_reads(worker, tmp_path, monkeypatch):
     series = tmp_path / "series.csv"
     write_series(series, simulate_series(SimConfig(n=64, d=0.25), np.random.default_rng(2)))
     config = tmp_path / "fit.cfg"
     config.write_text(f"data.path = {series}\nsmc.N = 4\nsmc.M = 1\nsmc.seed = 7\n"
                       "correction.seed = 8\ncorrection.threads = 1\n")
+    calls = collections.Counter()
+    for name in ("spectral_bands", "summarize"):
+        monkeypatch.setattr(cli, name, _counted(calls, name, getattr(cli, name)))
     stage = worker.StageTimer(cli)
     stage.install()
     try:
@@ -65,6 +78,7 @@ def test_fit_exposes_what_the_benchmark_worker_reads(worker, tmp_path):
     finally:
         stage.uninstall()
     assert rc == 0
+    assert calls == {"spectral_bands": 1, "summarize": 1}
     assert cli.run_smc is stage.inner["run_smc"]  # uninstall restored the globals
 
     smc_s, args, ps = stage.last["run_smc"]

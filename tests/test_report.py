@@ -5,13 +5,34 @@ import math
 import numpy as np
 import pytest
 
-from fexpsmc.model import ThetaParams, eval_fbar
+from dense_reference import cosine_series
+from fexpsmc.model import PriorConfig, ThetaParams, sample_prior
 from fexpsmc.report import (d_histogram, frequency_grid, k_mass,
                             spectral_bands, summarize, weighted_quantile)
 
 
 def _theta(k, t, *xi):
     return ThetaParams(k=k, t=t, xi=np.array(xi, dtype=float))
+
+
+def _fbar(theta, lam):
+    """The normalised FEXP density of one theta on lam, one frequency array."""
+    with np.errstate(divide="ignore"):
+        sing = (2.0 - 2.0 * np.cos(lam)) ** (-theta.d)
+    return sing * np.exp(cosine_series(theta.xi, lam)) / (2.0 * np.pi)
+
+
+def _reference_bands(thetas, weights, grid, quantiles):
+    """spectral_bands one particle and one frequency at a time, each column's
+    quantiles by searchsorted on its own weighted CDF."""
+    curves = np.array([np.log(_fbar(th, grid)) for th in thetas])
+    bands = np.empty((len(quantiles), grid.size))
+    for g in range(grid.size):
+        order = np.argsort(curves[:, g], kind="stable")
+        cdf = np.cumsum(weights[order]) / weights.sum()
+        idx = np.minimum(np.searchsorted(cdf, quantiles, side="left"), len(thetas) - 1)
+        bands[:, g] = curves[order, g][idx]
+    return np.exp(bands)
 
 
 # ---------------------------------------------------------------------------
@@ -47,6 +68,14 @@ def test_weighted_quantile_array_q():
     got = weighted_quantile(v, w, np.array([0.1, 0.5, 1.0]))
     assert got.shape == (3,)
     assert got[0] == 0.0 and got[2] == 9.0
+    # (N, G) values: the quantiles of each column along axis 0
+    cols = np.stack([v, -v, np.full(10, 2.0)], axis=1)
+    got = weighted_quantile(cols, w, np.array([0.1, 0.5, 1.0]))
+    assert got.shape == (3, 3)
+    assert got[:, 0].tolist() == [0.0, 4.0, 9.0]
+    assert got[:, 1].tolist() == [-9.0, -5.0, 0.0]
+    assert got[:, 2].tolist() == [2.0, 2.0, 2.0]
+    assert weighted_quantile(cols, w, 0.5).tolist() == [4.0, -5.0, 2.0]
 
 
 def test_weighted_quantile_matches_numpy_on_large_uniform_sample():
@@ -75,7 +104,7 @@ def test_frequency_grid_is_geometric_and_bounded():
 def test_spectral_bands_single_particle_collapse():
     th = _theta(1, 0.2, 0.5)
     grid, bands = spectral_bands([th], np.array([1.0]))
-    want = eval_fbar(th, grid)
+    want = _fbar(th, grid)
     for row in bands:
         assert np.allclose(row, want, rtol=1e-12)
 
@@ -85,14 +114,32 @@ def test_spectral_bands_two_particles_pick_correct_curves():
     b = _theta(0, 1.0)
     grid, bands = spectral_bands([a, b], np.array([0.85, 0.15]),
                                  quantiles=(0.1, 0.5, 0.9))
-    fa = eval_fbar(a, grid)
-    fb = eval_fbar(b, grid)
+    fa = _fbar(a, grid)
+    fb = _fbar(b, grid)
     # 85% of the mass on a: the median follows a everywhere, while the outer
     # bands take the pointwise min/max (the light particle still carries 15%,
     # which covers both 10% tails)
     assert np.allclose(bands[0], np.minimum(fa, fb), rtol=1e-12)
     assert np.allclose(bands[1], fa, rtol=1e-12)
     assert np.allclose(bands[2], np.maximum(fa, fb), rtol=1e-12)
+
+
+@pytest.mark.parametrize("N", [1, 2, 6, 64, 1000])
+def test_spectral_bands_match_the_per_particle_per_frequency_reference(N):
+    # prior draws of every order up to k_max, some weights zero and some
+    # curves tied (a repeated particle): the same bits as the reference
+    rng = np.random.default_rng(N)
+    thetas = [sample_prior(PriorConfig(geom_p=0.1), rng) for _ in range(N)]
+    thetas[N // 2] = thetas[0].copy()
+    weights = rng.uniform(size=N)
+    weights[rng.uniform(size=N) < 0.3] = 0.0
+    weights[0] = 0.5
+    for grid in (frequency_grid(), frequency_grid(7, 0.5)):
+        for quantiles in ((0.1, 0.5, 0.9), (0.0, 0.25, 1.0)):
+            got_grid, bands = spectral_bands(thetas, weights, grid, quantiles)
+            assert got_grid is grid
+            want = _reference_bands(thetas, weights, grid, np.asarray(quantiles))
+            assert np.array_equal(bands, want)
 
 
 def test_spectral_bands_ordered():
