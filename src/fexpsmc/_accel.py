@@ -10,11 +10,12 @@ residual, and the exact likelihood re-solves the rows it cannot vouch for
 with the O(n^2) Durbin-Levinson innovations kernel: whitening,
 ``durbin_levinson_whiten``.  Both sweep all rows of a batch together.
 Simulation draws by circulant embedding (``circulant_eigenvalues``,
-``circulant_sample``) at O(n log n); only a draw whose embedding has a
-negative eigenvalue is coloured by the Durbin-Levinson kernel
-(``durbin_levinson_sample``, the one-row case).  The Whittle quadratic
-form has no kernel here: :mod:`fexpsmc.approx` evaluates it for a whole
-batch of thetas with numpy array operations.
+``circulant_sample``, of size 2L for a 5-smooth L >= n - 1) at
+O(n log n); only a draw whose embedding has a negative eigenvalue is
+coloured by the Durbin-Levinson kernel (``durbin_levinson_sample``, the
+one-row case).  The Whittle quadratic form has no kernel here:
+:mod:`fexpsmc.approx` evaluates it for a whole batch of thetas with numpy
+array operations.
 """
 
 import math
@@ -153,35 +154,46 @@ def durbin_levinson_sample(acf, z):
 # Circulant embedding draws (Davies & Harte 1987, Biometrika 74:95-101;
 # Wood & Chan 1994, JCGS 3:409-432).
 #
-# The symmetric circulant C of first row c = (acf_0, .., acf_{n-1},
-# acf_{n-2}, .., acf_1), of size m = 2 (n - 1), holds T(acf) as its leading
-# n x n block.  C = F* diag(lam) F / m with lam = rfft(c) extended evenly,
-# and lam is real because c is even.  When every lam_k >= 0, a Hermitian
-# spectrum w with E|w_k|^2 = lam_k, independent but for w_{m-k} = conj(w_k),
-# gives sqrt(m) irfft(w, m) ~ N(0, C), so its first n values are an exact
-# N(0, T(acf)) draw, at the cost of two FFTs of length m.  A negative lam_k
-# means C is no covariance, although T(acf) may be one; the caller then
-# colours by Durbin-Levinson instead.
+# The symmetric circulant C of first row c = (acf_0, .., acf_L,
+# acf_{L-1}, .., acf_1), of size m = 2L, holds T(acf_0..acf_{n-1}) as its
+# leading n x n block for any L >= n - 1.  simulate_series takes
+# L = _fft_size(n - 1), the smallest 5-smooth L, since numpy's FFT is slow
+# on lengths with large prime factors: at n = 16 384 the minimal
+# m = 2 (n - 1) = 2 3 43 127 took 1.00 ms per rfft against 0.37 ms at
+# m = 32 768 on a 2-core x86 host (Wood & Chan allow any m >= 2 (n - 1)).
+# C = F* diag(lam) F / m with lam = rfft(c) extended evenly, and lam is
+# real because c is even.  When every lam_k >= 0, a Hermitian spectrum w
+# with E|w_k|^2 = lam_k, independent but for w_{m-k} = conj(w_k), gives
+# sqrt(m) irfft(w, m) ~ N(0, C), so its first n values are an exact
+# N(0, T) draw, at the cost of two FFTs of length m.  A negative lam_k
+# means C is no covariance, although T may be one; the caller then colours
+# by Durbin-Levinson instead.
 # ---------------------------------------------------------------------------
 
 
 def circulant_eigenvalues(acf):
-    """Eigenvalues lam_0..lam_{n-1} of the even circulant embedding of T(acf)
-    (size m = 2 (n - 1), n >= 2); the other m - n are lam_{m-k} = lam_k."""
+    """Eigenvalues lam_0..lam_L of the even circulant embedding, of size
+    m = 2L, of the lags acf_0..acf_L (L >= 1); the other m - L - 1 are
+    lam_{m-k} = lam_k."""
     return np.fft.rfft(np.concatenate([acf, acf[-2:0:-1]])).real
 
 
-def circulant_sample(lam, z):
-    """Coloured draw x (length n) for m = 2 (n - 1) standard normals z, from
-    the embedding's eigenvalues lam (length n, all >= 0); x ~ N(0, T(acf))
-    for lam = circulant_eigenvalues(acf).  The map z -> x is linear, with
-    x = A z and A A' = T(acf)."""
-    n = lam.size
-    m = 2 * (n - 1)
-    w = np.empty(n, dtype=complex)
+def circulant_sample(lam, z, n):
+    """First n values of the coloured draw of m = 2L standard normals z, from
+    the embedding's eigenvalues lam (length L + 1, all >= 0, n <= L + 1);
+    x ~ N(0, T(acf_0..acf_{n-1})) for lam = circulant_eigenvalues(acf).  The
+    map z -> x is linear, with x = A z and A A' = T."""
+    L = lam.size - 1
+    m = 2 * L
+    w = np.empty(L + 1, dtype=complex)
     w[0] = math.sqrt(lam[0]) * z[0]
     w[-1] = math.sqrt(lam[-1]) * z[1]
-    w[1:-1] = np.sqrt(0.5 * lam[1:-1]) * (z[2::2] + 1j * z[3::2])
+    # w_k = sqrt(lam_k / 2) (z_2k + i z_2k+1), built in place
+    root = w.real[1:-1]
+    np.multiply(lam[1:-1], 0.5, out=root)
+    np.sqrt(root, out=root)
+    np.multiply(root, z[3::2], out=w.imag[1:-1])
+    root *= z[2::2]
     return math.sqrt(m) * np.fft.irfft(w, m)[:n]
 
 

@@ -213,7 +213,8 @@ def log_barnes_g(x):
 def _log_g(z):
     """log G of each element of a 1-D array of positive values."""
     low = z < 0.5  # shifted up by one: log G(z) = log G(z + 1) - log Gamma(z)
-    acc = np.where(low, -_lgamma(z), 0.0)
+    acc = np.zeros(z.size)
+    acc[low] = -_lgamma(z[low])
     z = z + low
     high = z > 1.5
     while np.count_nonzero(high):

@@ -27,9 +27,12 @@ inverse real FFT.
 Callers sample g on :func:`half_grid` themselves and pass the samples, a
 whole batch of densities at once: :func:`longmemory_autocovs` works along
 the last axis, and each row is computed on its own, so it gets the same
-bits in any batch.
+bits in any batch.  A grid's constants, the frequencies and
+log|1 - e^{-i lam_j}|^2, are computed once per grid size and shared
+read-only by every caller.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -45,9 +48,28 @@ def default_grid_size(n):
     return M
 
 
+def _read_only(a):
+    a.flags.writeable = False
+    return a
+
+
+#: grid sizes whose constants are kept; a process uses a few powers of two
+_GRIDS_KEPT = 16
+
+
+@functools.lru_cache(maxsize=_GRIDS_KEPT)
 def half_grid(M):
-    """The half grid lam_j = 2 pi j / M, j = 0..M/2, of an even M."""
-    return 2.0 * np.pi * np.arange(M // 2 + 1) / M
+    """The half grid lam_j = 2 pi j / M, j = 0..M/2, of an even M, as a
+    read-only array computed once per M."""
+    return _read_only(2.0 * np.pi * np.arange(M // 2 + 1) / M)
+
+
+@functools.lru_cache(maxsize=_GRIDS_KEPT)
+def _log_weight(M):
+    """log(2 - 2 cos lam_j) = log|1 - e^{-i lam_j}|^2 at j = 1..M/2 of
+    :func:`half_grid` (M), read-only; the singular factor is exp(-d times
+    it)."""
+    return _read_only(np.log(2.0 - 2.0 * np.cos(half_grid(M)[1:])))
 
 
 def fracdiff_acf(d, lags):
@@ -112,9 +134,8 @@ def longmemory_autocovs(d, g, n):
     if not 1 <= n <= M:
         raise ValueError(f"need 1 <= n <= M, got n = {n} and M = {M}")
     g0 = g[..., :1]
-    logw = np.log(2.0 - 2.0 * np.cos(half_grid(M)[1:]))
     rem = np.zeros(g.shape)
-    np.exp(np.multiply.outer(-d, logw), out=rem[..., 1:])
+    np.exp(np.multiply.outer(-d, _log_weight(M)), out=rem[..., 1:])
     rem[..., 1:] *= g[..., 1:] - g0
     return (2.0 * np.pi * g0 * fracdiff_acf(d, np.arange(n))
             + 2.0 * np.pi * np.fft.irfft(rem, M)[..., :n])

@@ -146,9 +146,11 @@ def arfima_sdf(d, phi, theta_ma, sigma2, lam):
     ar = np.ones_like(z)
     for p, ph in enumerate(np.atleast_1d(phi), start=1):
         ar = ar - ph * z ** p
-    with np.errstate(divide="ignore"):
-        sing = (2.0 - 2.0 * np.cos(lam)) ** (-d)
-    return sigma2 / (2.0 * np.pi) * sing * np.abs(ma) ** 2 / np.abs(ar) ** 2
+    scale = sigma2 / (2.0 * np.pi)
+    if d != 0.0:  # at d = 0 the singular factor is exactly 1
+        with np.errstate(divide="ignore"):
+            scale = scale * (2.0 - 2.0 * np.cos(lam)) ** (-d)
+    return scale * np.abs(ma) ** 2 / np.abs(ar) ** 2
 
 
 def memory_d(t):

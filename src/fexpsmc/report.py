@@ -38,8 +38,8 @@ def weighted_quantile(values, weights, q):
     weights = np.asarray(weights, dtype=float)
     if values.ndim not in (1, 2) or weights.shape != values.shape[:1] or values.size == 0:
         raise ValueError("values must be a nonempty 1-d or 2-d array with one weight per row")
-    if np.any(weights < 0):
-        raise ValueError("weights must be nonnegative")
+    if not np.all(np.isfinite(weights) & (weights >= 0)):
+        raise ValueError("weights must be finite and nonnegative")
     total = weights.sum()
     if total <= 0:
         raise ValueError("weights sum to zero")

@@ -1,9 +1,10 @@
 """Exact simulation of stationary Gaussian series and CSV data I/O.
 
 Draws x ~ N(mu * 1, T(f)) for a model spectral density f.  Whenever the
-circulant embedding of T(f) (size 2 (n - 1)) has no negative eigenvalue,
-the draw is the first n values of an exact draw of the embedding, made by
-FFTs at O(n log n) time (Davies & Harte 1987).  Otherwise, and at n = 1,
+even circulant embedding of T(f), of size 2L with L the smallest 5-smooth
+integer >= n - 1 (Wood & Chan 1994), has no negative eigenvalue, the draw
+is the first n values of an exact draw of the embedding, made by FFTs at
+O(n log n) time (Davies & Harte 1987).  Otherwise, and at n = 1,
 it falls back to the Durbin-Levinson innovations recursion: each x_t is
 drawn from its exact Gaussian conditional given x_0..x_{t-1}, so the map
 from the standard-normal draws z to x is the lower Cholesky factor of T(f)
@@ -77,10 +78,12 @@ def _smooth_factor(cfg, lam):
     return arfima_sdf(0.0, cfg.phi, cfg.theta_ma, cfg.sigma2, lam)
 
 
-def model_autocov(cfg, n):
-    """Autocovariances gamma(0..n-1) of the configured model, by the array
-    quadrature of :mod:`fexpsmc.fourier` on the half grid of
-    default_grid_size(n) points; NumericalError if g is not finite there."""
+def model_autocov(cfg, n, lags=None):
+    """Autocovariances gamma(0..lags-1) of the configured model, gamma(0..n-1)
+    when lags is None, by the array quadrature of :mod:`fexpsmc.fourier` on
+    the half grid of default_grid_size(n) points.  lags may run up to that
+    grid size, and lags 0..n-1 have the same bits whatever it is.
+    NumericalError if g is not finite on the grid."""
     # a density that divides by zero or overflows is reported by the
     # non-finite check alone, not also by numpy's RuntimeWarnings
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -88,28 +91,34 @@ def model_autocov(cfg, n):
     if not np.all(np.isfinite(g)):
         raise NumericalError(f"model.kind = {cfg.kind}: the spectral density is not finite "
                              "on the quadrature grid")
-    return longmemory_autocovs(cfg.d, g, n)
+    return longmemory_autocovs(cfg.d, g, n if lags is None else lags)
 
 
 def simulate_series(cfg, rng):
-    """Draw one exact sample path x ~ N(mu, T(f)) of length cfg.n.
+    """Draw one exact sample path x ~ N(mu, T(f)) of length n = cfg.n.
 
-    When every eigenvalue of the circulant embedding of T(f) is >= 0, x is
-    coloured from 2 (n - 1) standard normals by FFTs.  Otherwise, and at
-    n = 1, it is coloured from n standard normals by Durbin-Levinson, the
-    lower Cholesky factor of T(f); only there is :class:`NotPositiveDefiniteError`
-    raised, when T(f) is not numerically positive definite.
+    T(f) is embedded in the even circulant of size 2L, with L the smallest
+    5-smooth integer >= n - 1, whose first row takes lags 0..L from the
+    quadrature grid of :func:`model_autocov` (n), so lags 0..n-1 are those
+    of model_autocov(cfg, n).  When every eigenvalue of the embedding is
+    >= 0, x is the first n values of a draw coloured from 2L standard
+    normals by FFTs.  Otherwise, and at n = 1, it is coloured from n
+    standard normals by Durbin-Levinson, the lower Cholesky factor of T(f);
+    only there is :class:`NotPositiveDefiniteError` raised, when T(f) is not
+    numerically positive definite.
     """
-    acf = model_autocov(cfg, cfg.n)
-    if cfg.n > 1:  # at n = 1 the embedding is empty
-        lam = _accel.circulant_eigenvalues(acf)
-        if lam.min() >= 0.0:
-            return _accel.circulant_sample(lam, rng.standard_normal(2 * (cfg.n - 1))) + cfg.mu
-    z = rng.standard_normal(cfg.n)
-    x, info = _accel.durbin_levinson_sample(acf, z)
-    if info:
-        raise NotPositiveDefiniteError(info)
-    return x + cfg.mu
+    n = cfg.n
+    L = _accel._fft_size(n - 1) if n > 1 else 0  # at n = 1 the embedding is empty
+    acf = model_autocov(cfg, n, L + 1)
+    lam = _accel.circulant_eigenvalues(acf) if L else None
+    if L and lam.min() >= 0.0:
+        x = _accel.circulant_sample(lam, rng.standard_normal(2 * L), n)
+    else:
+        x, info = _accel.durbin_levinson_sample(acf[:n], rng.standard_normal(n))
+        if info:
+            raise NotPositiveDefiniteError(info)
+    x += cfg.mu
+    return x
 
 
 def write_series(path, x, header="x"):

@@ -186,7 +186,8 @@ def test_non_positive_definite_acf_raises_lapack_index(acf, monkeypatch):
     with pytest.raises(NotPositiveDefiniteError) as dense:
         cholesky_lower(build_toeplitz(acf))
     monkeypatch.setattr(exact, "_autocovs", lambda k, t, xi, n: np.tile(acf, (k.size, 1)))
-    monkeypatch.setattr(simulate, "model_autocov", lambda cfg, n: acf)
+    # n - 1 is 5-smooth at these n, so the draw's embedding takes the n lags
+    monkeypatch.setattr(simulate, "model_autocov", lambda cfg, n, lags=None: acf)
     with pytest.raises(NotPositiveDefiniteError) as lik:
         exact_log_marglik(ThetaParams(k=0, t=0.0, xi=np.empty(0)),
                           np.arange(n, dtype=float), PriorConfig())

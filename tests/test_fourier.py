@@ -27,6 +27,15 @@ def test_default_grid_size():
     assert default_grid_size(1000) == 2048
 
 
+def test_half_grid_is_computed_once_and_read_only():
+    # every caller shares one array per grid size, so none may write to it
+    lam = half_grid(64)
+    assert half_grid(64) is lam
+    assert np.array_equal(lam, 2.0 * np.pi * np.arange(33) / 64)
+    with pytest.raises(ValueError):
+        lam[1] = 0.0
+
+
 # ---------------------------------------------------------------------------
 # Spectral (periodic trapezoid) rule: exactness and convergence
 # ---------------------------------------------------------------------------

@@ -116,13 +116,18 @@ def test_setup_probe_reads_and_prepares_a_series(perfbench, tmp_path):
 
 
 @pytest.mark.parametrize("name", ["smc_short", "correct_exact"])
-def test_draw_round_at_the_benchmark_lengths(name, worker, perfbench):
+def test_draw_round_at_the_benchmark_lengths(name, worker, perfbench, monkeypatch):
     # the benchmark's own lengths and models: every draw passes the worker's
-    # checks, and a repeat reproduces its hashes, as _check_repeats requires
+    # checks, and a repeat reproduces its hashes, as _check_repeats requires;
+    # both lengths draw by circulant embedding, not by the O(n^2) fallback
     _, workloads = perfbench
     model = workloads.WORKLOADS[name].model.sim_config()
     plan = {"dense_n": workloads.DENSE_N, "innov_n": workloads.INNOV_N, "model": model,
             "draw_seed": [5]}
+    calls = collections.Counter()
+    monkeypatch.setattr(fexpsmc._accel, "durbin_levinson_sample",
+                        _counted(calls, "durbin_levinson_sample",
+                                 fexpsmc._accel.durbin_levinson_sample))
     records = worker.draw_round(fexpsmc, plan, 0)
     assert [rec["path"] for rec in records] == ["dense", "innov"]
     for rec in records:
@@ -131,3 +136,4 @@ def test_draw_round_at_the_benchmark_lengths(name, worker, perfbench):
     again = worker.draw_round(fexpsmc, plan, 1)
     worker._check_repeats(records + again)
     assert [rec["fails"] for rec in records + again] == [[]] * 4
+    assert calls == {}

@@ -78,6 +78,17 @@ def test_weighted_quantile_array_q():
     assert weighted_quantile(cols, w, 0.5).tolist() == [4.0, -5.0, 2.0]
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_weighted_quantile_rejects_non_finite_weights(bad):
+    # NaN and +inf used to pass both checks and return the smallest value
+    w = np.array([bad, 1.0, 1.0])
+    with pytest.raises(ValueError, match="finite"):
+        weighted_quantile(np.array([1.0, 2.0, 3.0]), w, 0.5)
+    thetas = [_theta(0, t) for t in (-1.0, 0.0, 1.0)]
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="finite"):
+        summarize(thetas, w)
+
+
 def test_weighted_quantile_matches_numpy_on_large_uniform_sample():
     rng = np.random.default_rng(0)
     v = rng.standard_normal(20_000)

@@ -160,48 +160,110 @@ def test_long_series_uses_circulant_embedding(monkeypatch):
     assert calls == []
 
 
+def _embedding(cfg):
+    """The lags 0..L that simulate_series embeds, L = _fft_size(n - 1)."""
+    return model_autocov(cfg, cfg.n, _accel._fft_size(cfg.n - 1) + 1)
+
+
 def test_innovations_draw_is_the_cholesky_draw():
     # the fallback's map z -> x is the lower Cholesky factor of T; at n = 64
-    # this model's circulant embedding has a negative eigenvalue (-0.0208)
+    # this model's circulant embedding (L = 64) has a negative eigenvalue
     cfg = SimConfig(kind="fexp", n=64, d=0.49, sigma2=1.0, mu=0.7, xi=np.array([3.0]))
     acf = model_autocov(cfg, 64)
-    assert _accel.circulant_eigenvalues(acf).min() < 0.0
+    assert _accel.circulant_eigenvalues(_embedding(cfg)).min() < 0.0
     x = simulate_series(cfg, np.random.default_rng(6))
     z = np.random.default_rng(6).standard_normal(64)
     want = cholesky_lower(build_toeplitz(acf)) @ z + 0.7
     assert np.max(np.abs(x - want)) < 1e-10 * np.max(np.abs(want))
 
 
-@pytest.mark.parametrize("cfg", [
+_EMBEDDED = [
     SimConfig(kind="fracnoise", n=2, d=0.3),
     SimConfig(kind="fracnoise", n=64, d=0.3),
     SimConfig(kind="fexp", n=128, d=0.25, xi=[0.6, -0.2]),
     SimConfig(kind="fexp", n=512, d=0.49, xi=[3.0]),
     SimConfig(kind="arfima", n=300, d=0.25, theta_ma=[-0.3, 0.2]),
-], ids=["fracnoise2", "fracnoise64", "fexp128", "fexp512", "arfima300"])
+]
+_EMBEDDED_IDS = ["fracnoise2", "fracnoise64", "fexp128", "fexp512", "arfima300"]
+
+
+@pytest.mark.parametrize("cfg", _EMBEDDED, ids=_EMBEDDED_IDS)
 def test_circulant_colouring_is_an_exact_factor(cfg):
-    # x = A z with A the colouring of the m unit vectors: A A' is T exactly
-    acf = model_autocov(cfg, cfg.n)
+    # x = A z with A the colouring of the m = 2L unit vectors: A A' is T exactly
+    acf = _embedding(cfg)
     lam = _accel.circulant_eigenvalues(acf)
     assert lam.min() >= 0.0
-    m = 2 * (cfg.n - 1)
-    A = np.stack([_accel.circulant_sample(lam, e) for e in np.eye(m)], axis=1)
+    m = 2 * (acf.size - 1)
+    assert m >= 2 * (cfg.n - 1)
+    A = np.stack([_accel.circulant_sample(lam, e, cfg.n) for e in np.eye(m)], axis=1)
     assert A.shape == (cfg.n, m)
-    assert np.max(np.abs(A @ A.T - build_toeplitz(acf))) <= 1e-13 * acf[0]
+    T = build_toeplitz(model_autocov(cfg, cfg.n))
+    assert np.max(np.abs(A @ A.T - T)) <= 1e-13 * acf[0]
+
+
+@pytest.mark.parametrize("cfg", _EMBEDDED + [
+    SimConfig(kind="fexp", n=64, d=0.49, xi=[3.0]),
+    SimConfig(kind="arfima", n=4096, d=0.25, theta_ma=[-0.3, 0.2]),
+    SimConfig(kind="fracnoise", n=16384, d=0.3),
+], ids=_EMBEDDED_IDS + ["fexp64", "arfima4096", "fracnoise16384"])
+def test_embedded_lags_extend_model_autocov_bit_for_bit(cfg):
+    # lags n..L come from the same grid, so T itself keeps its bits
+    acf = _embedding(cfg)
+    assert acf.size >= cfg.n
+    assert np.array_equal(acf[:cfg.n], model_autocov(cfg, cfg.n))
+
+
+def test_embedding_size_is_the_smallest_5_smooth_length():
+    def smooth(m):
+        for p in (2, 3, 5):
+            while m % p == 0:
+                m //= p
+        return m == 1
+
+    for m in range(1, 3000):
+        L = _accel._fft_size(m)
+        assert smooth(L) and L >= m and not any(smooth(j) for j in range(m, L))
+
+
+def _minimal_colouring(acf, z):
+    """The colouring of the even circulant of size 2 (n - 1) for the n lags
+    acf, written out with numpy's complex arithmetic."""
+    n = acf.size
+    m = 2 * (n - 1)
+    lam = np.fft.rfft(np.concatenate([acf, acf[-2:0:-1]])).real
+    w = np.empty(n, dtype=complex)
+    w[0] = math.sqrt(lam[0]) * z[0]
+    w[-1] = math.sqrt(lam[-1]) * z[1]
+    w[1:-1] = np.sqrt(0.5 * lam[1:-1]) * (z[2::2] + 1j * z[3::2])
+    return math.sqrt(m) * np.fft.irfft(w, m)[:n]
+
+
+@pytest.mark.parametrize("kind, n", [("fracnoise", 2), ("fracnoise", 65), ("fexp", 513),
+                                     ("arfima", 4097), ("arfima", 1001)])
+def test_draw_with_smooth_order_is_the_minimal_colouring(kind, n):
+    # where n - 1 is 5-smooth the embedding has the minimal size 2 (n - 1)
+    cfg = SimConfig(kind=kind, n=n, d=0.3, mu=1.5, xi=[0.5], theta_ma=[-0.3, 0.2])
+    assert _accel._fft_size(n - 1) == n - 1
+    x = simulate_series(cfg, np.random.default_rng(n))
+    z = np.random.default_rng(n).standard_normal(2 * (n - 1))
+    assert np.array_equal(x, _minimal_colouring(model_autocov(cfg, n), z) + 1.5)
 
 
 @pytest.mark.parametrize("n, fallback", [(3, True), (64, True), (512, False)])
 def test_draw_path_follows_the_sign_of_the_embedding(n, fallback, monkeypatch):
-    # fexp d = 0.49, xi = (3): the embedding is negative at n = 3 and 64 and
-    # non-negative at n = 512; a fallback draw is the Durbin-Levinson
-    # colouring of the first n normals, bit for bit
+    # fexp d = 0.49, xi = (3): the embedding of size 2L, L = 2, 64 and 512, is
+    # negative at n = 3 and 64 and non-negative at n = 512; a fallback draw
+    # is the Durbin-Levinson colouring of the first n normals, bit for bit
     cfg = SimConfig(kind="fexp", n=n, d=0.49, mu=-0.4, xi=[3.0])
     acf = model_autocov(cfg, n)
-    assert (_accel.circulant_eigenvalues(acf).min() < 0.0) == fallback
+    lam_min = _accel.circulant_eigenvalues(_embedding(cfg)).min()
+    assert (lam_min < 0.0) == fallback
+    assert lam_min == pytest.approx({3: -1.396, 64: -0.02018, 512: 0.01979}[n], rel=1e-3)
     calls = _record_durbin_levinson(monkeypatch)
     x = simulate_series(cfg, np.random.default_rng(8))
     assert len(calls) == int(fallback)
     if fallback:
+        assert np.array_equal(calls[0], acf)
         want, info = _accel.durbin_levinson_sample(acf, np.random.default_rng(8).standard_normal(n))
         assert info == 0
         assert np.array_equal(x, want + cfg.mu)
