@@ -185,11 +185,16 @@ def cosine_sums(k, xi, basis):
     one order are one stacked product, the same BLAS call per row), so a
     theta gets the same bits in any batch and at any padding: a padded BLAS
     matrix product rounds a row differently with its padding and its
-    neighbours.
+    neighbours.  Order-1 rows are one elementwise product instead: at inner
+    dimension 1 numpy's stacked product leaves BLAS for a slower loop.  Only
+    the sign of an exact zero can differ from the product's, and every
+    caller takes exp of the series, which erases it.
     """
     series = np.zeros((k.size, basis.shape[1]))  # 0 at k = 0
     for kk, rows in rows_by_order(k).items():
-        if kk:
+        if kk == 1:
+            series[rows] = xi[rows, :1] * basis[0]
+        elif kk:
             series[rows] = np.matmul(xi[rows, None, :kk], basis[:kk])[:, 0]
     return series
 

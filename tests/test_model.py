@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 from scipy import stats
 from scipy.integrate import quad
 
+from fexpsmc import approx, exact, model
 from fexpsmc.model import (PriorConfig, ThetaParams, arfima_sdf, fexp_sdf,
                            log_prior, sample_prior, to_arrays)
 from particle_reference import log_prior as _direct_log_prior
@@ -91,6 +92,39 @@ def test_fexp_sdf_integrates_to_fracdiff_variance():
     val, err = quad(lambda lam: _fexp_sdf(d, np.empty(0), np.array([lam]))[0],
                     0.0, math.pi, points=[0.0], limit=200)
     assert abs(2.0 * val - fracdiff_acf(d, 0)) < 1e-8
+
+
+def _stacked_cosine_sums(k, xi, basis):
+    """cosine_sums with every order, order 1 too, as one stacked product."""
+    series = np.zeros((k.size, basis.shape[1]))
+    for kk, rows in model.rows_by_order(k).items():
+        if kk:
+            series[rows] = np.matmul(xi[rows, None, :kk], basis[:kk])[:, 0]
+    return series
+
+
+@pytest.mark.parametrize("rows", [1, 2, 6, 64])
+@pytest.mark.parametrize("orders", [(1,), (0, 1, 2, 1, 3)], ids=["order1", "mixed"])
+def test_order_one_cosine_sums_are_the_stacked_product(rows, orders, monkeypatch):
+    # order-1 rows are an elementwise product; they equal the stacked
+    # product (up to the sign of a zero) and give the same likelihood and
+    # autocovariance bits, exact and signed zeros among the coefficients
+    rng = np.random.default_rng(rows)
+    k = np.resize(np.array(orders), rows)
+    xi = rng.normal(scale=2.0, size=(rows, 3)) * (np.arange(3) < k[:, None])
+    xi[k == 1, 0] = np.resize([0.0, -0.0, 1.5, -0.7], int(np.sum(k == 1)))
+    t = rng.normal(scale=1.5, size=rows)
+    lam = np.linspace(0.0, math.pi, 301)
+    basis = np.cos(np.outer(np.arange(1, 4), lam))
+    assert np.array_equal(model.cosine_sums(k, xi, basis), _stacked_cosine_sums(k, xi, basis))
+    x = np.random.default_rng(0).standard_normal(300)
+    ctx, prior = approx.prepare_dataset(x), PriorConfig()
+    new = approx.approx_log_liks(k, t, xi, ctx, prior), exact._autocovs(k, t, xi, 300)
+    monkeypatch.setattr(approx, "cosine_sums", _stacked_cosine_sums)
+    monkeypatch.setattr(exact, "cosine_sums", _stacked_cosine_sums)
+    old = approx.approx_log_liks(k, t, xi, ctx, prior), exact._autocovs(k, t, xi, 300)
+    assert new[0].tobytes() == old[0].tobytes()
+    assert new[1].tobytes() == old[1].tobytes()
 
 
 def test_arfima_sdf_matches_complex_polynomial_oracle():

@@ -1,6 +1,8 @@
 """Exact Gaussian simulation and series file I/O."""
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -8,12 +10,13 @@ from scipy.linalg import solve_triangular
 from scipy.stats import chi2
 
 from dense_reference import build_toeplitz, cholesky_lower
+from fexpsmc.config import NumericalError
 from fexpsmc.exact import NotPositiveDefiniteError
-from fexpsmc.fourier import fracdiff_acf
+from fexpsmc.fourier import default_grid_size, fracdiff_acf, longmemory_autocovs
 from fexpsmc.model import arfima_sdf
 from fexpsmc.simulate import (SimConfig, model_autocov, read_series,
                               simulate_series, write_series)
-from fexpsmc import _accel
+from fexpsmc import _accel, simulate
 
 
 # ---------------------------------------------------------------------------
@@ -44,6 +47,26 @@ def test_model_autocov_fracnoise_closed_form():
     got = model_autocov(cfg, 10)
     want = 2.0 * fracdiff_acf(0.3, np.arange(10))
     assert np.max(np.abs(got - want)) < 1e-10
+
+
+@pytest.mark.parametrize("d", [0.0, 0.1, 0.3, 0.49])
+def test_model_autocov_fracnoise_is_the_quadrature_bit_for_bit(d):
+    # the closed form is the quadrature on a constant g, whose remainder is
+    # zero, up to the last bit and up to the grid size
+    for n, sigma2 in ((1, 1.0), (2, 0.7), (64, 2.0), (1000, 1.0), (4097, 3.5)):
+        cfg = SimConfig(kind="fracnoise", n=n, d=d, sigma2=sigma2)
+        M = default_grid_size(n)
+        g = np.full(M // 2 + 1, sigma2 / (2.0 * np.pi))
+        for lags in sorted({1, n, _accel._fft_size(n - 1) + 1 if n > 1 else 1, M // 2 + 1, M}):
+            got = model_autocov(cfg, n, lags)
+            assert got.tobytes() == longmemory_autocovs(d, g, lags).tobytes(), (n, lags)
+        assert model_autocov(cfg, n).tobytes() == longmemory_autocovs(d, g, n).tobytes()
+        for lags in (0, M + 1):
+            with pytest.raises(ValueError) as want:
+                longmemory_autocovs(d, g, lags)
+            with pytest.raises(ValueError) as got:
+                model_autocov(cfg, n, lags)
+            assert str(got.value) == str(want.value)
 
 
 def test_model_autocov_arfima_matches_quadrature():
@@ -296,6 +319,180 @@ def test_durbin_levinson_matches_dense_reference(colour):
             want = C @ y if colour else sd[:, None] * solve_triangular(C, y, lower=True)
             assert np.max(np.abs(out[b] - want)) <= 1e-12 * np.max(np.abs(want))
             assert np.max(np.abs(v[b] - sd ** 2)) <= 1e-12 * np.max(sd ** 2)
+
+
+# ---------------------------------------------------------------------------
+# Draw plans: built once per model and length, reused by later draws
+# ---------------------------------------------------------------------------
+
+def _count_model_autocov(monkeypatch):
+    """A list that grows by one per model_autocov call simulate_series makes."""
+    calls = []
+    real = simulate.model_autocov
+
+    def counted(cfg, n, lags=None):
+        calls.append(cfg.n)
+        return real(cfg, n, lags)
+
+    monkeypatch.setattr(simulate, "model_autocov", counted)
+    return calls
+
+
+@pytest.mark.parametrize("cfg", _EMBEDDED + [SimConfig(kind="fexp", n=64, d=0.49, xi=[3.0]),
+                                             SimConfig(kind="arfima", n=1, phi=[0.5])],
+                         ids=_EMBEDDED_IDS + ["fexp64", "arfima1"])
+def test_warm_draw_is_the_cold_draw(cfg, monkeypatch):
+    calls = _count_model_autocov(monkeypatch)
+    cold = simulate_series(cfg, np.random.default_rng(11))
+    again = SimConfig(kind=cfg.kind, n=cfg.n, d=cfg.d, sigma2=cfg.sigma2, xi=cfg.xi.copy(),
+                      phi=cfg.phi.copy(), theta_ma=cfg.theta_ma.copy())
+    warm = simulate_series(again, np.random.default_rng(11))
+    assert warm.tobytes() == cold.tobytes()
+    assert warm is not cold and len(calls) == 1
+
+
+def test_replicates_compute_the_lags_once(monkeypatch):
+    # mu is added per draw, so models that differ only in mu share a plan
+    calls = _count_model_autocov(monkeypatch)
+    cfgs = [SimConfig(kind="arfima", n=4096, d=0.25, mu=mu, theta_ma=[-0.3, 0.2])
+            for mu in (0.0, 1.0, -2.5, 0.0, 7.0)]
+    draws = [simulate_series(cfg, np.random.default_rng(12)) for cfg in cfgs]
+    assert calls == [4096]
+    for cfg, x in zip(cfgs, draws):
+        assert np.max(np.abs(x - cfg.mu - draws[0])) <= 1e-13 * (1.0 + abs(cfg.mu))
+    assert draws[3].tobytes() == draws[0].tobytes()
+
+
+@pytest.mark.parametrize("field, value", [("xi", 0.1), ("d", 0.4), ("sigma2", 2.0)])
+def test_a_model_changed_in_place_gets_a_fresh_plan(field, value, monkeypatch):
+    calls = _count_model_autocov(monkeypatch)
+    cfg = SimConfig(kind="fexp", n=128, d=0.25, xi=[0.6, -0.2])
+    before = simulate_series(cfg, np.random.default_rng(13))
+    if field == "xi":
+        cfg.xi[0] = value
+    else:
+        setattr(cfg, field, value)
+    after = simulate_series(cfg, np.random.default_rng(13))
+    assert len(calls) == 2
+    assert not np.array_equal(after, before)
+    simulate._PLANS.clear()
+    fresh = SimConfig(kind="fexp", n=128, d=cfg.d, sigma2=cfg.sigma2, xi=cfg.xi.copy())
+    assert simulate_series(fresh, np.random.default_rng(13)).tobytes() == after.tobytes()
+
+
+def test_fallback_colours_on_a_cache_hit(monkeypatch):
+    # fexp d = 0.49, xi = (3) at n = 64 has a negative embedding: every draw,
+    # the cached one too, is the Durbin-Levinson colouring of n normals
+    cfg = SimConfig(kind="fexp", n=64, d=0.49, xi=[3.0])
+    acf = model_autocov(cfg, 64)
+    want, info = _accel.durbin_levinson_sample(acf, np.random.default_rng(14).standard_normal(64))
+    assert info == 0
+    dl = _record_durbin_levinson(monkeypatch)
+    calls = _count_model_autocov(monkeypatch)
+    for _ in range(3):
+        assert np.array_equal(simulate_series(cfg, np.random.default_rng(14)), want)
+    assert len(calls) == 1 and len(dl) == 3
+    assert all(np.array_equal(a, acf) for a in dl)
+
+
+def test_fallback_raises_on_a_cache_hit(monkeypatch):
+    # T of these lags fails at its third leading minor; so does every draw
+    acf = np.array([1.0, 0.99, 0.0, 0.0])
+    calls = []
+    monkeypatch.setattr(simulate, "model_autocov",
+                        lambda cfg, n, lags=None: calls.append(n) or acf)
+    for _ in range(2):
+        with pytest.raises(NotPositiveDefiniteError) as err:
+            simulate_series(SimConfig(n=4), np.random.default_rng(15))
+        assert err.value.index == 3
+    assert calls == [4]
+
+
+@pytest.mark.parametrize("kind, model", [("arfima", dict(phi=[1.0])), ("fexp", dict(xi=[800.0]))])
+def test_a_density_not_finite_is_never_cached(kind, model, monkeypatch):
+    calls = _count_model_autocov(monkeypatch)
+    cfg = SimConfig(kind=kind, n=64, **model)
+    for _ in range(3):
+        with pytest.raises(NumericalError, match="not finite"):
+            simulate_series(cfg, np.random.default_rng(16))
+    assert len(calls) == 3
+
+
+@pytest.mark.parametrize("cfg", [SimConfig(kind="fracnoise", n=64, d=0.3),
+                                 SimConfig(kind="fexp", n=64, d=0.49, xi=[3.0]),
+                                 SimConfig(kind="arfima", n=1, phi=[0.5])],
+                         ids=["embedding", "fallback", "n1"])
+def test_cached_plans_are_read_only(cfg):
+    x = simulate_series(cfg, np.random.default_rng(17))
+    embedded, plan = simulate._plan(cfg)
+    assert embedded == (cfg.kind == "fracnoise")
+    assert plan.size == (_accel._fft_size(cfg.n - 1) + 1 if embedded else cfg.n)
+    assert not plan.flags.writeable and plan.base is None
+    with pytest.raises(ValueError):
+        plan[0] = 1.0
+    x[0] = 5.0  # the draw itself is the caller's
+    assert simulate._plan(cfg)[1] is plan
+
+
+def test_plan_cache_keeps_the_most_recent_plans_within_its_bytes(monkeypatch):
+    # a plan at n = 64 is 65 eigenvalues (520 bytes) plus the charge per plan;
+    # a budget of two such plans evicts the least recently used for a third
+    small = 65 * 8 + simulate._PLAN_OVERHEAD
+    monkeypatch.setattr(simulate, "_PLAN_BYTES", 2 * small + 100)
+    calls = _count_model_autocov(monkeypatch)
+    a, b, c = (SimConfig(kind="fracnoise", n=64, d=d) for d in (0.1, 0.2, 0.3))
+
+    def draw(*cfgs):
+        del calls[:]
+        for cfg in cfgs:
+            simulate_series(cfg, np.random.default_rng(18))
+        return len(calls)
+
+    assert draw(a, b, a) == 2          # a is now the most recent
+    assert draw(c) == 1                # evicts b
+    assert draw(a, c) == 0
+    assert draw(b) == 1                # evicts a
+    assert draw(c, b) == 0
+    # a plan charged more than the whole budget is built and not kept, and
+    # keeps nothing else out
+    big = SimConfig(kind="fracnoise", n=4096, d=0.3)
+    assert draw(big, big) == 2
+    assert draw(c, b) == 0
+
+
+def test_plan_cache_under_threads(monkeypatch):
+    # threads drawing from more models than a small budget holds: every
+    # draw keeps its bits, and the cache's byte count matches its plans
+    monkeypatch.setattr(simulate, "_PLAN_BYTES", 3 * (65 * 8 + simulate._PLAN_OVERHEAD))
+    cfgs = [SimConfig(kind="fracnoise", n=64, d=d) for d in (0.05, 0.1, 0.2, 0.3, 0.4)]
+    want = [simulate_series(cfg, np.random.default_rng(19)).tobytes() for cfg in cfgs]
+    wrong = []
+
+    def work(j):
+        for r in range(60):
+            i = (j + r) % len(cfgs)
+            if simulate_series(cfgs[i], np.random.default_rng(19)).tobytes() != want[i]:
+                wrong.append(i)
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(j,)) for j in range(6)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(th.is_alive() for th in threads)
+    assert wrong == []
+    cache = simulate._PLANS
+    assert cache._bytes == sum(b for _, b in cache._plans.values()) <= simulate._PLAN_BYTES
+
+
+def test_plan_bytes_are_bounded():
+    # a hundred plans at n = 16 384 fit
+    assert 100 * (8 * (_accel._fft_size(16383) + 1) + simulate._PLAN_OVERHEAD) < simulate._PLAN_BYTES
 
 
 def test_simulation_reproducible_under_seed():
