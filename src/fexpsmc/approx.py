@@ -31,7 +31,7 @@ The approximate log likelihood is then
     log p~(x | theta) = -D_n / 2 - (a + n/2) log( b + Q/2 ),
 
 exact up to a single theta-free additive constant, mirroring
-:func:`fexpsmc.exact.exact_log_marglik`.
+:func:`fexpsmc.exact.exact_log_margliks`.
 
 :func:`approx_log_liks` scores a whole population at once, which is how the
 SMC sampler and the correction call it.  It takes the population as arrays
@@ -44,8 +44,7 @@ O(rows * n * (1 + k_max)) flops for the exponents, where k_max is the
 largest order in the block, and blocking bounds the temporaries to
 BLOCK_ROWS x floor(n/2) doubles however many rows are passed.  Every sum
 runs within its own row, so a theta's value does not depend on the rest of
-its batch or on the padding; :func:`approx_log_lik` is the batch of one
-and agrees bit for bit.
+its batch or on the padding.
 """
 
 import math
@@ -53,17 +52,9 @@ import math
 import numpy as np
 
 from .config import DataError
-from .model import cosine_sums, memory_d, to_arrays
+from .model import cosine_sums, memory_d
 
-__all__ = [
-    "DatasetContext",
-    "prepare_dataset",
-    "quadform_whittle",
-    "log_barnes_g",
-    "log_det_approx",
-    "approx_log_lik",
-    "approx_log_liks",
-]
+__all__ = ["DatasetContext", "prepare_dataset", "approx_log_liks"]
 
 #: thetas per block of the batched evaluator, which bounds its temporaries to
 #: BLOCK_ROWS x floor(n/2) doubles whatever the population size
@@ -143,12 +134,6 @@ def _whittle_quadforms(k, xi, d, ctx):
     return np.einsum("ij,j->i", s, ctx.pgram) / ctx.n
 
 
-def quadform_whittle(theta, ctx):
-    """Riemann-sum approximation of x~' T(fbar)^{-1} x~ over Fourier frequencies."""
-    k, t, xi = to_arrays([theta])
-    return float(_whittle_quadforms(k, xi, memory_d(t), ctx)[0])
-
-
 # ---------------------------------------------------------------------------
 # Barnes' G function
 # ---------------------------------------------------------------------------
@@ -188,8 +173,9 @@ def _lgamma(z):
     return np.fromiter(map(math.lgamma, z.tolist()), float, z.size)
 
 
-def log_barnes_g(x):
-    """log G(x) for real x > 0 (scalar or array), accurate to ~1e-13 on (0, 4].
+def _log_g(z):
+    """log G of each element of a 1-D array of positive values, accurate to
+    ~1e-13 on (0, 4].
 
     G satisfies G(z + 1) = Gamma(z) G(z) with G(1) = G(2) = G(3) = 1,
     G(4) = 2.  Each argument is shifted into [0.5, 1.5] by the functional
@@ -200,18 +186,10 @@ def log_barnes_g(x):
 
     |w| <= 1/2, is evaluated with a fixed number of terms: one cumulative
     product of powers times the coefficient vector, the same cost for every
-    argument and, summed row by row, the same bits in any array.  A scalar
-    argument returns a float.
+    argument and, summed row by row, the same bits in any array.  The
+    arguments are not checked: the likelihood passes 1 - d and 1 - 2d with
+    d in [0, 1/2), the pole d = 1/2 set aside by its caller.
     """
-    arr = np.asarray(x, dtype=float)
-    if not arr.min(initial=math.inf) > 0.0:  # NaN fails too
-        raise ValueError(f"log_barnes_g requires x > 0, got {x}")
-    out = _log_g(arr.reshape(-1))
-    return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
-
-
-def _log_g(z):
-    """log G of each element of a 1-D array of positive values."""
     low = z < 0.5  # shifted up by one: log G(z) = log G(z + 1) - log Gamma(z)
     acc = np.zeros(z.size)
     acc[low] = -_lgamma(z[low])
@@ -254,17 +232,6 @@ def _log_det_approxs(xi, d, n):
     return dn
 
 
-def log_det_approx(theta, n):
-    """Asymptotic approximation D_n of log |T(fbar_theta)| for an n x n matrix.
-
-    D_n = d^2 log n + (1/4) sum_j j xi_j^2 + d sum_j j xi_j
-          + log G(1-d)^2 - log G(1-2d).
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return float(_log_det_approxs(theta.xi[None, :], np.array([theta.d]), n)[0])
-
-
 def approx_log_liks(k, t, xi, ctx, prior):
     """Approximate log marginal likelihoods of the population (k, t, xi), as an array.
 
@@ -284,9 +251,3 @@ def approx_log_liks(k, t, xi, ctx, prior):
                     (prior.a + 0.5 * ctx.n) * np.log(prior.b + 0.5 * q), out=ll)
         ll[~np.isfinite(q)] = -math.inf
     return out
-
-
-def approx_log_lik(theta, ctx, prior):
-    """Approximate log marginal likelihood (up to one theta-free constant);
-    the batch of one of :func:`approx_log_liks`."""
-    return float(approx_log_liks(*to_arrays([theta]), ctx, prior)[0])

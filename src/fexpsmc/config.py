@@ -113,13 +113,18 @@ def dump_document(entries):
 # Typed run configuration
 # ---------------------------------------------------------------------------
 
+#: the largest report.grid_points and report.bins: the bands step holds a
+#: (particles x grid_points) array and its temporaries, and hist.csv has one
+#: row per bin
+REPORT_LIMIT = 10_000
+
 #: key -> (default, type, range check or None); a default of None makes it optional
 _DEFAULTS = {
     "data.path": (None, str, None),
     "data.scale_by": (1.0, float, lambda x: x != 0),
-    "report.grid_points": (200, int, lambda x: x >= 2),
+    "report.grid_points": (200, int, lambda x: 2 <= x <= REPORT_LIMIT),
     "report.grid_min": (1e-3, float, lambda x: 0 < x < math.pi),
-    "report.bins": (40, int, lambda x: x >= 1),
+    "report.bins": (40, int, lambda x: 1 <= x <= REPORT_LIMIT),
 }
 
 

@@ -36,8 +36,7 @@ sampled on the half grid for all its rows, and the block is solved at once,
 which pays the kernels' per-step Python cost once per block instead of once
 per theta.  A theta whose T is not positive definite is reported by its
 failing index instead of raising, and its neighbours are unaffected; a theta
-gets the same bits in any batch, so :func:`exact_log_marglik`, the batch of
-one, agrees exactly.
+gets the same bits in any batch.
 """
 
 import math
@@ -46,14 +45,9 @@ import numpy as np
 
 from . import _accel
 from .fourier import default_grid_size, half_grid, longmemory_autocovs
-from .model import cosine_sums, memory_d, to_arrays
+from .model import cosine_sums, memory_d
 
-__all__ = [
-    "NotPositiveDefiniteError",
-    "fbar_autocov",
-    "exact_log_marglik",
-    "exact_log_margliks",
-]
+__all__ = ["NotPositiveDefiniteError", "exact_log_margliks"]
 
 #: a block of the batched evaluator holds at most max(1, BLOCK_ELEMENTS // n)
 #: thetas, which bounds its working set to about a dozen arrays of
@@ -102,13 +96,6 @@ def _autocovs(k, t, xi, n):
         acf = longmemory_autocovs(np.where(pole, 0.0, d), g, n)
     acf[pole | ~np.all(np.isfinite(acf), axis=1)] = math.inf
     return acf
-
-
-def fbar_autocov(theta, n):
-    """Autocovariances gamma(0..n-1) of the normalised FEXP density at theta;
-    the batch of one of the exact side's autocovariances, inf where they are
-    not representable (d = 1/2 or an overflowing exp(sum xi_j cos(j lam)))."""
-    return _autocovs(*to_arrays([theta]), n)[0]
 
 
 def _gram(a, b):
@@ -169,16 +156,3 @@ def exact_log_margliks(k, t, xi, x, prior):
             ill[lo + slow[ok]] = True
             values[lo + slow[ok]] = _whitened_log_margliks(e[ok], v[ok], n, prior)
     return values, info, ill
-
-
-def exact_log_marglik(theta, x, prior):
-    """Exact log marginal likelihood of theta (up to one theta-free constant);
-    the batch of one of :func:`exact_log_margliks`.
-
-    O(n log^2 n) time and O(n) memory.  Raises :class:`NotPositiveDefiniteError`
-    when T(fbar_theta) is not numerically positive definite.
-    """
-    values, info, _ = exact_log_margliks(*to_arrays([theta]), x, prior)
-    if info[0]:
-        raise NotPositiveDefiniteError(info[0])
-    return float(values[0])

@@ -2,7 +2,8 @@
 factors for the covariances the package handles in O(n^2) by the
 Durbin-Levinson recursion, and the T(h) form of the approximate quadratic
 form, the oracle for the package's Whittle form, on a cosine series of its
-own."""
+own.  Also the package's two likelihoods on a population of one theta,
+for the oracles that score thetas one at a time."""
 
 import math
 
@@ -10,8 +11,25 @@ import numpy as np
 from scipy.linalg import toeplitz as scipy_toeplitz
 from scipy.linalg.lapack import dpotrf
 
-from fexpsmc.exact import NotPositiveDefiniteError
+from fexpsmc.approx import approx_log_liks
+from fexpsmc.exact import NotPositiveDefiniteError, exact_log_margliks
 from fexpsmc.fourier import default_grid_size, half_grid, longmemory_autocovs
+from fexpsmc.model import to_arrays
+
+
+def approx_single(theta, ctx, prior):
+    """:func:`fexpsmc.approx.approx_log_liks` of the population of one theta."""
+    return float(approx_log_liks(*to_arrays([theta]), ctx, prior)[0])
+
+
+def exact_single(theta, x, prior):
+    """:func:`fexpsmc.exact.exact_log_margliks` of the population of one
+    theta; raises :class:`NotPositiveDefiniteError` with the failing minor
+    where the population form reports a nonzero info."""
+    values, info, _ = exact_log_margliks(*to_arrays([theta]), x, prior)
+    if info[0]:
+        raise NotPositiveDefiniteError(info[0])
+    return float(values[0])
 
 
 def cosine_series(xi, lam):

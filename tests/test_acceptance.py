@@ -16,14 +16,15 @@ import numpy as np
 from scipy import stats as sps
 from scipy.special import gammaln
 
-from dense_reference import build_toeplitz, quadform_approx_toeplitz
-from fexpsmc.approx import (approx_log_lik, log_barnes_g, log_det_approx,
-                            prepare_dataset, quadform_whittle)
+from dense_reference import (approx_single, build_toeplitz, exact_single,
+                             quadform_approx_toeplitz)
+from fexpsmc.approx import (_log_det_approxs, _log_g, _whittle_quadforms, approx_log_liks,
+                            prepare_dataset)
 from fexpsmc.correction import correction_weights
-from fexpsmc.exact import exact_log_marglik, fbar_autocov
+from fexpsmc.exact import _autocovs
 from fexpsmc.fourier import half_grid, longmemory_autocovs
 from fexpsmc.mcmc import RW_SCALE2, McmcConfig, run_mcmc
-from fexpsmc.model import PriorConfig, ThetaParams, sample_prior
+from fexpsmc.model import PriorConfig, ThetaParams, memory_d, sample_prior, to_arrays
 from fexpsmc.simulate import SimConfig, simulate_series
 from fexpsmc.smc import SmcConfig, run_smc
 
@@ -105,9 +106,9 @@ def test_02_cholesky_marginal_likelihood_matches_eigen_oracle():
     for _ in range(5):
         k = int(rng.integers(0, 4))
         th = ThetaParams(k=k, t=rng.normal(), xi=rng.normal(0, 0.5, k))
-        got = exact_log_marglik(th, x, PRIOR)
+        got = exact_single(th, x, PRIOR)
 
-        acf = fbar_autocov(th, n)
+        acf = _autocovs(*to_arrays([th]), n)[0]
         sigma = build_toeplitz(acf, ridge=1.0 / PRIOR.g_mu)
         evals, evecs = np.linalg.eigh(sigma)
         r = evecs.T @ (x - PRIOR.m_mu)
@@ -148,8 +149,8 @@ def test_03_log_weight_variance_shrinks_with_series_length():
             xi = draw.normal(0.0, 0.10 * scale, k) / np.maximum(
                 1, np.arange(1, k + 1))
             th = ThetaParams(k=k, t=t, xi=xi)
-            log_w[i] = (exact_log_marglik(th, x, PRIOR)
-                        - approx_log_lik(th, ctx, PRIOR))
+            log_w[i] = (exact_single(th, x, PRIOR)
+                        - approx_single(th, ctx, PRIOR))
         variances.append(float(np.var(log_w)))
     elapsed = time.time() - t0
     decreasing = variances[0] > variances[1] > variances[2]
@@ -172,15 +173,16 @@ def test_05_whittle_and_toeplitz_quadforms_agree():
     rng = np.random.default_rng(42)
     x = simulate_series(SimConfig(kind="fracnoise", n=1024, d=0.2), rng)
     ctx = prepare_dataset(x)
-    worst = 0.0
+    thetas = []
     for _ in range(20):
         k = int(rng.integers(0, 5))
         d = rng.uniform(0.05, 0.45)
         xi = rng.normal(0.0, 0.3, k) / np.maximum(1, np.arange(1, k + 1))
-        th = ThetaParams(k=k, t=_logit2d(d), xi=xi)
-        qw = quadform_whittle(th, ctx)
-        qt = quadform_approx_toeplitz(th, ctx)
-        worst = max(worst, abs(qw - qt) / qt)
+        thetas.append(ThetaParams(k=k, t=_logit2d(d), xi=xi))
+    k, t, xi = to_arrays(thetas)
+    qw = _whittle_quadforms(k, xi, memory_d(t), ctx)
+    qt = np.array([quadform_approx_toeplitz(th, ctx) for th in thetas])
+    worst = float(np.max(np.abs(qw - qt) / qt))
     elapsed = time.time() - t0
     _check(
         "whittle vs toeplitz quadratic form",
@@ -243,7 +245,7 @@ def test_08_corrected_estimate_matches_grid_quadrature():
         tv = _logit2d(dv)
         for j, xiv in enumerate(xi_grid):
             th = ThetaParams(k=1, t=tv, xi=np.array([xiv]))
-            logpost[i, j] = (exact_log_marglik(th, x, PRIOR)
+            logpost[i, j] = (exact_single(th, x, PRIOR)
                              - 0.5 * xiv ** 2 / PRIOR.xi_var(1))
     post = np.exp(logpost - logpost.max())
     d_quad = float((post.sum(axis=1) @ d_grid) / post.sum())
@@ -251,7 +253,7 @@ def test_08_corrected_estimate_matches_grid_quadrature():
     # corrected importance sampling from 2000 prior draws at frozen k = 1
     draw = np.random.default_rng(5)
     thetas = [sample_prior(PRIOR, draw, fix_k=1) for _ in range(2000)]
-    base = np.array([approx_log_lik(th, ctx, PRIOR) for th in thetas])
+    base = approx_log_liks(*to_arrays(thetas), ctx, PRIOR)
     corr = correction_weights(thetas, x, PRIOR)
     total = base + corr.log_w_raw
     w = np.exp(total - total.max())
@@ -276,19 +278,15 @@ def test_08_corrected_estimate_matches_grid_quadrature():
 def test_09_determinant_asymptotics_and_barnes_identities():
     t0 = time.time()
     n = 256
-    worst = 0.0
-    for d in (0.1, 0.3):
-        th = ThetaParams(k=0, t=_logit2d(d), xi=np.empty(0))
-        dn = log_det_approx(th, n)
-        _, logdet = np.linalg.slogdet(build_toeplitz(fbar_autocov(th, n)))
-        worst = max(worst, abs(dn - logdet) / n)
+    k, t, xi = to_arrays([ThetaParams(k=0, t=_logit2d(d), xi=np.empty(0))
+                          for d in (0.1, 0.3)])
+    dn = _log_det_approxs(xi, memory_d(t), n)
+    logdet = [np.linalg.slogdet(build_toeplitz(acf))[1] for acf in _autocovs(k, t, xi, n)]
+    worst = float(np.max(np.abs(dn - logdet))) / n
 
-    ident = max(abs(log_barnes_g(1.0)), abs(log_barnes_g(2.0)),
-                abs(log_barnes_g(3.0)))
-    resid = 0.0
-    for z in np.linspace(0.1, 2.5, 25):
-        resid = max(resid, abs(log_barnes_g(z + 1.0) - log_barnes_g(z)
-                               - gammaln(z)))
+    ident = float(np.max(np.abs(_log_g(np.array([1.0, 2.0, 3.0])))))
+    z = np.linspace(0.1, 2.5, 25)
+    resid = float(np.max(np.abs(_log_g(z + 1.0) - _log_g(z) - gammaln(z))))
     elapsed = time.time() - t0
     _check(
         "determinant asymptotics and Barnes identities",

@@ -8,16 +8,28 @@ import pytest
 from hypothesis import example, given, strategies as st
 from scipy.special import zeta
 
-from dense_reference import (build_toeplitz, cosine_series, lag_weight_sums,
-                             quadform_approx_toeplitz)
+from dense_reference import (approx_single, build_toeplitz, cosine_series,
+                             exact_single, lag_weight_sums, quadform_approx_toeplitz)
 from fexpsmc import approx
-from fexpsmc.approx import (approx_log_lik, approx_log_liks, log_barnes_g,
-                            log_det_approx, prepare_dataset, quadform_whittle)
-from fexpsmc.exact import fbar_autocov
-from fexpsmc.model import PriorConfig, ThetaParams, to_arrays
+from fexpsmc.approx import (_log_det_approxs, _log_g, _whittle_quadforms, approx_log_liks,
+                            prepare_dataset)
+from fexpsmc.exact import _autocovs
+from fexpsmc.model import PriorConfig, ThetaParams, memory_d, to_arrays
 from fexpsmc.simulate import SimConfig, simulate_series
 
 TWO_PI = 2.0 * math.pi
+
+
+def _quadform(th, ctx):
+    """The Whittle form the likelihood runs, on the population of one theta."""
+    k, t, xi = to_arrays([th])
+    return float(_whittle_quadforms(k, xi, memory_d(t), ctx)[0])
+
+
+def _log_det(th, n):
+    """D_n as the likelihood computes it, on the population of one theta."""
+    _, t, xi = to_arrays([th])
+    return float(_log_det_approxs(xi, memory_d(t), n)[0])
 
 
 def _full_grid(x):
@@ -97,7 +109,7 @@ def test_periodogram_counts_nyquist_term_once():
     assert abs(ctx.pgram[-1] - n * n) < 1e-8
     assert np.max(np.abs(ctx.pgram[:-1])) < 1e-8
     flat = ThetaParams(k=0, t=-800.0, xi=np.empty(0))
-    assert abs(quadform_whittle(flat, ctx) - n) < 1e-9 * n
+    assert abs(_quadform(flat, ctx) - n) < 1e-9 * n
 
 
 def test_periodogram_matches_direct_sum():
@@ -151,7 +163,7 @@ def test_whittle_quadform_flat_density_reduces_to_power_sum():
     x = rng.standard_normal(40)
     ctx = prepare_dataset(x)
     th = ThetaParams(k=0, t=-800.0, xi=np.empty(0))
-    got = quadform_whittle(th, ctx)
+    got = _quadform(th, ctx)
     want = float(np.sum(ctx.xtilde**2))
     assert abs(got - want) < 1e-9 * want
 
@@ -161,7 +173,7 @@ def test_whittle_quadform_matches_direct_sum():
     x = rng.standard_normal(30)
     ctx = prepare_dataset(x)
     th = ThetaParams(k=2, t=0.3, xi=np.array([0.4, -0.2]))
-    got = quadform_whittle(th, ctx)
+    got = _quadform(th, ctx)
     # direct: (1/(2 pi n)) sum I_j / fbar(lam_j*)
     lam = ctx.lam_star
     fb = (2.0 - 2.0 * np.cos(lam)) ** -th.d * np.exp(cosine_series(th.xi, lam)) / TWO_PI
@@ -182,9 +194,9 @@ def test_folded_whittle_form_matches_full_grid_sum():
         for k in range(7):
             th = ThetaParams(k=k, t=float(rng.normal()), xi=0.5 * rng.standard_normal(k))
             want = _full_grid_whittle(th, x)
-            assert abs(quadform_whittle(th, ctx) - want) <= 1e-12 * abs(want), f"n={n}, k={k}"
+            assert abs(_quadform(th, ctx) - want) <= 1e-12 * abs(want), f"n={n}, k={k}"
         assert _full_grid_whittle(blow_up, x) == math.inf
-        assert approx_log_lik(blow_up, ctx, prior) == -math.inf
+        assert approx_single(blow_up, ctx, prior) == -math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +233,7 @@ def test_whittle_and_toeplitz_modes_agree_moderately():
         r = np.random.default_rng(seed + 100)
         k = int(r.integers(0, 3))
         th = ThetaParams(k=k, t=float(r.normal()), xi=r.normal(scale=0.3, size=k))
-        qw = quadform_whittle(th, ctx)
+        qw = _quadform(th, ctx)
         qt = quadform_approx_toeplitz(th, ctx)
         assert abs(qw - qt) / abs(qt) < 0.03, f"seed={seed}: {qw} vs {qt}"
 
@@ -231,29 +243,24 @@ def test_whittle_and_toeplitz_modes_agree_moderately():
 # ---------------------------------------------------------------------------
 
 def test_barnes_g_special_values():
-    assert abs(log_barnes_g(1.0)) < 1e-13
-    assert abs(log_barnes_g(2.0)) < 1e-13
-    assert abs(log_barnes_g(3.0)) < 1e-13
-    assert abs(log_barnes_g(4.0) - math.log(2.0)) < 1e-12
+    got = _log_g(np.array([1.0, 2.0, 3.0, 4.0]))
+    assert np.all(np.abs(got[:3]) < 1e-13)
+    assert abs(got[3] - math.log(2.0)) < 1e-12
 
 
 def test_barnes_g_functional_equation():
     # log G(x+1) - log G(x) = log Gamma(x) across the shift range
-    for x in np.linspace(0.1, 2.5, 40):
-        resid = log_barnes_g(x + 1.0) - log_barnes_g(x) - math.lgamma(x)
-        assert abs(resid) < 1e-10, f"x={x}"
+    x = np.linspace(0.1, 2.5, 40)
+    resid = _log_g(x + 1.0) - _log_g(x) - [math.lgamma(v) for v in x]
+    assert np.all(np.abs(resid) < 1e-10), x[np.abs(resid) >= 1e-10]
 
 
 def test_barnes_g_matches_mpmath():
     mpmath.mp.dps = 30
-    for x in (0.05, 0.3, 0.5, 0.75, 1.25, 1.9, 2.6, 3.7):
-        want = float(mpmath.log(mpmath.barnesg(x)))
-        assert abs(log_barnes_g(x) - want) < 1e-11 * max(1.0, abs(want)), f"x={x}"
-
-
-def test_barnes_g_rejects_nonpositive():
-    with pytest.raises(ValueError):
-        log_barnes_g(0.0)
+    x = np.array([0.05, 0.3, 0.5, 0.75, 1.25, 1.9, 2.6, 3.7])
+    want = np.array([float(mpmath.log(mpmath.barnesg(v))) for v in x])
+    err = np.abs(_log_g(x) - want)
+    assert np.all(err < 1e-11 * np.maximum(1.0, np.abs(want))), x[err >= 1e-11]
 
 
 def test_zeta_table_is_scipys_zeta():
@@ -265,7 +272,7 @@ def test_zeta_table_is_scipys_zeta():
 @example(5e-324)
 @example(0.5)
 def test_lgamma_below_one_half_matches_mpmath(x):
-    # log_barnes_g shifts an argument below 1/2 up by one with math.lgamma
+    # _log_g shifts an argument below 1/2 up by one with math.lgamma
     with mpmath.workdps(40):
         want = float(mpmath.loggamma(x))
     eps = np.finfo(float).eps
@@ -278,19 +285,12 @@ def test_lgamma_below_one_half_matches_mpmath(x):
 def test_barnes_g_array_matches_mpmath(grid):
     mpmath.mp.dps = 30
     want = np.array([float(mpmath.log(mpmath.barnesg(x))) for x in grid])
-    got = log_barnes_g(grid)
+    got = _log_g(grid)
     assert got.shape == grid.shape
     assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(1.0, np.abs(want)))
-    # each element gets the value it gets alone, which is a Python float
-    alone = [log_barnes_g(float(x)) for x in grid]
-    assert all(type(v) is float for v in alone)
+    # each element gets the value it gets alone
+    alone = [_log_g(grid[i:i + 1])[0] for i in range(grid.size)]
     assert np.array_equal(got, alone)
-
-
-@pytest.mark.parametrize("x", [-1.0, math.nan, [0.5, 0.0], np.array([1.0, -2.0])])
-def test_barnes_g_rejects_nonpositive_array_entries(x):
-    with pytest.raises(ValueError):
-        log_barnes_g(x)
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +300,7 @@ def test_barnes_g_rejects_nonpositive_array_entries(x):
 def test_log_det_approx_at_d_zero_single_coefficient():
     # d = 0, k = 1: D_n = xi^2 / 4 (Barnes terms cancel: G(1)^2/G(1) = 1)
     th = ThetaParams(k=1, t=-800.0, xi=np.array([0.8]))
-    assert abs(log_det_approx(th, 1000) - 0.8**2 / 4.0) < 1e-12
+    assert abs(_log_det(th, 1000) - 0.8**2 / 4.0) < 1e-12
 
 
 def test_log_det_approx_tracks_dense_log_determinant():
@@ -310,17 +310,12 @@ def test_log_det_approx_tracks_dense_log_determinant():
                          t=math.log(2 * d_true / (1 - 2 * d_true)),
                          xi=np.array([0.4]))
         n = 256
-        acf = fbar_autocov(th, n)
+        acf = _autocovs(*to_arrays([th]), n)[0]
         T = build_toeplitz(acf)
         sign, logdet = np.linalg.slogdet(T)
         assert sign > 0
-        err = abs(log_det_approx(th, n) - logdet) / n
+        err = abs(_log_det(th, n) - logdet) / n
         assert err < 0.02, f"d={d_true}: per-row error {err}"
-
-
-def test_log_det_approx_validates_n():
-    with pytest.raises(ValueError):
-        log_det_approx(ThetaParams(k=0, t=0.0, xi=np.empty(0)), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -330,7 +325,7 @@ def test_log_det_approx_validates_n():
 def _toeplitz_form_log_lik(th, ctx, prior):
     """The approximate log likelihood with the T(h) form of the oracle as Q."""
     q = quadform_approx_toeplitz(th, ctx)
-    return -0.5 * log_det_approx(th, ctx.n) - (prior.a + 0.5 * ctx.n) * math.log(
+    return -0.5 * _log_det(th, ctx.n) - (prior.a + 0.5 * ctx.n) * math.log(
         prior.b + 0.5 * q)
 
 
@@ -347,7 +342,7 @@ def test_approx_log_lik_modes_agree_within_amplified_tolerance():
         r = np.random.default_rng(seed)
         k = int(r.integers(0, 3))
         th = ThetaParams(k=k, t=float(r.normal()), xi=r.normal(scale=0.3, size=k))
-        lw = approx_log_lik(th, ctx, prior)
+        lw = approx_single(th, ctx, prior)
         lt = _toeplitz_form_log_lik(th, ctx, prior)
         assert abs(lw - lt) < 2.0, f"seed={seed}: {lw} vs {lt}"
 
@@ -355,7 +350,6 @@ def test_approx_log_lik_modes_agree_within_amplified_tolerance():
 def test_approx_log_lik_tracks_exact_up_to_constant():
     # theta-dependence of the approximation follows the exact marginal:
     # differences of log-likelihoods across thetas agree within ~1 unit
-    from fexpsmc.exact import exact_log_marglik
     rng = np.random.default_rng(31)
     sim = SimConfig(kind="fracnoise", n=512, d=0.25)
     x = simulate_series(sim, rng)
@@ -367,8 +361,8 @@ def test_approx_log_lik_tracks_exact_up_to_constant():
         ThetaParams(k=1, t=0.0, xi=np.array([0.3])),
         ThetaParams(k=2, t=-0.5, xi=np.array([0.2, -0.1])),
     ]
-    la = np.array([approx_log_lik(th, ctx, prior) for th in thetas])
-    le = np.array([exact_log_marglik(th, x, prior) for th in thetas])
+    la = np.array([approx_single(th, ctx, prior) for th in thetas])
+    le = np.array([exact_single(th, x, prior) for th in thetas])
     centred_a = la - la[0]
     centred_e = le - le[0]
     assert np.max(np.abs(centred_a - centred_e)) < 1.0
@@ -403,7 +397,7 @@ def test_approx_log_liks_matches_scalar_path_across_blocks(monkeypatch):
     got = approx_log_liks(*to_arrays(thetas), ctx, prior)
     assert got.shape == (len(thetas),)
     assert got[4] == -math.inf
-    alone = [approx_log_lik(th, ctx, prior) for th in thetas]
+    alone = [approx_single(th, ctx, prior) for th in thetas]
     assert np.array_equal(got, alone)
     want = np.array([_reference_log_lik(th, ctx, prior) for th in thetas])
     live = np.isfinite(want)
@@ -422,7 +416,7 @@ def test_approx_side_at_d_one_half_is_minus_inf():
               ThetaParams(k=2, t=-1.0, xi=np.array([0.5, -0.2]))]
     got = approx_log_liks(*to_arrays(thetas), ctx, prior)
     assert got[1] == -math.inf
-    assert approx_log_lik(pole, ctx, prior) == -math.inf
-    assert log_det_approx(pole, 64) == math.inf
-    assert got[[0, 2]].tolist() == [approx_log_lik(th, ctx, prior)
+    assert approx_single(pole, ctx, prior) == -math.inf
+    assert _log_det(pole, 64) == math.inf
+    assert got[[0, 2]].tolist() == [approx_single(th, ctx, prior)
                                      for th in (thetas[0], thetas[2])]

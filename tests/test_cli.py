@@ -10,7 +10,7 @@ import pytest
 
 import fexpsmc
 from fexpsmc.cli import _read_particles, _write_particles, main
-from fexpsmc.config import (ConfigError, RunConfig, dump_document,
+from fexpsmc.config import (REPORT_LIMIT, ConfigError, RunConfig, dump_document,
                             format_value, parse_config)
 from fexpsmc.correction import N_GUARD, CorrectionConfig
 from fexpsmc.mcmc import McmcConfig
@@ -415,6 +415,19 @@ def test_exit_2_invalid_config_value(tmp_path, capsys):
     cfg.write_text("smc.c = 1.5\n")
     assert main(["fit", "--config", str(cfg)]) == 2
     assert "smc.c" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["report.bins", "report.grid_points"])
+def test_exit_2_report_key_above_its_bound(key, tmp_path, capsys):
+    # the bound is checked with the config, before any particle file is read
+    assert RunConfig({key: REPORT_LIMIT})[key] == REPORT_LIMIT
+    with pytest.raises(ConfigError, match=rf"invalid value: {key} = {REPORT_LIMIT + 1} "):
+        RunConfig({key: REPORT_LIMIT + 1})
+    cfg = tmp_path / "report.cfg"
+    cfg.write_text(f"{key} = {REPORT_LIMIT + 1}\n")
+    argv = ["report", str(tmp_path / "missing.csv"), "--config", str(cfg)]
+    assert main(argv + ["--output", str(tmp_path)]) == 2
+    assert f"{key} = {REPORT_LIMIT + 1} is out of range" in capsys.readouterr().err
 
 
 def test_exit_2_fit_without_data_path(capsys):

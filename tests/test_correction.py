@@ -10,11 +10,12 @@ from fexpsmc.config import NumericalError
 from fexpsmc.config import RunConfig
 from fexpsmc.correction import CorrectionConfig, correction_weights
 from fexpsmc import exact as exact_module
-from fexpsmc.approx import approx_log_lik, prepare_dataset
-from fexpsmc.exact import NotPositiveDefiniteError, exact_log_marglik
+from fexpsmc.approx import prepare_dataset
+from fexpsmc.exact import NotPositiveDefiniteError
 from fexpsmc.model import PriorConfig, ThetaParams, sample_prior, to_thetas
 from fexpsmc.simulate import SimConfig, simulate_series
 from fexpsmc.smc import SmcConfig, run_smc
+from dense_reference import approx_single, exact_single
 
 #: a series for the tests with fake evaluators, which never look at it
 X = np.zeros(16)
@@ -223,8 +224,8 @@ def test_correction_defaults_match_manual_evaluators():
     manual = []
     for th in thetas:
         try:
-            manual.append(exact_log_marglik(th, x, prior)
-                          - approx_log_lik(th, ctx, prior))
+            manual.append(exact_single(th, x, prior)
+                          - approx_single(th, ctx, prior))
         except NotPositiveDefiniteError:
             manual.append(-math.inf)
     assert np.allclose(auto.log_w_raw, manual, atol=1e-10)
@@ -247,7 +248,7 @@ def test_threaded_default_evaluators_are_bitwise_serial(threads, monkeypatch):
     ctx = prepare_dataset(x)
     for th, got in zip(thetas, serial.log_w_raw):
         try:
-            want = exact_log_marglik(th, x, prior) - approx_log_lik(th, ctx, prior)
+            want = exact_single(th, x, prior) - approx_single(th, ctx, prior)
         except NotPositiveDefiniteError:
             want = -math.inf
         assert got == want

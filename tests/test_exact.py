@@ -9,13 +9,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fexpsmc import _accel, exact, simulate
-from dense_reference import build_toeplitz, cholesky_lower
-from fexpsmc.exact import NotPositiveDefiniteError, exact_log_marglik, fbar_autocov
+from dense_reference import build_toeplitz, cholesky_lower, exact_single
+from fexpsmc.exact import NotPositiveDefiniteError
 from fexpsmc.fourier import fracdiff_acf
 from fexpsmc.model import PriorConfig, ThetaParams, sample_prior, to_arrays
 from fexpsmc.simulate import SimConfig, simulate_series
 
 TWO_PI = 2.0 * math.pi
+
+
+def _acf(th, n):
+    """The autocovariances the exact likelihood runs on, for one theta."""
+    return exact._autocovs(*to_arrays([th]), n)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -65,7 +70,7 @@ def test_cholesky_lower_rejects_nonsquare():
 
 def test_fbar_autocov_pure_pole_is_fracdiff():
     th = ThetaParams(k=0, t=0.0, xi=np.empty(0))  # d = 1/4
-    got = fbar_autocov(th, 12)
+    got = _acf(th, 12)
     want = fracdiff_acf(0.25, np.arange(12))
     assert np.max(np.abs(got - want)) < 1e-10
 
@@ -75,7 +80,7 @@ def test_fbar_autocov_short_memory_only():
     from scipy.special import iv
     t_tiny = -800.0  # d = 0 numerically
     th = ThetaParams(k=1, t=t_tiny, xi=np.array([0.5]))
-    got = fbar_autocov(th, 128)[:8]  # the grid of M = 256 points
+    got = _acf(th, 128)[:8]  # the grid of M = 256 points
     want = iv(np.arange(8), 0.5)
     assert np.max(np.abs(got - want)) < 1e-12
 
@@ -93,7 +98,7 @@ def test_exact_log_marglik_two_point_hand_value():
     th = ThetaParams(k=0, t=-800.0, xi=np.empty(0))
     x = np.array([1.0, -1.0])
     want = -0.5 * math.log(3.0) - 1.5 * math.log(1.5)
-    got = exact_log_marglik(th, x, prior)
+    got = exact_single(th, x, prior)
     assert abs(got - want) < 1e-10
 
 
@@ -111,7 +116,7 @@ def test_exact_log_marglik_matches_eigen_oracle():
             t=float(r.normal(scale=1.0)),
             xi=r.normal(scale=0.4, size=k),
         )
-        acf = fbar_autocov(th, n)
+        acf = _acf(th, n)
         sigma = build_toeplitz(acf) + np.full((n, n), 1.0 / prior.g_mu)
         evals, evecs = np.linalg.eigh(sigma)
         assert evals.min() > 0
@@ -120,7 +125,7 @@ def test_exact_log_marglik_matches_eigen_oracle():
         q = float(np.sum(y * y / evals))
         want = -0.5 * float(np.sum(np.log(evals))) \
             - (prior.a + 0.5 * n) * math.log(prior.b + 0.5 * q)
-        got = exact_log_marglik(th, x, prior)
+        got = exact_single(th, x, prior)
         assert abs(got - want) < 1e-8 * max(1.0, abs(want)), f"seed={seed}"
 
 
@@ -130,8 +135,8 @@ def test_exact_log_marglik_time_reversal_invariance():
     prior = PriorConfig()
     x = rng.standard_normal(24)
     th = ThetaParams(k=1, t=0.3, xi=np.array([0.4]))
-    assert abs(exact_log_marglik(th, x, prior)
-               - exact_log_marglik(th, x[::-1], prior)) < 1e-9
+    assert abs(exact_single(th, x, prior)
+               - exact_single(th, x[::-1], prior)) < 1e-9
 
 
 def test_exact_log_marglik_shrinks_with_mean_shift():
@@ -139,14 +144,14 @@ def test_exact_log_marglik_shrinks_with_mean_shift():
     rng = np.random.default_rng(10)
     x = rng.standard_normal(30) + 2.0
     th = ThetaParams(k=0, t=0.0, xi=np.empty(0))
-    near = exact_log_marglik(th, x, PriorConfig(m_mu=2.0, g_mu=10.0))
-    far = exact_log_marglik(th, x, PriorConfig(m_mu=-3.0, g_mu=10.0))
+    near = exact_single(th, x, PriorConfig(m_mu=2.0, g_mu=10.0))
+    far = exact_single(th, x, PriorConfig(m_mu=-3.0, g_mu=10.0))
     assert near > far
 
 
 def test_exact_log_marglik_needs_two_points():
     with pytest.raises(ValueError):
-        exact_log_marglik(ThetaParams(k=0, t=0.0, xi=np.empty(0)),
+        exact_single(ThetaParams(k=0, t=0.0, xi=np.empty(0)),
                           np.array([1.0]), PriorConfig())
 
 
@@ -172,8 +177,8 @@ def test_exact_log_marglik_edge_cases_match_eigen_oracle(d, xi, n):
     prior = PriorConfig()
     x = np.random.default_rng(n).standard_normal(n) * 1.4 + 0.3
     th = ThetaParams(k=len(xi), t=math.log(2.0 * d / (1.0 - 2.0 * d)), xi=np.array(xi))
-    want = _dense_log_marglik(fbar_autocov(th, n), x, prior)
-    got = exact_log_marglik(th, x, prior)
+    want = _dense_log_marglik(_acf(th, n), x, prior)
+    got = exact_single(th, x, prior)
     assert abs(got - want) < 1e-10 * abs(want)
 
 
@@ -189,7 +194,7 @@ def test_non_positive_definite_acf_raises_lapack_index(acf, monkeypatch):
     # n - 1 is 5-smooth at these n, so the draw's embedding takes the n lags
     monkeypatch.setattr(simulate, "model_autocov", lambda cfg, n, lags=None: acf)
     with pytest.raises(NotPositiveDefiniteError) as lik:
-        exact_log_marglik(ThetaParams(k=0, t=0.0, xi=np.empty(0)),
+        exact_single(ThetaParams(k=0, t=0.0, xi=np.empty(0)),
                           np.arange(n, dtype=float), PriorConfig())
     with pytest.raises(NotPositiveDefiniteError) as draw:
         simulate_series(SimConfig(n=n), np.random.default_rng(0))
@@ -201,7 +206,7 @@ def test_non_finite_acf_raises_instead_of_nan(monkeypatch):
     acf = np.array([1.0, 0.5, math.nan, 0.0])
     monkeypatch.setattr(exact, "_autocovs", lambda k, t, xi, n: np.tile(acf, (k.size, 1)))
     with pytest.raises(NotPositiveDefiniteError) as err:
-        exact_log_marglik(ThetaParams(k=0, t=0.0, xi=np.empty(0)), np.ones(4),
+        exact_single(ThetaParams(k=0, t=0.0, xi=np.empty(0)), np.ones(4),
                           PriorConfig())
     assert err.value.index == 3
 
@@ -231,8 +236,8 @@ def test_exact_log_margliks_match_single_calls_across_blocks(monkeypatch):
     values, info, _ = _margliks(thetas, x, prior)
     assert np.array_equal(info, np.zeros(len(thetas)))
     for th, got in zip(thetas, values):
-        assert got == exact_log_marglik(th, x, prior)
-        want = _dense_log_marglik(fbar_autocov(th, 96), x, prior)
+        assert got == exact_single(th, x, prior)
+        want = _dense_log_marglik(_acf(th, 96), x, prior)
         assert abs(got - want) < 1e-10 * abs(want)
 
 
@@ -246,7 +251,7 @@ def test_exact_log_margliks_report_failed_rows_and_leave_the_rest(monkeypatch):
     clean, _, _ = _margliks(thetas, x, prior)
     not_pd = np.zeros(n)
     not_pd[:2] = [1.0, 2.0]
-    with_nan = fbar_autocov(thetas[5], n)
+    with_nan = _acf(thetas[5], n)
     with_nan[7] = math.nan
     bad = {thetas[2].t: not_pd, thetas[5].t: with_nan}  # the rows' t are distinct
     real = exact._autocovs
@@ -263,7 +268,7 @@ def test_exact_log_margliks_report_failed_rows_and_leave_the_rest(monkeypatch):
     for i, th in enumerate(thetas):
         if th.t in bad:
             with pytest.raises(NotPositiveDefiniteError) as err:
-                exact_log_marglik(th, x, prior)
+                exact_single(th, x, prior)
             assert info[i] == err.value.index
             assert math.isnan(values[i])
         else:
@@ -279,12 +284,12 @@ def test_exact_side_at_d_one_half_is_a_failed_row():
     prior = PriorConfig()
     x = np.random.default_rng(13).standard_normal(32)
     with pytest.raises(NotPositiveDefiniteError) as err:
-        exact_log_marglik(pole, x, prior)
+        exact_single(pole, x, prior)
     assert err.value.index == 1
     thetas = _mixed_population()[:3]
     values, info, _ = _margliks([thetas[0], pole, *thetas[1:]], x, prior)
     assert info.tolist() == [0, 1, 0, 0]
-    assert values[[0, 2, 3]].tolist() == [exact_log_marglik(th, x, prior) for th in thetas]
+    assert values[[0, 2, 3]].tolist() == [exact_single(th, x, prior) for th in thetas]
 
 
 def test_exact_side_with_overflowing_short_memory_is_a_failed_row():
@@ -298,12 +303,12 @@ def test_exact_side_with_overflowing_short_memory_is_a_failed_row():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NotPositiveDefiniteError) as err:
-            exact_log_marglik(blow_up, x, prior)
+            exact_single(blow_up, x, prior)
         values, info, _ = _margliks([thetas[0], blow_up, *thetas[1:]], x, prior)
     assert err.value.index == 1
     assert info.tolist() == [0, 1, 0, 0]
     assert math.isnan(values[1])
-    assert values[[0, 2, 3]].tolist() == [exact_log_marglik(th, x, prior) for th in thetas]
+    assert values[[0, 2, 3]].tolist() == [exact_single(th, x, prior) for th in thetas]
 
 
 # ---------------------------------------------------------------------------
@@ -351,7 +356,7 @@ def test_exact_log_marglik_is_the_batch_of_one_above_the_leaf(monkeypatch):
     values, info, _ = _margliks(thetas, x, prior)
     assert np.array_equal(info, np.zeros(len(thetas)))
     for th, got in zip(thetas, values):
-        assert got == exact_log_marglik(th, x, prior)
+        assert got == exact_single(th, x, prior)
     assert dl_rows == []
 
 
@@ -418,7 +423,7 @@ def test_exact_log_margliks_rows_are_finite_or_failed(n, d, xi, seed):
         assert info[0] > 0 and math.isnan(values[0])
         return
     assert math.isfinite(values[0])
-    acf = fbar_autocov(th, n)
+    acf = _acf(th, n)
     evals = np.linalg.eigvalsh(build_toeplitz(acf))
     if evals[0] > 0 and evals[-1] < 1e10 * evals[0]:
         want = _dense_log_marglik(acf, x, prior)

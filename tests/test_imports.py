@@ -52,3 +52,49 @@ def test_every_all_entry_resolves():
         missing += [f"{name}.{entry}" for entry in getattr(module, "__all__", ())
                     if not hasattr(module, entry)]
     assert not missing, missing
+
+
+#: submodule __all__ entries kept although neither the package namespace
+#: nor the package's own code uses them, each with its reason
+PUBLIC_ONLY = {
+    "model.sample_prior": "the single-theta prior draw for users; the samplers draw populations",
+}
+
+
+def _all_entries(tree):
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            return ast.literal_eval(node.value)
+    return []
+
+
+def _uses(tree, name, skip=()):
+    """Loads of ``name`` as a bare name or an attribute, outside the subtrees
+    ``skip``; strings (docstrings, __all__) are not uses."""
+    skipped = {id(n) for node in skip for n in ast.walk(node)}
+    return sum(1 for n in ast.walk(tree) if id(n) not in skipped and (
+        (isinstance(n, ast.Name) and n.id == name and isinstance(n.ctx, ast.Load))
+        or (isinstance(n, ast.Attribute) and n.attr == name)))
+
+
+def test_every_public_name_is_exported_or_used_by_the_package():
+    # a submodule's public name the package neither exports nor calls is a
+    # test-only seam: delete it, or allow it in PUBLIC_ONLY with its reason
+    trees = {path.stem: ast.parse(path.read_text(), filename=str(path))
+             for path in sorted(PACKAGE_DIR.glob("*.py"))}
+    exported = set(_all_entries(trees["__init__"]))
+    unused = []
+    for stem, tree in trees.items():
+        if stem == "__init__":
+            continue
+        for name in _all_entries(tree):
+            if name in exported:
+                continue
+            # its own body (a recursive call, a class naming itself) is no use
+            home = [n for n in tree.body if isinstance(n, (ast.FunctionDef, ast.ClassDef))
+                    and n.name == name]
+            if not sum(_uses(t, name, home if s == stem else ()) for s, t in trees.items()):
+                unused.append(f"{stem}.{name}")
+    assert sorted(set(unused) - set(PUBLIC_ONLY)) == []
+    assert sorted(set(PUBLIC_ONLY) - set(unused)) == [], "stale PUBLIC_ONLY entries"

@@ -3,6 +3,7 @@
 import math
 import sys
 import threading
+from collections import OrderedDict
 
 import numpy as np
 import pytest
@@ -488,6 +489,74 @@ def test_plan_cache_under_threads(monkeypatch):
     assert wrong == []
     cache = simulate._PLANS
     assert cache._bytes == sum(b for _, b in cache._plans.values()) <= simulate._PLAN_BYTES
+
+
+class _Rendezvous:
+    """Holds the first thread to wait until a second thread has arrived."""
+
+    def __init__(self):
+        self._mu = threading.Lock()
+        self._seen = set()
+        self._second = threading.Event()
+
+    def arrive(self):
+        with self._mu:
+            self._seen.add(threading.get_ident())
+            if len(self._seen) > 1:
+                self._second.set()
+
+    def wait(self):
+        assert self._second.wait(30.0), "no second thread arrived"
+
+
+def test_plan_cache_lock_serialises_a_shared_miss(monkeypatch):
+    # two threads miss the same plan and put it.  The first to check whether
+    # the key is held waits there until the second has arrived, either at the
+    # cache's lock (held by the first, so it blocks until the put is done) or,
+    # with no lock to stop it, at the same check, which both then pass: the
+    # plan would be charged twice
+    meet = _Rendezvous()
+
+    class Plans(OrderedDict):
+        def __contains__(self, key):
+            held = super().__contains__(key)
+            meet.arrive()
+            meet.wait()
+            return held
+
+    class Lock:
+        def __init__(self):
+            self._lock = threading.Lock()
+
+        def __enter__(self):
+            meet.arrive()
+            return self._lock.__enter__()
+
+        def __exit__(self, *exc):
+            return self._lock.__exit__(*exc)
+
+    cache = simulate._PlanCache()
+    cache._plans, cache._lock = Plans(), Lock()
+    monkeypatch.setattr(simulate, "_PLANS", cache)
+    cfg = SimConfig(kind="fracnoise", n=64, d=0.3)
+    draws, errors = [], []
+
+    def work():
+        try:
+            draws.append(simulate_series(cfg, np.random.default_rng(20)).tobytes())
+        except Exception as err:  # reported by the main thread
+            errors.append(err)
+
+    threads = [threading.Thread(target=work) for _ in range(2)]
+    for th in threads:
+        th.start()
+    for th in threads:
+        th.join(timeout=60.0)
+    assert not any(th.is_alive() for th in threads)
+    assert errors == []
+    assert len(draws) == 2 and draws[0] == draws[1]
+    [(_, charge)] = cache._plans.values()
+    assert cache._bytes == charge == 65 * 8 + simulate._PLAN_OVERHEAD
 
 
 def test_plan_bytes_are_bounded():

@@ -9,13 +9,14 @@ from hypothesis.extra.numpy import arrays
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
-from fexpsmc.approx import approx_log_lik, prepare_dataset
+from fexpsmc.approx import prepare_dataset
 from fexpsmc.config import NumericalError
 from fexpsmc.model import PriorConfig, sample_prior, to_arrays
 from fexpsmc.simulate import SimConfig, simulate_series
 from fexpsmc import smc
 from fexpsmc.smc import (BRENT_TOL, ParticleSystem, SmcConfig, ess, multinomial_resample,
                          run_smc, solve_next_gamma)
+from dense_reference import approx_single
 from particle_reference import per_row
 
 
@@ -338,7 +339,7 @@ def test_batched_likelihood_matches_scalar_likelihood(N, k_max):
     cfg = SmcConfig(N=N, M=3, seed=20 + N)
     batched = run_smc(x, prior, cfg)
     scalar = run_smc(None, prior, cfg,
-                     logliks_fn=per_row(lambda th: approx_log_lik(th, ctx, prior)))
+                     logliks_fn=per_row(lambda th: approx_single(th, ctx, prior)))
     assert [th.key() for th in batched.thetas] == [th.key() for th in scalar.thetas]
     assert batched.gamma_schedule == scalar.gamma_schedule
     assert np.allclose(batched.cached_loglik, scalar.cached_loglik, rtol=1e-12, atol=0.0)
