@@ -20,18 +20,22 @@ cycle applies, in order,
 
 The kernels move a whole :class:`Population` -- arrays k, t, xi (zero-padded
 to the population's width, which a birth grows), log prior ``lp`` and log
-likelihood ``ll`` -- in one half-step: every particle draws its proposal
-from its own generator, every proposal inside the prior support (finite
-coordinates, order at most k_max) is scored by one ``logliks_fn(k, t, xi)``
-call, one value per row, and each scored particle makes its accept test
-with one more uniform from its generator.  Per particle, Python only draws
--- an RW proposal is one ``standard_normal(k + 1)`` (times the order's
-Cholesky factor, in one stacked product per order), a birth/death choice
-one ``random()``, a birth's new coordinate one ``standard_normal()``, an
-accept test one ``random()`` -- and calls ``math`` for d, log p(t) and
-the accept test's exp, whose last bit numpy's ``exp`` does not always match.
-The prior sums, tempering, acceptance ratios and updates are array
-operations.  All acceptance tests run in log space, so extreme likelihood
+likelihood ``ll`` -- in one half-step on one generator.  A half-step draws
+all its randomness first, as arrays in a fixed layout over the N rows:
+
+- random walk: ``standard_normal((N, K + 1))``, K the population's largest
+  order, of which row j uses its first k_j + 1 entries (times the order's
+  Cholesky factor, in one stacked product per order); then ``random(N)``,
+  row j's accept uniform;
+- birth/death: ``random(N)`` for the move choices, ``standard_normal(N)``
+  for the born coordinates (row j's is used only by a birth) and
+  ``random(N)`` for the accept tests.
+
+Every proposal inside the prior support (finite coordinates, order at most
+k_max) is then scored by one ``logliks_fn(k, t, xi)`` call, one value per
+row, and the prior sums, tempering, acceptance ratios, accept tests
+u < exp(min(log r, 0)) and updates are array operations: no Python runs
+per particle.  All acceptance tests run in log space, so extreme likelihood
 ratios never overflow.  Kernels mutate nothing and return the new
 population.  :func:`run_mcmc` moves a population of one, set by a
 :class:`McmcConfig`.  ``MoveStats`` also counts the proposals scored and
@@ -166,13 +170,11 @@ def _current(pop, gamma):
     return cur
 
 
-def _accepts(log_r, idx, rngs):
-    """Log-space Metropolis tests of the particles at positions ``idx``: one
-    uniform u from each one's generator, accepted when u < exp(min(log r, 0)),
-    so always at log r >= 0 and never at NaN.  exp is ``math.exp``, whose
-    last bit numpy's does not always match."""
-    return np.array([rngs[j].random() < math.exp(min(r, 0.0))
-                     for j, r in zip(idx, log_r.tolist())], dtype=bool)
+def _accepts(log_r, u):
+    """Log-space Metropolis tests u < exp(min(log r, 0)) of uniforms ``u`` in
+    [0, 1): always accepted at log r >= 0 (+inf included), never at NaN or
+    -inf, and a zero uniform needs no log."""
+    return u < np.exp(np.minimum(log_r, 0.0))
 
 
 def _log_liks(logliks_fn, k, t, xi):
@@ -196,15 +198,15 @@ def _score(k, t, xi, ll, logliks_fn, gamma, stats):
     return scores
 
 
-def rw_metropolis_steps(pop, logliks_fn, prior, cfg, rngs, stats):
+def rw_metropolis_steps(pop, logliks_fn, prior, cfg, rng, stats):
     """One random-walk Metropolis update of the (t, xi) block of every particle.
 
-    Particle j draws its step from ``rngs[j]``; every proposal inside the
-    prior support is scored by a single ``logliks_fn`` call; each such
-    particle then makes its accept test with one more uniform from
-    ``rngs[j]``.  So a stream sees the same draws in the same order in any
-    population.  A proposal with a non-finite coordinate is outside the
-    support: it is neither scored nor accepted.
+    The half-step draws ``standard_normal((N, K + 1))``, K the largest
+    order in ``pop``, whose row j gives particle j its first k_j + 1
+    entries as its step, then ``random(N)``, row j's accept uniform.  Every
+    proposal inside the prior support is scored by a single ``logliks_fn``
+    call.  A proposal with a non-finite coordinate is outside the support:
+    it is neither scored nor accepted.
 
     Parameters
     ----------
@@ -213,33 +215,32 @@ def rw_metropolis_steps(pop, logliks_fn, prior, cfg, rngs, stats):
     logliks_fn : callable (k, t, xi) -> array of one float per row
     prior : PriorConfig
     cfg : KernelConfig
-    rngs : sequence of numpy Generators, one per particle
+    rng : numpy Generator
     stats : MoveStats
 
     Returns ``(population, accepted)`` with a bool array ``accepted``.
     """
     cur = _current(pop, cfg.gamma)
     n, w = pop.xi.shape
+    orders = rows_by_order(pop.k)
+    z = rng.standard_normal((n, max(orders) + 1))
+    u = rng.random(n)
     step = np.zeros((n, 1 + w))
-    for kk, rows in rows_by_order(pop.k).items():
-        z = np.empty((len(rows), kk + 1))
-        for zj, j in zip(z, rows):
-            rngs[j].standard_normal(out=zj)
+    for kk, rows in orders.items():
+        zk = z[rows, :kk + 1]
         # the order's steps L z as one stacked product: per vector the same
         # BLAS call as L @ z
         L = cfg.scales.get(kk)
-        step[rows, :kk + 1] = z if L is None else np.matmul(L, z[:, :, None])[:, :, 0]
+        step[rows, :kk + 1] = zk if L is None else np.matmul(L, zk[:, :, None])[:, :, 0]
     stats.rw_proposed += n
     t = pop.t + step[:, 0]
     xi = pop.xi + step[:, 1:]
     lp = log_prior(pop.k, t, xi, prior)
-    live = (lp != -math.inf).nonzero()[0]
-    sub = slice(None) if live.size == n else live
+    inside = lp != -math.inf
+    sub = slice(None) if inside.all() else inside.nonzero()[0]
     ll = pop.ll.copy()
     ll[sub] = _score(pop.k[sub], t[sub], xi[sub], ll[sub], logliks_fn, cfg.gamma, stats)
-    log_r = _tempered(lp, ll, cfg.gamma) - cur
-    accepted = np.zeros(n, dtype=bool)
-    accepted[sub] = _accepts(log_r[sub], live.tolist(), rngs)
+    accepted = inside & _accepts(_tempered(lp, ll, cfg.gamma) - cur, u)
     stats.rw_accepted += int(np.count_nonzero(accepted))
     return Population(pop.k, np.where(accepted, t, pop.t), np.where(accepted[:, None], xi, pop.xi),
                       np.where(accepted, lp, pop.lp), np.where(accepted, ll, pop.ll)), accepted
@@ -256,12 +257,13 @@ def _rho_up(k, k_max):
 
 @lru_cache(maxsize=256)
 def _birth_death_tables(k_max, geom_p, xi_var0, beta, w):
-    """Per order k = 0..w: the birth probability rho(k -> k+1), the prior sd
-    of a born coordinate xi_{k+1}, and the log ratio constants of a birth
-    and of a death from k (nan where that move is never proposed)."""
+    """A read-only (w + 1, 4) array whose row k = 0..w holds the birth
+    probability rho(k -> k+1), the prior sd of a born coordinate xi_{k+1},
+    and the log ratio constants of a birth and of a death from k (nan where
+    that move is never proposed)."""
     prior = PriorConfig(geom_p=geom_p, xi_var0=xi_var0, beta=beta, k_max=k_max)
     log_pk_ratio = math.log1p(-geom_p)  # log p(k+1) - log p(k)
-    rows = []
+    table = np.empty((w + 1, 4))
     for k in range(w + 1):
         up = _rho_up(k, k_max)
         # the reverse of a birth is a death chosen with probability 1 - rho_up(k+1)
@@ -269,11 +271,12 @@ def _birth_death_tables(k_max, geom_p, xi_var0, beta, w):
                  if k < k_max else math.nan)
         death = (math.log(_rho_up(k - 1, k_max)) - math.log1p(-up) - log_pk_ratio
                  if 0 < k <= k_max else math.nan)
-        rows.append((up, math.sqrt(prior.xi_var(k + 1)), birth, death))
-    return tuple(rows)
+        table[k] = up, math.sqrt(prior.xi_var(k + 1)), birth, death
+    table.flags.writeable = False
+    return table
 
 
-def birth_death_steps(pop, logliks_fn, prior, cfg, rngs, stats):
+def birth_death_steps(pop, logliks_fn, prior, cfg, rng, stats):
     """One birth/death move on the model order of every particle.
 
     Birth draws xi_{k+1} from its conditional prior, so the prior density
@@ -282,40 +285,38 @@ def birth_death_steps(pop, logliks_fn, prior, cfg, rngs, stats):
         log r = log rho(k* -> k) - log rho(k -> k*)
                 + log p(k*) - log p(k) + gamma (ll* - ll).
 
-    Every particle proposes a birth or a death (one uniform from its
-    generator, plus one normal for a birth's new coordinate); all proposals
-    are scored by one call and each particle then makes its accept test, as
-    in :func:`rw_metropolis_steps`, with the same arguments and return
-    values.  A birth at the population's width grows xi by one column.
+    The half-step draws ``random(N)``, ``standard_normal(N)`` and
+    ``random(N)``: particle j proposes a birth when the first array's row j
+    is below rho(k_j -> k_j + 1), a birth's new coordinate is the prior sd
+    times the second's row j, and the third gives the accept uniforms.  All
+    proposals are scored by one call; arguments and return values are
+    those of :func:`rw_metropolis_steps`.  A birth at the population's
+    width grows xi by one column.  At k_max = 0 there is no move, and
+    nothing is drawn.
     """
     _current(pop, cfg.gamma)
     n, w = pop.xi.shape
     k_max = prior.k_max
     if k_max == 0:  # a single order: no move to propose
         return pop, np.zeros(n, dtype=bool)
-    table = _birth_death_tables(k_max, prior.geom_p, prior.xi_var0, prior.beta, w)
-    # per particle: the proposed order, the column it changes, that
-    # column's new value (a birth's coordinate, 0 for a death) and the
-    # constant part of the log ratio
-    moves = []
-    for kj, rng in zip(pop.k.tolist(), rngs):
-        up, sd, birth_r, death_r = table[kj]
-        if rng.random() < up:
-            moves.append((kj + 1, kj, sd * rng.standard_normal(), birth_r))
-        else:
-            moves.append((kj - 1, kj - 1, 0.0, death_r))
-    k, col, born, log_r = zip(*moves)
-    xi = pop.xi if max(k) <= w else np.concatenate((pop.xi, np.zeros((n, 1))), axis=1)
-    k, col, born, rows = np.array(k), np.array(col), np.array(born), np.arange(n)
-    birth = k > pop.k
+    up, sd, birth_r, death_r = _birth_death_tables(
+        k_max, prior.geom_p, prior.xi_var0, prior.beta, w)[pop.k].T
+    birth = rng.random(n) < up
+    born = sd * rng.standard_normal(n)
+    u = rng.random(n)
+    # per particle: the proposed order, the column it changes and that
+    # column's new value (a birth's coordinate, 0 for a death)
+    k = pop.k + np.where(birth, 1, -1)
+    col = np.minimum(pop.k, k)
+    xi = pop.xi if k.max() <= w else np.concatenate((pop.xi, np.zeros((n, 1))), axis=1)
     births = int(np.count_nonzero(birth))
     stats.birth_proposed += births
     stats.death_proposed += n - births
     prop = xi.copy()
-    prop[rows, col] = born
+    prop[np.arange(n), col] = np.where(birth, born, 0.0)
     lp = log_prior(k, pop.t, prop, prior)
     ll = _score(k, pop.t, prop, pop.ll, logliks_fn, cfg.gamma, stats)
-    accepted = _accepts(np.array(log_r) + cfg.gamma * (ll - pop.ll), rows.tolist(), rngs)
+    accepted = _accepts(np.where(birth, birth_r, death_r) + cfg.gamma * (ll - pop.ll), u)
     born_kept = int(np.count_nonzero(accepted & birth))
     stats.birth_accepted += born_kept
     stats.death_accepted += int(np.count_nonzero(accepted)) - born_kept
@@ -363,16 +364,15 @@ def run_mcmc(logliks_fn, prior, cfg, seed, scales=None):
     if scales is None:
         scales = {k: math.sqrt(cfg.tau) * np.eye(k + 1) for k in range(prior.k_max + 1)}
     kcfg = KernelConfig(gamma=cfg.gamma, scales=scales)
-    k, t, xi = sample_population(prior, [rng], fix_k=cfg.fix_k)
+    k, t, xi = sample_population(prior, rng, 1, fix_k=cfg.fix_k)
     ll = _log_liks(logliks_fn, k, t, xi) if cfg.gamma != 0.0 else np.zeros(1)
     pop = Population(k, t, xi, log_prior(k, t, xi, prior), ll)
-    rngs = [rng]
     stats = MoveStats()
     ks, ts = [], []
     for step in range(cfg.steps):
-        pop, _ = rw_metropolis_steps(pop, logliks_fn, prior, kcfg, rngs, stats)
+        pop, _ = rw_metropolis_steps(pop, logliks_fn, prior, kcfg, rng, stats)
         if cfg.fix_k is None:
-            pop, _ = birth_death_steps(pop, logliks_fn, prior, kcfg, rngs, stats)
+            pop, _ = birth_death_steps(pop, logliks_fn, prior, kcfg, rng, stats)
         if step % cfg.thin == 0:
             ks.append(int(pop.k[0]))
             ts.append(float(pop.t[0]))

@@ -23,11 +23,13 @@ first columns and zeros after them, with w at least the largest order
 population row by row.  Its theta-free constants (log p(k), the variances
 Var(xi_j) and the Gaussian normalisers) are tables computed once per prior
 and width, and cached on the values of the prior fields they depend on; a
-PriorConfig changed in place gets fresh tables.  d and log sigmoid(t) are
-per-element ``math`` calls: numpy's ``exp`` and ``log1p`` differ from
-``math``'s in the last bit for some doubles, and a ThetaParams must get the
-same d in a population as alone.  :func:`sample_prior` draws d with
-``Generator.random()``, the same double ``uniform()`` would return.
+PriorConfig changed in place gets fresh tables, and log p(t) is one numpy
+expression over the population.  d stays a per-element ``math`` call
+(:func:`memory_d`): numpy's ``exp`` differs from ``math``'s in the last
+bit for some doubles, and a ThetaParams must get the same d in a
+population as alone.  :func:`sample_prior` draws d with
+``Generator.random()``, the same double ``uniform()`` would return;
+:func:`sample_population` makes n such draws in turn from one generator.
 :func:`fexp_sdf` gives a population's densities on a grid, from
 :func:`cosine_sums`, the one evaluator of sum_j xi_j cos(j lam), which the
 likelihood modules share.
@@ -210,16 +212,6 @@ def to_thetas(k, t, xi):
             for kj, tj, row in zip(k.tolist(), t.tolist(), xi)]
 
 
-def _log_p_t(t):
-    # log sigmoid(t) + log sigmoid(-t), stable for large |t|, with the one
-    # exp and log1p the two terms share
-    if t >= 0.0:
-        l = math.log1p(math.exp(-t))
-        return -l + (-t - l)
-    l = math.log1p(math.exp(t))
-    return (t - l) + -l
-
-
 @lru_cache(maxsize=256)
 def _prior_tables(geom_p, xi_var0, beta, k_max, w):
     """The theta-free parts of the log prior for orders up to w, each the
@@ -248,16 +240,18 @@ def log_prior(k, t, xi, prior):
 
     p(k) = geom_p (1-geom_p)^k;  p(t) = sigmoid(t)(1-sigmoid(t)) is the
     Uniform[0, 1/2] prior on d pushed through t = logit(2d) (Jacobian
-    included);  xi_j ~ N(0, xi_var0 j^(-2 beta)).  A row is outside the
-    support (-inf) when its order exceeds ``prior.k_max`` or a coordinate is
-    not finite (its sum is then -inf or NaN).  Each row sums
-    log p(k) + log p(t) and then its k Gaussian terms in order of j, by one
-    row-wise cumulative sum whose padding terms are exact zeros, so a row
-    gets the same bits in any population.
+    included), so log p(t) = -|t| - 2 log1p(exp(-|t|)), stable for large
+    |t|;  xi_j ~ N(0, xi_var0 j^(-2 beta)).  A row is outside the support
+    (-inf) when its order exceeds ``prior.k_max`` or a coordinate is not
+    finite (its sum is then -inf or NaN).  Each row sums log p(k) + log p(t)
+    and then its k Gaussian terms in order of j, by one row-wise cumulative
+    sum whose padding terms are exact zeros, so a row gets the same bits in
+    any population.
     """
     table, v = _prior_tables(prior.geom_p, prior.xi_var0, prior.beta, prior.k_max, xi.shape[1])
     terms = table[k]
-    terms[:, 0] += np.fromiter(map(_log_p_t, t.tolist()), float, t.size)
+    a = np.abs(t)
+    terms[:, 0] -= a + 2.0 * np.log1p(np.exp(-a))  # the bits of += (-a - 2 log1p(exp(-a)))
     terms[:, 1:] -= 0.5 * xi * xi / v
     return np.fmax(terms.cumsum(axis=1)[:, -1], -math.inf)  # NaN -> -inf
 
@@ -290,7 +284,7 @@ def sample_prior(prior, rng, fix_k=None):
     return ThetaParams(*_draw(prior, rng, fix_k))
 
 
-def sample_population(prior, rngs, fix_k=None):
-    """One prior draw per generator, as population arrays (k, t, xi); the
-    draw from ``rngs[j]`` is row j and equals ``sample_prior(prior, rngs[j], fix_k)``."""
-    return _stack(*zip(*(_draw(prior, rng, fix_k) for rng in rngs)))
+def sample_population(prior, rng, n, fix_k=None):
+    """n successive prior draws from ``rng``, as population arrays (k, t, xi);
+    row j is the j-th ``sample_prior(prior, rng, fix_k)`` draw from ``rng``."""
+    return _stack(*zip(*(_draw(prior, rng, fix_k) for _ in range(n))))

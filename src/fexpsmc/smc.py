@@ -22,19 +22,22 @@ Mutation on arrays: the population is carried through the run as a
 :class:`fexpsmc.mcmc.Population` -- orders k, t, zero-padded coefficients
 xi, cached log priors and log likelihoods -- and resampling is fancy
 indexing.  Each of the M cycles runs two half-steps (RW, then
-birth/death) over the whole population: every particle draws its proposal
-from its own stream, all proposals are scored with one batched
-likelihood call on the arrays (:func:`fexpsmc.approx.approx_log_liks`, or
-a user ``logliks_fn`` of its form), then every particle runs its accept
-test, and the prior, the accept ratios and the updates are array
-operations.  ThetaParams are built only for the final population.
+birth/death) over the whole population: each half-step draws the
+proposals and accept uniforms of all N particles as a few arrays from one
+generator, scores all proposals with one batched likelihood call on the
+arrays (:func:`fexpsmc.approx.approx_log_liks`, or a user ``logliks_fn``
+of its form), and the prior, the accept ratios, the accept tests and the
+updates are array operations.  ThetaParams are built only for the final
+population.
 
-Reproducibility: one master seed spawns N + 1 independent generator
-streams -- stream j drives the initialisation and all moves of particle
-slot j, stream N drives resampling.  No stream is shared, so interleaving
-the particles' moves leaves each stream's sequence of draws exactly as if
-the particles moved one after another, and results are identical for a
-given (config, seed) in either order.
+Reproducibility: one master seed spawns two generators -- the first
+draws the initial population (N successive prior draws) and then every
+move, in the array layout documented in :mod:`fexpsmc.mcmc`; the second
+draws the resampling.  A given (config, seed) therefore gives identical
+results run after run.  A particle slot has no stream of its own: the
+draws that move slot j are row j of arrays of N rows, so they depend on
+N and on the other particles (the RW normals' width is the population's
+largest order).
 """
 
 import math
@@ -247,10 +250,9 @@ def run_smc(x, prior, cfg, logliks_fn=None):
         ctx = prepare_dataset(x)
         logliks_fn = lambda k, t, xi: approx_log_liks(k, t, xi, ctx, prior)
 
-    streams = [np.random.default_rng(s) for s in np.random.SeedSequence(cfg.seed).spawn(cfg.N + 1)]
-    particle_rngs, resample_rng = streams[:cfg.N], streams[cfg.N]
+    move_rng, resample_rng = map(np.random.default_rng, np.random.SeedSequence(cfg.seed).spawn(2))
 
-    k, t, xi = sample_population(prior, particle_rngs)
+    k, t, xi = sample_population(prior, move_rng, cfg.N)
     pop = Population(k, t, xi, log_prior(k, t, xi, prior), _log_liks(logliks_fn, k, t, xi))
 
     system = ParticleSystem(thetas=[], log_weights=np.full(cfg.N, -math.log(cfg.N)),
@@ -280,8 +282,8 @@ def run_smc(x, prior, cfg, logliks_fn=None):
         kcfg = KernelConfig(gamma=gamma_new, scales=calibrate_scales(pop.k, pop.t, pop.xi))
         stats = MoveStats()
         for _ in range(cfg.M):
-            pop, _ = rw_metropolis_steps(pop, logliks_fn, prior, kcfg, particle_rngs, stats)
-            pop, _ = birth_death_steps(pop, logliks_fn, prior, kcfg, particle_rngs, stats)
+            pop, _ = rw_metropolis_steps(pop, logliks_fn, prior, kcfg, move_rng, stats)
+            pop, _ = birth_death_steps(pop, logliks_fn, prior, kcfg, move_rng, stats)
 
         system.rw_rates.append(stats.rw_rate())
         system.bd_rates.append(stats.bd_rate())

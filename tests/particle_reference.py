@@ -4,11 +4,13 @@ These are the kernels as they ran before the population was carried as
 arrays: every particle and every proposal is a ThetaParams, the log prior is
 summed term by term in Python floats, each accept test is a scalar
 log-space comparison and scale calibration groups the particles in a dict.
-:func:`run_smc` and :func:`run_mcmc` drive them exactly as the package's
-samplers drive the array kernels, so the package must reproduce their
-particles, likelihoods, schedules and rates bit for bit.  The drivers
-take a per-theta ``loglik_fn``; :func:`per_row` gives the package's
-samplers the same function in their population form.
+A half-step draws its randomness as the package's kernels do, in the array
+layout of :mod:`fexpsmc.mcmc`, and the loop over particles reads row j of
+those arrays for particle j.  :func:`run_smc` and :func:`run_mcmc` drive
+them exactly as the package's samplers drive the array kernels, so the
+package must reproduce their particles, likelihoods, schedules and rates
+bit for bit.  The drivers take a per-theta ``loglik_fn``; :func:`per_row`
+gives the package's samplers the same function in their population form.
 """
 
 import math
@@ -28,15 +30,20 @@ def per_row(loglik_fn):
     return lambda k, t, xi: np.array([loglik_fn(th) for th in to_thetas(k, t, xi)])
 
 
+def log_p_t(t):
+    """log p(t) = log sigmoid(t) + log sigmoid(-t) of a t or an array of
+    them, as the package writes it: -|t| - 2 log1p(exp(-|t|)) with numpy's
+    exp and log1p."""
+    a = np.abs(t)
+    return -a - 2.0 * np.log1p(np.exp(-a))
+
+
 def log_prior(theta, prior):
     """The prior density term by term, every constant recomputed per call."""
-    def log_sigmoid(u):
-        return -math.log1p(math.exp(-u)) if u >= 0 else u - math.log1p(math.exp(u))
-
     if theta.k > prior.k_max:
         return -math.inf
     lp = math.log(prior.geom_p) + theta.k * math.log1p(-prior.geom_p)
-    lp += log_sigmoid(theta.t) + log_sigmoid(-theta.t)
+    lp += log_p_t(theta.t)
     for j in range(1, theta.k + 1):
         v = prior.xi_var0 * float(j) ** (-2.0 * prior.beta)
         x = float(theta.xi[j - 1])
@@ -52,12 +59,11 @@ def _tempered(lp, ll, gamma):
     return lp + gamma * ll
 
 
-def _accept(log_r, rng):
-    """Log-space Metropolis test; one uniform is drawn per call."""
-    u = rng.random()
+def _accept(log_r, u):
+    """Log-space Metropolis test with the uniform ``u``."""
     if log_r >= 0.0:
         return True
-    return u < math.exp(log_r)
+    return bool(u < np.exp(log_r))
 
 
 def _current(lps, lls, gamma):
@@ -78,20 +84,23 @@ def _score(props, lls, logliks_fn, gamma, stats):
     return scores
 
 
-def rw_metropolis_steps(thetas, lps, lls, logliks_fn, prior, cfg, rngs, stats):
-    """Propose for every particle, score the proposals inside the support in
-    one call, then test each with one more uniform from its stream."""
+def rw_metropolis_steps(thetas, lps, lls, logliks_fn, prior, cfg, rng, stats):
+    """Propose for every particle from row j of the normals, score the
+    proposals inside the support in one call, then test each with row j of
+    the uniforms."""
     cur = _current(lps, lls, cfg.gamma)
     out = list(thetas)
     lp_out = np.array(lps, dtype=float)
     ll_out = np.array(lls, dtype=float)
     accepted = np.zeros(len(out), dtype=bool)
+    z = rng.standard_normal((len(thetas), max(th.k for th in thetas) + 1))
+    u = rng.random(len(thetas))
     moves = []
     for j, th in enumerate(thetas):
         stats.rw_proposed += 1
-        z = rngs[j].standard_normal(th.k + 1)
+        zj = z[j, :th.k + 1]
         L = cfg.scales.get(th.k)
-        step = z if L is None else L @ z
+        step = zj if L is None else L @ zj
         prop = ThetaParams(th.k, th.t + float(step[0]), th.xi + step[1:])
         lp_new = log_prior(prop, prior)
         if lp_new != -math.inf:
@@ -99,7 +108,7 @@ def rw_metropolis_steps(thetas, lps, lls, logliks_fn, prior, cfg, rngs, stats):
     scores = _score([m[1] for m in moves], [lls[m[0]] for m in moves], logliks_fn,
                     cfg.gamma, stats)
     for (j, prop, lp_new), ll_new in zip(moves, scores):
-        if _accept(_tempered(lp_new, ll_new, cfg.gamma) - cur[j], rngs[j]):
+        if _accept(_tempered(lp_new, ll_new, cfg.gamma) - cur[j], u[j]):
             stats.rw_accepted += 1
             out[j], lp_out[j], ll_out[j], accepted[j] = prop, lp_new, ll_new, True
     return out, lp_out, ll_out, accepted
@@ -113,8 +122,9 @@ def _rho_up(k, k_max):
     return 0.5
 
 
-def birth_death_steps(thetas, lps, lls, logliks_fn, prior, cfg, rngs, stats):
-    """A birth or a death for every particle, in three passes as above."""
+def birth_death_steps(thetas, lps, lls, logliks_fn, prior, cfg, rng, stats):
+    """A birth or a death for every particle, in three passes as above, from
+    row j of the choice uniforms, the born normals and the accept uniforms."""
     _current(lps, lls, cfg.gamma)
     out = list(thetas)
     lp_out = np.array(lps, dtype=float)
@@ -123,16 +133,18 @@ def birth_death_steps(thetas, lps, lls, logliks_fn, prior, cfg, rngs, stats):
     k_max = prior.k_max
     if k_max == 0:
         return out, lp_out, ll_out, accepted
+    n = len(thetas)
+    choice, z, u = rng.random(n), rng.standard_normal(n), rng.random(n)
     log_pk_ratio = math.log1p(-prior.geom_p)
     moves = []
     for j, th in enumerate(thetas):
         k = th.k
         up = _rho_up(k, k_max)
-        if rngs[j].random() < up:
+        if choice[j] < up:
             stats.birth_proposed += 1
             if k >= k_max:
                 continue
-            xi_new = math.sqrt(prior.xi_var(k + 1)) * rngs[j].standard_normal()
+            xi_new = math.sqrt(prior.xi_var(k + 1)) * z[j]
             prop = ThetaParams(k + 1, th.t, np.concatenate((th.xi, [xi_new])))
             log_r = math.log1p(-_rho_up(k + 1, k_max)) - math.log(up) + log_pk_ratio
             moves.append((j, prop, log_r, True))
@@ -146,7 +158,7 @@ def birth_death_steps(thetas, lps, lls, logliks_fn, prior, cfg, rngs, stats):
     scores = _score([m[1] for m in moves], [lls[m[0]] for m in moves], logliks_fn,
                     cfg.gamma, stats)
     for (j, prop, log_r, birth), ll_new in zip(moves, scores):
-        if _accept(log_r + cfg.gamma * (ll_new - lls[j]), rngs[j]):
+        if _accept(log_r + cfg.gamma * (ll_new - lls[j]), u[j]):
             if birth:
                 stats.birth_accepted += 1
             else:
@@ -183,9 +195,9 @@ def run_smc(x, prior, cfg, loglik_fn=None):
         logliks_fn = lambda ths: approx_log_liks(*to_arrays(ths), ctx, prior)
     else:
         logliks_fn = lambda ths: [loglik_fn(th) for th in ths]
-    streams = [np.random.default_rng(s) for s in np.random.SeedSequence(cfg.seed).spawn(cfg.N + 1)]
-    particle_rngs, resample_rng = streams[:cfg.N], streams[cfg.N]
-    thetas = [sample_prior(prior, rng) for rng in particle_rngs]
+    move_rng, resample_rng = [np.random.default_rng(s)
+                              for s in np.random.SeedSequence(cfg.seed).spawn(2)]
+    thetas = [sample_prior(prior, move_rng) for _ in range(cfg.N)]
     lp = np.array([log_prior(th, prior) for th in thetas])
     ll = np.asarray(logliks_fn(thetas), dtype=float)
     system = ParticleSystem(thetas=thetas, log_weights=np.full(cfg.N, -math.log(cfg.N)),
@@ -210,9 +222,9 @@ def run_smc(x, prior, cfg, loglik_fn=None):
         stats = MoveStats()
         for _ in range(cfg.M):
             thetas, lp, ll, _ = rw_metropolis_steps(thetas, lp, ll, logliks_fn, prior, kcfg,
-                                                    particle_rngs, stats)
+                                                    move_rng, stats)
             thetas, lp, ll, _ = birth_death_steps(thetas, lp, ll, logliks_fn, prior, kcfg,
-                                                  particle_rngs, stats)
+                                                  move_rng, stats)
         system.rw_rates.append(stats.rw_rate())
         system.bd_rates.append(stats.bd_rate())
         system.loglik_evals.append(stats.loglik_evals)
@@ -229,7 +241,7 @@ def run_mcmc(loglik_fn, prior, cfg, seed, scales=None):
         scales = {k: math.sqrt(cfg.tau) * np.eye(k + 1) for k in range(prior.k_max + 1)}
     kcfg = KernelConfig(gamma=cfg.gamma, scales=scales)
     theta = sample_prior(prior, rng, fix_k=cfg.fix_k)
-    thetas, rngs = [theta], [rng]
+    thetas = [theta]
     lps = [log_prior(theta, prior)]
     lls = [loglik_fn(theta) if cfg.gamma != 0.0 else 0.0]
     logliks_fn = lambda ths: [loglik_fn(th) for th in ths]
@@ -237,10 +249,10 @@ def run_mcmc(loglik_fn, prior, cfg, seed, scales=None):
     ks, ds, ts = [], [], []
     for step in range(cfg.steps):
         thetas, lps, lls, _ = rw_metropolis_steps(thetas, lps, lls, logliks_fn, prior, kcfg,
-                                                  rngs, stats)
+                                                  rng, stats)
         if cfg.fix_k is None:
             thetas, lps, lls, _ = birth_death_steps(thetas, lps, lls, logliks_fn, prior, kcfg,
-                                                    rngs, stats)
+                                                    rng, stats)
         if step % cfg.thin == 0:
             ks.append(thetas[0].k)
             ds.append(thetas[0].d)

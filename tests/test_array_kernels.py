@@ -2,7 +2,7 @@
 
 ``particle_reference`` holds the kernels as one ThetaParams per particle and
 proposal.  The samplers on the array kernels must reproduce its runs bit
-for bit: the same draws from each stream in the same order, the same
+for bit: the same array draws in the same order, read row by row, the same
 particles, likelihoods, schedule, evidence and rates.
 """
 

@@ -1,6 +1,7 @@
 """Move kernels: acceptance-ratio arithmetic, invariance, and calibration."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -38,7 +39,7 @@ def test_rw_vanishing_proposal_always_accepts():
     pop = _state(prior, ThetaParams(k=1, t=0.3, xi=np.array([0.5])))
     accepted = 0
     for _ in range(300):
-        pop, acc = rw_metropolis_steps(pop, FLATS, prior, cfg, [rng], stats)
+        pop, acc = rw_metropolis_steps(pop, FLATS, prior, cfg, rng, stats)
         accepted += acc[0]
     assert accepted >= 299  # log_r is rounding-level noise
     assert stats.rw_proposed == 300
@@ -52,7 +53,7 @@ def test_rw_rejects_from_invalid_state():
     pop = _state(prior, th)
     assert pop.lp[0] == -math.inf
     with pytest.raises(InvalidStateError):
-        rw_metropolis_steps(pop, FLATS, prior, cfg, [rng], MoveStats())
+        rw_metropolis_steps(pop, FLATS, prior, cfg, rng, MoveStats())
     assert issubclass(InvalidStateError, NumericalError)  # a CLI exit 4, not a traceback
 
 
@@ -68,7 +69,7 @@ def test_rw_never_evaluates_likelihood_at_gamma_zero():
 
     pop = _state(prior, ThetaParams(k=0, t=0.0, xi=np.empty(0)))
     for _ in range(50):
-        pop, _ = rw_metropolis_steps(pop, logliks, prior, cfg, [rng], MoveStats())
+        pop, _ = rw_metropolis_steps(pop, logliks, prior, cfg, rng, MoveStats())
     assert not calls
 
 
@@ -83,7 +84,7 @@ def test_rw_prior_chain_matches_logistic_marginal():
     pop = _state(prior, ThetaParams(k=0, t=0.0, xi=np.empty(0)))
     ds = []
     for step in range(50_000):
-        pop, _ = rw_metropolis_steps(pop, FLATS, prior, cfg, [rng], stats)
+        pop, _ = rw_metropolis_steps(pop, FLATS, prior, cfg, rng, stats)
         if step % 5 == 0:
             ds.append(pop.thetas()[0].d)
     stat, _ = kstest(np.array(ds), "uniform", args=(0.0, 0.5))
@@ -99,7 +100,7 @@ def test_rw_moves_all_coordinates():
     block = lambda pop: np.concatenate((pop.t, pop.xi[0]))  # (t, xi_1, xi_2)
     start = block(pop)
     for _ in range(200):
-        pop, _ = rw_metropolis_steps(pop, FLATS, prior, cfg, [rng], MoveStats())
+        pop, _ = rw_metropolis_steps(pop, FLATS, prior, cfg, rng, MoveStats())
     assert np.all(np.abs(block(pop) - start) > 0.0)
     assert pop.k[0] == 2  # RW never changes the order
 
@@ -118,7 +119,7 @@ def test_birth_from_k0_accepts_at_known_rate():
     for _ in range(trials):
         pop = _state(prior, ThetaParams(k=0, t=0.0, xi=np.empty(0)))
         stats = MoveStats()
-        _, acc = birth_death_steps(pop, FLATS, prior, cfg, [rng], stats)
+        _, acc = birth_death_steps(pop, FLATS, prior, cfg, rng, stats)
         assert stats.birth_proposed == 1 and stats.death_proposed == 0
         hits += acc[0]
     rate = hits / trials
@@ -136,7 +137,7 @@ def test_death_from_k1_always_accepted_when_proposed():
     for _ in range(4000):
         pop = _state(prior, ThetaParams(k=1, t=0.0, xi=np.array([1.0])))
         stats = MoveStats()
-        out, acc = birth_death_steps(pop, FLATS, prior, cfg, [rng], stats)
+        out, acc = birth_death_steps(pop, FLATS, prior, cfg, rng, stats)
         if stats.death_proposed:
             deaths += 1
             accepted += acc[0]
@@ -153,7 +154,7 @@ def test_birth_preserves_lower_block_and_death_undoes_it():
     pop0 = _state(prior, th0)
     # force a birth by looping until one is proposed and accepted
     for _ in range(500):
-        pop1, acc = birth_death_steps(pop0, FLATS, prior, cfg, [rng], MoveStats())
+        pop1, acc = birth_death_steps(pop0, FLATS, prior, cfg, rng, MoveStats())
         th1 = pop1.thetas()
         if acc[0] and th1[0].k == 3:
             break
@@ -163,7 +164,7 @@ def test_birth_preserves_lower_block_and_death_undoes_it():
     assert np.array_equal(th1[0].xi[:2], th0.xi)
     # a death from th1 restores the original block exactly
     for _ in range(500):
-        pop2, acc = birth_death_steps(pop1, FLATS, prior, cfg, [rng], MoveStats())
+        pop2, acc = birth_death_steps(pop1, FLATS, prior, cfg, rng, MoveStats())
         th2 = pop2.thetas()
         if acc[0] and th2[0].k == 2:
             break
@@ -179,7 +180,7 @@ def test_birth_blocked_at_k_max():
     rng = np.random.default_rng(8)
     pop = _state(prior, ThetaParams(k=2, t=0.0, xi=np.zeros(2)))
     for _ in range(200):
-        out, _ = birth_death_steps(pop, FLATS, prior, cfg, [rng], MoveStats())
+        out, _ = birth_death_steps(pop, FLATS, prior, cfg, rng, MoveStats())
         assert out.k[0] <= 2
 
 
@@ -190,7 +191,7 @@ def test_no_birth_death_move_at_k_max_zero():
     before = rng.bit_generator.state
     pop = _state(prior, ThetaParams(k=0, t=0.3, xi=np.empty(0)))
     stats = MoveStats()
-    out, acc = birth_death_steps(pop, FLATS, prior, KernelConfig(gamma=1.0), [rng], stats)
+    out, acc = birth_death_steps(pop, FLATS, prior, KernelConfig(gamma=1.0), rng, stats)
     assert out is pop and not acc[0]
     assert rng.bit_generator.state == before
     assert stats == MoveStats() and math.isnan(stats.bd_rate())
@@ -204,9 +205,65 @@ def test_extreme_likelihood_ratios_do_not_overflow():
     pop = _state(prior, ThetaParams(k=1, t=0.1, xi=np.array([0.2])))
     pop = _population(prior, pop.thetas(), wild(pop.k, pop.t, pop.xi))
     for _ in range(200):
-        pop, _ = rw_metropolis_steps(pop, wild, prior, cfg, [rng], MoveStats())
-        pop, _ = birth_death_steps(pop, wild, prior, cfg, [rng], MoveStats())
+        pop, _ = rw_metropolis_steps(pop, wild, prior, cfg, rng, MoveStats())
+        pop, _ = birth_death_steps(pop, wild, prior, cfg, rng, MoveStats())
         assert math.isfinite(pop.lp[0]) and math.isfinite(pop.ll[0])
+
+
+class _Recorder:
+    """A generator that logs each draw's method and size; with
+    ``zero_uniforms`` its uniforms are all exactly 0.0, a value ``random()``
+    can return."""
+
+    def __init__(self, seed, zero_uniforms=False):
+        self._rng = np.random.default_rng(seed)
+        self.zero_uniforms = zero_uniforms
+        self.calls = []
+
+    def standard_normal(self, size=None):
+        self.calls.append(("standard_normal", size))
+        return self._rng.standard_normal(size)
+
+    def random(self, size=None):
+        self.calls.append(("random", size))
+        return np.zeros(size) if self.zero_uniforms else self._rng.random(size)
+
+
+@pytest.mark.parametrize("n", [3, 40])
+def test_a_half_step_draws_its_randomness_as_arrays_of_n_rows(n):
+    # the documented layout, whatever N: no draw is made per particle
+    prior = PriorConfig()
+    rng = np.random.default_rng(21)
+    pop = _population(prior, [sample_prior(prior, rng) for _ in range(n)], [0.0] * n)
+    cfg, rec = KernelConfig(gamma=0.5), _Recorder(22)
+    rw_metropolis_steps(pop, FLATS, prior, cfg, rec, MoveStats())
+    assert rec.calls == [("standard_normal", (n, int(pop.k.max()) + 1)), ("random", n)]
+    rec.calls.clear()
+    birth_death_steps(pop, FLATS, prior, cfg, rec, MoveStats())
+    assert rec.calls == [("random", n), ("standard_normal", n), ("random", n)]
+
+
+@pytest.mark.parametrize("kernel", ["rw", "bd"])
+def test_accept_tests_at_a_zero_uniform(kernel):
+    # log r of the rows, with the current log likelihoods 0 at gamma = 1:
+    # NaN, +inf, -inf, then >= 0 (RW: exactly 0, from a zero step that
+    # leaves the prior unchanged; a birth from k = 1: log 0.8 + 0.25 > 0),
+    # then finite and large; at u = 0 nothing may take log 0 or warn
+    prior = PriorConfig()
+    scores = np.array([math.nan, math.inf, -math.inf, 0.25 if kernel == "bd" else 0.0, 30.0])
+    n = scores.size
+    pop = _population(prior, [ThetaParams(k=1, t=0.3, xi=np.array([0.5]))] * n, [0.0] * n)
+    cfg = KernelConfig(gamma=1.0, scales={1: np.zeros((2, 2))})
+    step = rw_metropolis_steps if kernel == "rw" else birth_death_steps
+    rng, stats = _Recorder(15, zero_uniforms=True), MoveStats()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out, acc = step(pop, lambda k, t, xi: scores[:k.size].copy(), prior, cfg, rng, stats)
+    assert stats.loglik_evals == n
+    if kernel == "bd":  # a zero uniform is below rho(1 -> 2) = 1/2: every row proposes a birth
+        assert stats.birth_proposed == n
+    assert acc.tolist() == [False, True, False, True, True]
+    assert out.ll.tolist() == [0.0, math.inf, 0.0, scores[3], 30.0]
 
 
 def test_move_stats_counters_are_consistent():
@@ -216,8 +273,8 @@ def test_move_stats_counters_are_consistent():
     stats = MoveStats()
     pop = _state(prior, sample_prior(prior, np.random.default_rng(0)))
     for _ in range(500):
-        pop, _ = rw_metropolis_steps(pop, FLATS, prior, cfg, [rng], stats)
-        pop, _ = birth_death_steps(pop, FLATS, prior, cfg, [rng], stats)
+        pop, _ = rw_metropolis_steps(pop, FLATS, prior, cfg, rng, stats)
+        pop, _ = birth_death_steps(pop, FLATS, prior, cfg, rng, stats)
     assert stats.rw_proposed == 500
     assert stats.birth_proposed + stats.death_proposed == 500
     assert 0 <= stats.rw_accepted <= stats.rw_proposed
@@ -236,15 +293,15 @@ def test_move_stats_count_scored_proposals_and_minus_inf():
         seen.extend(t.tolist())
         return np.where(t > 0.0, -math.inf, 0.0)
 
-    rngs = [np.random.default_rng(40 + j) for j in range(8)]
-    pop = _population(prior, [sample_prior(prior, rng) for rng in rngs], [0.0] * 8)
+    rng = np.random.default_rng(40)
+    pop = _population(prior, [sample_prior(prior, rng) for _ in range(8)], [0.0] * 8)
     for gamma in (0.0, 0.5):
         stats = MoveStats()
         cfg = KernelConfig(gamma=gamma)
         seen.clear()
         for _ in range(20):
-            pop, _ = rw_metropolis_steps(pop, logliks, prior, cfg, rngs, stats)
-            pop, _ = birth_death_steps(pop, logliks, prior, cfg, rngs, stats)
+            pop, _ = rw_metropolis_steps(pop, logliks, prior, cfg, rng, stats)
+            pop, _ = birth_death_steps(pop, logliks, prior, cfg, rng, stats)
         assert stats.loglik_evals == len(seen)
         assert stats.loglik_minus_inf == sum(t > 0.0 for t in seen)
         assert (stats.loglik_evals > stats.loglik_minus_inf > 0) == (gamma > 0.0)
@@ -317,10 +374,10 @@ def test_a_likelihood_without_one_value_per_row_is_rejected(bad):
     prior = PriorConfig()
     with pytest.raises(ValueError, match="not one value per row"):
         run_mcmc(bad, prior, McmcConfig(steps=1), seed=0)
-    rngs = [np.random.default_rng(j) for j in range(3)]
-    pop = _population(prior, [sample_prior(prior, rng) for rng in rngs], [0.0] * 3)
+    rng = np.random.default_rng(0)
+    pop = _population(prior, [sample_prior(prior, rng) for _ in range(3)], [0.0] * 3)
     with pytest.raises(ValueError, match="not one value per row"):
-        rw_metropolis_steps(pop, bad, prior, KernelConfig(), rngs, MoveStats())
+        rw_metropolis_steps(pop, bad, prior, KernelConfig(), rng, MoveStats())
 
 
 def test_run_mcmc_thinning_and_shapes():
@@ -354,7 +411,7 @@ def test_run_mcmc_is_deterministic_in_the_seed():
 ], ids=["inf_t", "inf_xi", "nan_xi"])
 def test_rw_proposal_with_a_non_finite_coordinate_is_rejected_unscored(L):
     # a non-finite coordinate is outside the support: log prior -inf, so the
-    # proposal is neither scored nor given an accept uniform
+    # proposal is neither scored nor accepted
     prior = PriorConfig()
     rng, twin = np.random.default_rng(14), np.random.default_rng(14)
     pop = _state(prior, ThetaParams(k=1, t=0.3, xi=np.array([0.5])))
@@ -365,9 +422,9 @@ def test_rw_proposal_with_a_non_finite_coordinate_is_rejected_unscored(L):
         return np.zeros(k.size)
 
     out, acc = rw_metropolis_steps(pop, logliks, prior, KernelConfig(gamma=1.0, scales={1: L}),
-                                   [rng], stats)
+                                   rng, stats)
     assert not acc[0] and not calls
     assert stats.rw_proposed == 1 and stats.loglik_evals == 0
     assert out.thetas()[0].key() == pop.thetas()[0].key() and out.lp[0] == pop.lp[0]
-    twin.standard_normal(2)  # the step's draw, and nothing after it
+    twin.standard_normal((1, 2)), twin.random(1)  # the half-step's draws, and nothing after them
     assert rng.bit_generator.state == twin.bit_generator.state

@@ -12,6 +12,7 @@ from scipy.integrate import quad
 from fexpsmc import approx, exact, model
 from fexpsmc.model import (PriorConfig, ThetaParams, arfima_sdf, fexp_sdf,
                            log_prior, sample_prior, to_arrays)
+from particle_reference import log_p_t
 from particle_reference import log_prior as _direct_log_prior
 
 TWO_PI = 2.0 * math.pi
@@ -185,6 +186,27 @@ def test_log_prior_is_bitwise_the_direct_formula(k, t, xi, geom_p, xi_var0, beta
     assert _log_prior(th, prior) == _direct_log_prior(th, prior)
     prior.k_max = 8
     assert _log_prior(th, prior) == _direct_log_prior(th, prior)
+
+
+def test_log_p_t_is_within_two_ulp_of_the_math_form():
+    # log_prior's numpy log p(t) against the per-element math form it
+    # replaced: log sigmoid(t) + log sigmoid(-t) with one shared exp and log1p
+    def math_form(t):
+        if t >= 0.0:
+            l = math.log1p(math.exp(-t))
+            return -l + (-t - l)
+        l = math.log1p(math.exp(t))
+        return (t - l) + -l
+
+    rng = np.random.default_rng(17)
+    t = np.concatenate((np.linspace(-700.0, 700.0, 20001), rng.normal(scale=4.0, size=20000),
+                        [0.0, -0.0, 5e-324, -5e-324, 1e-300, 700.0, -700.0]))
+    got = log_p_t(t)
+    want = np.array([math_form(v) for v in t.tolist()])
+    assert np.all(np.abs(got - want) <= 2.0 * np.spacing(np.abs(want)))
+    assert log_p_t(np.array([math.inf, -math.inf])).tolist() == [-math.inf, -math.inf]
+    k, xi = np.zeros(2, dtype=np.int64), np.zeros((2, 0))
+    assert log_prior(k, np.array([math.inf, -math.inf]), xi, PriorConfig()).tolist() == [-math.inf] * 2
 
 
 def test_prior_t_density_integrates_to_one():

@@ -306,9 +306,9 @@ def test_smc_with_m_zero_matches_mirror_implementation():
     N, c, seed = 150, 0.5, 13
     ps = run_smc(None, prior, SmcConfig(N=N, M=0, c=c, seed=seed), logliks_fn=logliks)
 
-    streams = [np.random.default_rng(s)
-               for s in np.random.SeedSequence(seed).spawn(N + 1)]
-    thetas = [sample_prior(prior, streams[j]) for j in range(N)]
+    move_rng, resample_rng = [np.random.default_rng(s)
+                              for s in np.random.SeedSequence(seed).spawn(2)]
+    thetas = [sample_prior(prior, move_rng) for _ in range(N)]
     ll = logliks(*to_arrays(thetas))
     gamma, log_z = 0.0, 0.0
     while gamma < 1.0:
@@ -317,7 +317,7 @@ def test_smc_with_m_zero_matches_mirror_implementation():
         m = inc.max()
         w = np.exp(inc - m)
         log_z += m + math.log(w.sum() / N)
-        ancestors = multinomial_resample(w / w.sum(), N, streams[N])
+        ancestors = multinomial_resample(w / w.sum(), N, resample_rng)
         thetas = [thetas[i].copy() for i in ancestors]
         ll = ll[ancestors].copy()
         gamma = gamma_new
