@@ -7,9 +7,9 @@ The sampler moves N particles through the tempered path
 
 choosing each increment adaptively so that the effective sample size of
 the incremental weights w_t = p~^{gamma_t - gamma_{t-1}} equals c * N
-(a root solve by Brent's method, ported from scipy's ``brentq.c`` so the
-package needs numpy alone; the increment is capped once the endpoint keeps
-the ESS above the target).  A -inf log likelihood is a zero weight; NaN or
+(bisection on the ESS, which is non-increasing in the increment; the step
+is never zero, and it is capped once the endpoint keeps the ESS above the
+target).  A -inf log likelihood is a zero weight; NaN or
 +inf raises :class:`~fexpsmc.config.NumericalError`, and so does a
 population with no more than c * N finite log likelihoods, whose ESS
 cannot reach the target at any increment.  Every iteration then
@@ -60,11 +60,8 @@ __all__ = [
     "run_smc",
 ]
 
-#: absolute tolerance of the Brent solve for each tempering increment
-BRENT_TOL = 1e-10
-#: relative tolerance and iteration cap of the Brent solve (scipy's defaults)
-BRENT_RTOL = 4.0 * np.finfo(float).eps
-BRENT_MAXITER = 100
+#: width of the bisection bracket that ends each tempering increment's solve
+GAMMA_TOL = 1e-10
 #: tempering iterations after which the schedule is declared stuck
 MAX_ITERS = 10_000
 
@@ -126,90 +123,50 @@ def ess(log_weights):
     return float(s * s / (w @ w))
 
 
-def _brentq(f, xa, xb, xtol):
-    """Root of f in [xa, xb], where f(xa) and f(xb) differ in sign.
-
-    Brent's method (Brent 1973, *Algorithms for Minimization without
-    Derivatives*, ch. 4) as scipy's ``brentq.c`` writes it, operation for
-    operation, so it returns the same bits as ``scipy.optimize.brentq(f, xa,
-    xb, xtol=xtol)``: inverse quadratic interpolation or the secant step
-    when it stays well inside the bracket, bisection otherwise, stopping
-    once the bracket is within xtol + BRENT_RTOL * |x|.  No convergence in
-    BRENT_MAXITER steps raises :class:`~fexpsmc.config.NumericalError`.
-    """
-    xpre, xcur = xa, xb
-    xblk = fblk = spre = scur = 0.0
-    fpre, fcur = f(xpre), f(xcur)
-    if fpre == 0.0:
-        return xpre
-    if fcur == 0.0:
-        return xcur
-    for _ in range(BRENT_MAXITER):
-        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-
-        delta = (xtol + BRENT_RTOL * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
-
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:  # interpolate
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:  # extrapolate
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):  # good short step
-                spre, scur = scur, stry
-            else:  # bisect
-                spre = scur = sbis
-        else:  # bisect
-            spre = scur = sbis
-
-        xpre, fpre = xcur, fcur
-        if abs(scur) > delta:
-            xcur += scur
-        else:
-            xcur += delta if sbis > 0 else -delta
-        fcur = f(xcur)
-    raise NumericalError(f"Brent solve did not converge in {BRENT_MAXITER} iterations")
-
-
 def solve_next_gamma(loglik, gamma, c):
     """Next inverse temperature on the adaptive schedule.
 
     Finds alpha in (0, 1 - gamma] with ESS(alpha * loglik) = c * N, N =
-    loglik.size, by Brent's method (to BRENT_TOL; a port of scipy's
-    ``brentq`` that gives the same bits) and returns gamma + alpha; if
+    loglik.size, by bisection to GAMMA_TOL and returns gamma + alpha; if
     even the full remaining step keeps the ESS at or above the target the
-    schedule finishes at 1.  A -inf loglik is a zero weight at every alpha.
+    schedule finishes at 1.  Bisection is exact here because the ESS is
+    non-increasing in alpha: d log ESS / d alpha = 2 (m(alpha) - m(2 alpha)),
+    where m(beta), the e^{beta * loglik}-tilted mean of loglik, increases
+    with beta.  The step is the bracket's lower end, whose ESS is at least
+    c * N, but never zero: while the lower end is still 0 (a root below
+    GAMMA_TOL) it is the upper end, so a -inf loglik never meets a zero
+    step as 0 * (-inf).  A -inf loglik is a zero weight at every alpha.
     NaN or +inf raises :class:`~fexpsmc.config.NumericalError`, as do L <= c * N
     finite logliks: the ESS tends to L as alpha -> 0, so no alpha meets c * N.
     """
     loglik = np.asarray(loglik, dtype=float)
     if not 0.0 <= gamma < 1.0:
         raise ValueError("gamma must lie in [0, 1)")
+    if np.any(np.isnan(loglik) | (loglik == math.inf)):
+        raise NumericalError("log weights contain NaN or +inf")
     N = loglik.size
     target = c * N
-    remaining = 1.0 - gamma
-    live = ~np.isneginf(loglik)  # a -inf stays a zero weight at alpha = 0 too
+    live = loglik[~np.isneginf(loglik)]
+    dl = live - live.max(initial=-math.inf)  # centred once; empty when none is live
 
     def gap(alpha):
-        lw = np.multiply(alpha, loglik, where=live, out=np.full_like(loglik, -math.inf))
-        return ess(lw) - target
+        w = np.exp(alpha * dl)
+        s = w.sum()
+        return s * s / (w @ w) - target
 
-    if live.any() and gap(remaining) >= 0.0:  # none live: the count check below raises
+    lo, hi = 0.0, 1.0 - gamma
+    if live.size and gap(hi) >= 0.0:  # none live: the count check below raises
         return 1.0
-    if live.sum() <= target:
-        raise NumericalError(f"only {live.sum()} of {N} particles have a finite log likelihood, "
+    if live.size <= target:
+        raise NumericalError(f"only {live.size} of {N} particles have a finite log likelihood, "
                              f"not above the ESS target c * N = {target:g}")
-    alpha = _brentq(gap, 0.0, remaining, BRENT_TOL)
-    return gamma + alpha
+    while hi - lo > GAMMA_TOL:
+        mid = 0.5 * (lo + hi)
+        if gap(mid) >= 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return gamma + (lo if lo > 0.0 else hi)
 
 
 def multinomial_resample(weights, N, rng):

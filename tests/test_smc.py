@@ -14,7 +14,7 @@ from fexpsmc.config import NumericalError
 from fexpsmc.model import PriorConfig, sample_prior, to_arrays
 from fexpsmc.simulate import SimConfig, simulate_series
 from fexpsmc import smc
-from fexpsmc.smc import (BRENT_TOL, ParticleSystem, SmcConfig, ess, multinomial_resample,
+from fexpsmc.smc import (GAMMA_TOL, ParticleSystem, SmcConfig, ess, multinomial_resample,
                          run_smc, solve_next_gamma)
 from dense_reference import approx_single
 from particle_reference import per_row
@@ -150,7 +150,7 @@ def test_schedule_validates_gamma():
 @given(arrays(float, st.integers(2, 80),
               elements=st.one_of(st.floats(-1e4, 1e4), st.just(-math.inf))),
        st.floats(0.05, 0.95), st.one_of(st.just(0.0), st.floats(0.0, 0.99)))
-def test_brent_port_is_scipy_brentq_bit_for_bit(ll, c, gamma):
+def test_bisection_keeps_the_ess_target_and_meets_scipy_brentq(ll, c, gamma):
     live = ~np.isneginf(ll)
     target = c * ll.size
 
@@ -159,15 +159,37 @@ def test_brent_port_is_scipy_brentq_bit_for_bit(ll, c, gamma):
 
     if live.sum() <= target or gap(1.0 - gamma) >= 0.0:
         return  # no root to solve for: the schedule raises or finishes at 1
-    want = gamma + brentq(gap, 0.0, 1.0 - gamma, xtol=BRENT_TOL)
-    assert solve_next_gamma(ll, gamma, c) == want
+    got = solve_next_gamma(ll, gamma, c)
+    assert abs(got - (gamma + brentq(gap, 0.0, 1.0 - gamma, xtol=GAMMA_TOL))) <= 2 * GAMMA_TOL
+    alpha = got - gamma
+    # the bracket's lower end keeps the ESS at or above the target; a root
+    # below GAMMA_TOL gives the upper end instead of a zero step
+    assert gap(alpha) >= 0.0 or 0.0 < alpha <= GAMMA_TOL
 
 
-def test_brent_solve_without_convergence_is_a_numerical_error(monkeypatch):
-    monkeypatch.setattr(smc, "BRENT_MAXITER", 1)
-    ll = 4.0 * np.random.default_rng(2).standard_normal(400)
-    with pytest.raises(NumericalError, match="did not converge"):
-        solve_next_gamma(ll, 0.0, 0.5)
+def test_root_below_the_tolerance_is_a_nonzero_step():
+    # the root is near 1e-12: bisection's lower end stays at 0, and a zero
+    # step would turn a -inf log likelihood into a 0 * (-inf) = NaN weight
+    got = solve_next_gamma(np.array([0.0, -1e12]), 0.0, 0.6)
+    assert 0.0 < got <= GAMMA_TOL
+
+
+def test_run_with_minus_inf_at_a_root_below_the_tolerance_finishes():
+    logliks = lambda k, t, xi: np.array([0.0, -1e12, -math.inf])  # M = 0: one call, N = 3 rows
+    ps = run_smc(None, PriorConfig(), SmcConfig(N=3, M=0, c=0.6, seed=0), logliks_fn=logliks)
+    assert 0.0 < ps.gamma_schedule[0] <= GAMMA_TOL
+    assert ps.gamma_schedule[-1] == 1.0
+
+
+@given(_LOG_WEIGHTS, st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+def test_ess_is_non_increasing_in_the_tempering_exponent(lw, a, b):
+    a, b = min(a, b), max(a, b)
+    live = ~np.isneginf(lw)
+
+    def ess_at(alpha):
+        return ess(np.multiply(alpha, lw, where=live, out=np.full_like(lw, -math.inf)))
+
+    assert ess_at(a) >= ess_at(b) * (1.0 - 1e-12)
 
 
 # ---------------------------------------------------------------------------
