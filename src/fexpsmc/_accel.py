@@ -1,14 +1,17 @@
 """Numerical hot kernels, in numpy.
 
-Two Toeplitz kernels serve the exact likelihood and simulation.
+Toeplitz kernels serve the exact likelihood and simulation.
 ``schur_solve`` solves a batch of autocovariance rows against one
 right-hand side in O(n log^2 n) per row: doubling Schur reflection
-coefficients and the Gohberg-Semencul inverse.  Its temporaries grow with
-the batch, which the caller bounds: the exact likelihood passes blocks of
-at most ``exact.BLOCK_ELEMENTS // n`` rows.  It reports each row's
-residual, and the exact likelihood re-solves the rows it cannot vouch for
-with the O(n^2) Durbin-Levinson innovations kernel: whitening,
-``durbin_levinson_whiten``.  Both sweep all rows of a batch together.
+coefficients and the Gohberg-Semencul inverse.  ``fracnoise_solve`` does
+the same for rows of fractional noise in O(n log n), from closed-form
+reflection coefficients and predictor; both end in one Gohberg-Semencul
+helper.  Their temporaries grow with the batch, which the caller bounds:
+the exact likelihood passes blocks of at most ``exact.BLOCK_ELEMENTS // n``
+rows.  Each reports its rows' residuals, and the exact likelihood
+re-solves the rows they cannot vouch for with the O(n^2) Durbin-Levinson
+innovations kernel: whitening, ``durbin_levinson_whiten``.  All sweep the
+rows of a batch together.
 Simulation draws by circulant embedding (``circulant_eigenvalues``,
 ``circulant_sample``, of size 2L for a 5-smooth L >= n - 1) at
 O(n log n); only a draw whose embedding has a negative eigenvalue is
@@ -328,54 +331,90 @@ def _schur(g):
     return kappa + right_kappa, np.fft.irfft(theta, size)[..., :s + 1]
 
 
-def _gohberg_semencul(acf, a, v, yt, fy, size):
-    """z = T(acf)^{-1} y of one row from its prediction error filter a and
-    innovation variance v of order n - 1, as (z (c, n), the relative residual
-    of each column); yt = y' and fy = rfft(yt, size)."""
-    n = acf.size
+def _gohberg_semencul(acf, kappa, a, y):
+    """Solutions z[b] = T(acf[b])^{-1} y of every row from its reflection
+    coefficients kappa[b] (B, n - 1) and order-(n - 1) prediction error
+    filter a[b] (B, n), with log|T(acf[b])| and the relative residual, as
+    :func:`schur_solve` returns them.  One row at a time: the solve needs no
+    more temporaries for a block.  The caller ignores floating-point
+    errors."""
+    B, n = acf.shape
+    v = np.empty((B, n))
+    v[:, 0] = acf[:, 0]
+    v[:, 1:] = 1.0 - kappa * kappa
+    np.multiply.accumulate(v, axis=1, out=v)
+    yt = np.ascontiguousarray(y.T)
+    logdet = np.log(v).sum(axis=1)
+    size = _fft_size(2 * n - 1)
+    fy = np.fft.rfft(yt, size)
+    z = np.empty((B, yt.shape[0], n))
+    resid = np.empty((B, yt.shape[0]))
     h = np.zeros((2, n))
-    h[0] = a
-    h[1, 1:] = a[:0:-1]
-    fh = np.fft.rfft(h, size)
-    # L(c)' y and L(c~)' y, (2, c, n)
-    p = np.fft.irfft(fh.conj()[:, None] * fy, size)[..., :n]
-    fp = np.fft.rfft(p, size)
-    z = np.fft.irfft(fh[0] * fp[0] - fh[1] * fp[1], size)[:, :n] / v
-    # T z by the circulant embedding of T
     emb = np.zeros(size)
-    emb[:n] = acf
-    emb[size - n + 1:] = acf[:0:-1]
-    tz = np.fft.irfft(np.fft.rfft(emb) * np.fft.rfft(z, size), size)[:, :n]
-    return z, np.linalg.norm(tz - yt, axis=-1) / np.linalg.norm(yt, axis=-1)
+    for b in range(B):
+        h[0] = a[b]
+        h[1, 1:] = a[b, :0:-1]
+        fh = np.fft.rfft(h, size)
+        # L(c)' y and L(c~)' y, (2, c, n)
+        p = np.fft.irfft(fh.conj()[:, None] * fy, size)[..., :n]
+        fp = np.fft.rfft(p, size)
+        z[b] = np.fft.irfft(fh[0] * fp[0] - fh[1] * fp[1], size)[:, :n] / v[b, -1]
+        # T z by the circulant embedding of T
+        emb[:n] = acf[b]
+        emb[size - n + 1:] = acf[b, :0:-1]
+        tz = np.fft.irfft(np.fft.rfft(emb) * np.fft.rfft(z[b], size), size)[:, :n]
+        resid[b] = np.linalg.norm(tz - yt, axis=-1) / np.linalg.norm(yt, axis=-1)
+    resid = resid.max(axis=1)
+    resid[~np.all((v > 0.0) & (v < math.inf), axis=1)] = math.inf
+    return z, logdet, resid
 
 
 def schur_solve(acf, y):
     """Solutions z[b] = T(acf[b])^{-1} y of the columns of y (shape (n, c))
-    for every row of acf (shape (B, n)), with log|T(acf[b])| and the relative
-    residual, as (z, logdet, resid) with shapes (B, c, n), (B,), (B,).
-    resid[b] is inf when T(acf[b]) failed to factor.  The temporaries are
-    about a dozen B x n arrays; the caller bounds B."""
-    B, n = acf.shape
-    yt = np.ascontiguousarray(y.T)
+    for every row of acf (shape (B, n), B >= 1), with log|T(acf[b])| and the
+    relative residual, as (z, logdet, resid) with shapes (B, c, n), (B,),
+    (B,).  resid[b] is inf when T(acf[b]) failed to factor.  The temporaries
+    are about a dozen B x n arrays; the caller bounds B."""
     with np.errstate(all="ignore"):
         # w = u but for w_0; _schur frees the array after its first half
         kappa, theta = _schur(np.stack([acf, acf], axis=1))
-        v = np.empty((B, n))
-        v[:, 0] = acf[:, 0]
-        kappa = np.concatenate(kappa, axis=1)
-        v[:, 1:] = 1.0 - kappa * kappa
-        np.multiply.accumulate(v, axis=1, out=v)
-        logdet = np.log(v).sum(axis=1)
         a = theta[:, 0] + theta[:, 1]
         a[:, 0] = 1.0
         del theta
-        # one row at a time: the solve needs no more temporaries for a block
-        size = _fft_size(2 * n - 1)
-        fy = np.fft.rfft(yt, size)
-        z = np.empty((B, yt.shape[0], n))
-        resid = np.empty((B, yt.shape[0]))
-        for b in range(B):
-            z[b], resid[b] = _gohberg_semencul(acf[b], a[b], v[b, -1], yt, fy, size)
-        resid = resid.max(axis=1)
-        resid[~np.all((v > 0.0) & (v < math.inf), axis=1)] = math.inf
-    return z, logdet, resid
+        return _gohberg_semencul(acf, np.concatenate(kappa, axis=1), a, y)
+
+
+# ---------------------------------------------------------------------------
+# Fractional noise in closed form (Hosking 1981, Biometrika 68:165-176).
+#
+# For ARFIMA(0, d, 0), the FEXP model of order k = 0, the reflection
+# coefficients are kappa_t = d / (t - d), so v_t = v_{t-1} (1 - kappa_t^2)
+# with v_0 = acf_0, and the order-m predictor, m = n - 1, is
+#
+#     phi_1 = m d / (m - d),
+#     phi_j / phi_{j-1} = (m - j + 1)(j - 1 - d) / (j (m - d - j + 1)),
+#
+# every factor positive for 0 <= d < 1/2.  Each is one running product
+# along the row, so only the Gohberg-Semencul solve is left, and the
+# residual checks the closed forms against the quadrature's acf.
+# ---------------------------------------------------------------------------
+
+
+def fracnoise_solve(acf, d, y):
+    """:func:`schur_solve` of rows of fractional noise: acf[b] (shape (B, n),
+    B >= 1) the autocovariances of ARFIMA(0, d[b], 0), whose reflection
+    coefficients and order-(n - 1) predictor are closed forms.  Same
+    (z, logdet, resid); a row gets the same bits in any batch."""
+    B, n = acf.shape
+    m = n - 1
+    d = d[:, None]
+    t = np.arange(1.0, n)
+    with np.errstate(all="ignore"):
+        # a = (1, -phi_1, .., -phi_m): -phi_1, then the ratios
+        a = np.empty((B, n))
+        a[:, 0] = 1.0
+        a[:, 1:2] = -m * d / (m - d)
+        j = t[1:]
+        a[:, 2:] = (m - j + 1.0) * (j - 1.0 - d) / (j * (m - d - j + 1.0))
+        np.multiply.accumulate(a, axis=1, out=a)
+        return _gohberg_semencul(acf, d / (t - d), a, y)

@@ -8,8 +8,9 @@ Particles theta_j targeting the approximate posterior are reweighted by
 then self-normalised.  Both evaluators drop the same kind of theta-free
 constants, so the weights are correct up to a single global factor that
 normalisation removes.  The exact evaluation costs one O(n log^2 n) Schur
-solve per distinct particle, or an O(n^2) Durbin-Levinson sweep for a
-particle too ill-conditioned for it (counted), so weights are memoised
+solve per distinct particle, an O(n log n) closed-form solve for a k = 0
+particle (fractional noise), or an O(n^2) Durbin-Levinson sweep for a
+particle too ill-conditioned for either (counted), so weights are memoised
 across duplicated particles (resampled populations contain many copies)
 and the step can be subsampled.  The settings are a
 :class:`CorrectionConfig`, the only owner of the ``correction.*`` keys'
@@ -42,10 +43,13 @@ logger = logging.getLogger(__name__)
 #: refuse exact work above this length unless explicitly forced.  At
 #: n = 20 000 the exact side solves blocks of 6 distinct particles
 #: (exact.BLOCK_ELEMENTS); 32 distinct particles on the Schur path raised the
-#: peak RSS by about 21 MB (one particle alone by about 9 MB) and took
-#: 2.2-2.6 s, 0.07-0.08 s per distinct particle (one particle alone
-#: 0.18-0.26 s; one core of a 2-core x86 host).  A particle handed to the
-#: Durbin-Levinson fallback still costs O(n^2): 0.73 s at n = 20 000.
+#: peak RSS by about 23 MB (one particle alone by about 11 MB) and took
+#: 1.8-2.0 s, 0.06 s per distinct particle (one particle alone 0.15-0.23 s);
+#: 32 distinct k = 0 particles, solved in closed form, raised it by about
+#: 21 MB (one alone by about 10 MB) and took 0.35-0.44 s, 0.01 s per
+#: particle (one alone 0.02 s; one core of a 2-core x86 host).  A particle
+#: handed to the Durbin-Levinson fallback still costs O(n^2): 0.73 s at
+#: n = 20 000.
 N_GUARD = 20_000
 
 

@@ -20,21 +20,25 @@ matrix G of the T^{-1} quadratic forms of the columns u = x - m_mu and 1;
 the matrix determinant lemma and Sherman-Morrison then add the rank-one
 term.  :func:`fexpsmc._accel.schur_solve` gives both in O(n log^2 n) time
 per theta: log|T| from doubling Schur reflection coefficients, and
-z = T^{-1}[u, 1] from the Gohberg-Semencul inverse, so G = [u, 1]' z.  Its
-accuracy degrades with the condition of T, and nothing in it checks that,
-so it also returns the relative residual ||T z - y|| / ||y||.  A theta whose
-residual exceeds RESIDUAL_BOUND, or whose factorisation failed, is whitened
-again by the O(n^2) Durbin-Levinson sweep, which gives log|T| = sum log v_t
-and G from the prediction errors, or the failing leading minor.
+z = T^{-1}[u, 1] from the Gohberg-Semencul inverse, so G = [u, 1]' z.  A
+theta of order k = 0 is fractional noise, ARFIMA(0, d, 0), whose
+reflection coefficients and predictor are closed forms, so
+:func:`fexpsmc._accel.fracnoise_solve` gives the same in O(n log n).  The
+accuracy of either degrades with the condition of T, and nothing in them
+checks that, so both also return the relative residual
+||T z - y|| / ||y||.  A theta whose residual exceeds RESIDUAL_BOUND, or
+whose factorisation failed, is whitened again by the O(n^2)
+Durbin-Levinson sweep, which gives log|T| = sum log v_t and G from the
+prediction errors, or the failing leading minor.
 
 :func:`exact_log_margliks` scores a whole population, given as the arrays
 (k, t, xi) of :mod:`fexpsmc.model`, in blocks of at most BLOCK_ELEMENTS / n
 thetas, which bounds the working set to a few BLOCK_ELEMENTS doubles however
 many thetas are passed.  A block's autocovariances are one array quadrature
 (:func:`fexpsmc.fourier.longmemory_autocovs`) of exp(sum_j xi_j cos(j lam))
-sampled on the half grid for all its rows, and the block is solved at once,
-which pays the kernels' per-step Python cost once per block instead of once
-per theta.  A theta whose T is not positive definite is reported by its
+sampled on the half grid for all its rows, and the block's k = 0 rows and
+its other rows are each solved at once, which pays the Schur recursion's
+per-step Python cost once per block instead of once per theta.  A theta whose T is not positive definite is reported by its
 failing index instead of raising, and its neighbours are unaffected; a theta
 gets the same bits in any batch.
 """
@@ -62,7 +66,9 @@ BLOCK_ELEMENTS = 1 << 17
 #: dense slogdet/solve oracle; above it the Schur value drifted up to 100
 #: nats off (residual 0.1 at cond 1.1e16) where Durbin-Levinson was 38 off.
 #: The 534 distinct final particles of 12 fits on the benchmark's inputs had
-#: residuals of at most 3.5e-13.
+#: residuals of at most 3.5e-13.  In 12 other such fits, the 35 distinct
+#: k = 0 particles had closed-form residuals of at most 4.0e-13, and the 382
+#: others Schur residuals of at most 9.6e-14.
 RESIDUAL_BOUND = 1e-8
 
 
@@ -128,10 +134,10 @@ def exact_log_margliks(k, t, xi, x, prior):
     its log marginal likelihood (up to one theta-free constant); otherwise
     info[i] is the 1-based index of the failing leading minor and values[i]
     is nan.  ill[i] is true where T was positive definite but too
-    ill-conditioned for the Schur solve, so that the value is
-    Durbin-Levinson's.  O(n log^2 n) time per row, O(n^2) for a row the
-    Schur solve hands to Durbin-Levinson; the rows are solved in blocks of
-    at most BLOCK_ELEMENTS // n.
+    ill-conditioned for the fast solve, so that the value is
+    Durbin-Levinson's.  O(n log^2 n) time per row, O(n log n) for a k = 0
+    row and O(n^2) for a row handed to Durbin-Levinson; the rows are solved
+    in blocks of at most BLOCK_ELEMENTS // n.
     """
     x = np.asarray(x, dtype=float)
     n = x.size
@@ -145,7 +151,14 @@ def exact_log_margliks(k, t, xi, x, prior):
     for lo in range(0, k.size, size):
         block = slice(lo, lo + size)
         acf = _autocovs(k[block], t[block], xi[block], n)
-        z, logdet, resid = _accel.schur_solve(acf, y)
+        z = np.empty((acf.shape[0], 2, n))
+        logdet, resid = np.empty((2, acf.shape[0]))
+        frac = k[block] == 0
+        if frac.any():
+            d = memory_d(t[block][frac])
+            z[frac], logdet[frac], resid[frac] = _accel.fracnoise_solve(acf[frac], d, y)
+        if not frac.all():
+            z[~frac], logdet[~frac], resid[~frac] = _accel.schur_solve(acf[~frac], y)
         good = resid <= RESIDUAL_BOUND
         fast, slow = np.flatnonzero(good), np.flatnonzero(~good)
         values[lo + fast] = _log_margliks(_gram(y.T[None], z[fast]), logdet[fast], n, prior)

@@ -428,3 +428,115 @@ def test_exact_log_margliks_rows_are_finite_or_failed(n, d, xi, seed):
     if evals[0] > 0 and evals[-1] < 1e10 * evals[0]:
         want = _dense_log_marglik(acf, x, prior)
         assert abs(values[0] - want) < 1e-8 * abs(want)
+
+
+# ---------------------------------------------------------------------------
+# Fractional noise (k = 0) in closed form
+# ---------------------------------------------------------------------------
+
+def _fracnoise(d):
+    """The k = 0 theta of memory d; t = -800 gives d = 0 exactly."""
+    t = -800.0 if d == 0.0 else math.log(2.0 * d / (1.0 - 2.0 * d))
+    return ThetaParams(k=0, t=t, xi=np.empty(0))
+
+
+@pytest.mark.parametrize("n", [2, 3, 49, 50, 97, 512])
+@pytest.mark.parametrize("d", [0.0, 0.1, 0.3, 0.45, 0.499])
+def test_fracnoise_solve_matches_schur_and_dense(d, n):
+    # around SCHUR_LEAF = 48, d up to 0.499 (cond(T) = 1.6e5 at n = 512)
+    prior = PriorConfig()
+    th = _fracnoise(d)
+    acf = _acf(th, n)[None]
+    x = np.random.default_rng(n).standard_normal(n) * 1.4 + 0.3
+    y = np.column_stack([x - prior.m_mu, np.ones(n)])
+    z, logdet, resid = _accel.fracnoise_solve(acf, np.array([th.d]), y)
+    zs, logdet_s, _ = _accel.schur_solve(acf, y)
+    T = build_toeplitz(acf[0])
+    assert abs(logdet[0] - logdet_s[0]) < 1e-10
+    assert abs(logdet[0] - 2.0 * np.sum(np.log(np.diag(cholesky_lower(T))))) < 1e-10
+    assert np.max(np.abs(z - zs)) < 1e-10 * np.max(np.abs(zs))
+    assert np.max(np.abs(z[0].T - np.linalg.solve(T, y))) < 1e-10 * np.max(np.abs(zs))
+    assert resid[0] < 1e-10
+    # through the likelihood, which sends the row to this kernel
+    values, info, ill = _margliks([th], x, prior)
+    assert info[0] == 0 and not ill[0]
+    assert values[0] == exact._log_margliks(exact._gram(y.T[None], z), logdet, n, prior)[0]
+    want = _dense_log_marglik(acf[0], x, prior)
+    assert abs(values[0] - want) < 1e-10 * abs(want)
+
+
+@pytest.mark.parametrize("n", [2, 3, 50, 512])
+def test_fracnoise_solve_at_d_zero_is_white_noise(n):
+    # d = 0: every kappa_t and phi_j is 0, so T = gamma(0) I
+    gamma0 = np.array([1.0, 2.5, 0.3])
+    acf = np.zeros((3, n))
+    acf[:, 0] = gamma0
+    y = np.random.default_rng(n).standard_normal((n, 2))
+    z, logdet, resid = _accel.fracnoise_solve(acf, np.zeros(3), y)
+    want = y.T[None] / gamma0[:, None, None]
+    assert np.max(np.abs(z - want)) < 1e-14 * np.max(np.abs(want))
+    assert np.allclose(logdet, n * np.log(gamma0), rtol=1e-14, atol=1e-14)
+    assert np.all(resid < 1e-14)
+
+
+def _kernel_rows(monkeypatch):
+    """Route both kernels through a log of (kernel, rows) calls, refusing a
+    call with no rows."""
+    calls = []
+    for name in ("fracnoise_solve", "schur_solve"):
+        real = getattr(_accel, name)
+
+        def logged(acf, *args, real=real, name=name):
+            assert acf.shape[0] > 0, f"{name} called with no rows"
+            calls.append((name, acf.shape[0]))
+            return real(acf, *args)
+
+        monkeypatch.setattr(_accel, name, logged)
+    return calls
+
+
+def _value_alone(th, x, prior):
+    """The row's value from its kernel called on the row alone."""
+    n = x.size
+    acf = _acf(th, n)[None]
+    y = np.column_stack([x - prior.m_mu, np.ones(n)])
+    if th.k:
+        z, logdet, resid = _accel.schur_solve(acf, y)
+    else:
+        z, logdet, resid = _accel.fracnoise_solve(acf, np.array([th.d]), y)
+    assert resid[0] <= exact.RESIDUAL_BOUND
+    return exact._log_margliks(exact._gram(y.T[None], z), logdet, n, prior)[0]
+
+
+_ZEROS = [_fracnoise(d) for d in (0.0, 0.05, 0.3, 0.45, 0.499)]
+
+
+@pytest.mark.parametrize("population", ["all k = 0", "no k = 0", "mixed"])
+def test_each_row_is_its_kernel_on_the_row_alone(population, monkeypatch):
+    # k = 0 rows go to fracnoise_solve, the rest to schur_solve, each row
+    # with the bits it gets alone, among k = 0 rows only or among the mixed
+    # population's rows; n = 700 runs the doubling recursion
+    prior = PriorConfig()
+    n = 700
+    x = np.random.default_rng(17).standard_normal(n) * 1.4 + 0.3
+    mixed = _mixed_population()
+    thetas = {"all k = 0": _ZEROS,
+              "no k = 0": [th for th in mixed if th.k],
+              "mixed": mixed[:4] + _ZEROS + mixed[4:]}[population]
+    calls = _kernel_rows(monkeypatch)
+    values, info, ill = _margliks(thetas, x, prior)
+    assert not info.any() and not ill.any()
+    zeros = sum(th.k == 0 for th in thetas)
+    assert sorted(calls) == sorted(
+        [("fracnoise_solve", zeros)] * bool(zeros)
+        + [("schur_solve", len(thetas) - zeros)] * bool(len(thetas) - zeros))
+    for th, got in zip(thetas, values):
+        assert got == _value_alone(th, x, prior)
+
+
+def test_empty_population_calls_no_kernel(monkeypatch):
+    calls = _kernel_rows(monkeypatch)
+    empty = (np.empty(0, dtype=np.int64), np.empty(0), np.empty((0, 0)))
+    values, info, ill = exact.exact_log_margliks(*empty, np.ones(16), PriorConfig())
+    assert values.shape == info.shape == ill.shape == (0,)
+    assert calls == []
